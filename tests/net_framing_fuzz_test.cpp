@@ -48,7 +48,7 @@ std::vector<std::pair<net::Opcode, std::string>> frameCorpus() {
   Put += "some entry bytes, not structured";
   add(net::Opcode::Put, Put);
   std::string Scan;
-  putStr(Scan, "fgbs-part-");
+  putStr(Scan, "fgbs-meas-");
   putStr(Scan, ".v1");
   add(net::Opcode::Scan, Scan);
   std::string Prune;
@@ -63,24 +63,6 @@ std::vector<std::pair<net::Opcode, std::string>> frameCorpus() {
   putU64(Unlock, 0x1234u);
   add(net::Opcode::LockRelease, Unlock);
 
-  std::string Enqueue = Name;
-  putStr(Enqueue, "opaque work spec");
-  add(net::Opcode::EnqueueWork, Enqueue);
-  std::string Claim;
-  putU64(Claim, 0xBEEFu);
-  putU64(Claim, 30000);
-  putU32(Claim, 4);
-  add(net::Opcode::ClaimWork, Claim);
-  std::string Heartbeat;
-  putU64(Heartbeat, 0xBEEFu);
-  putU64(Heartbeat, 30000);
-  putU32(Heartbeat, 1);
-  putStr(Heartbeat, "fgbs-meas-0123456789abcdef.v1");
-  add(net::Opcode::Heartbeat, Heartbeat);
-  std::string Complete = Name;
-  putU64(Complete, 0xBEEFu);
-  add(net::Opcode::CompleteWork, Complete);
-  add(net::Opcode::AbandonWork, Complete);
   add(net::Opcode::Stats, "");
   std::string ScanPrefix;
   putStr(ScanPrefix, "model/suite/");
@@ -330,6 +312,52 @@ TEST_F(FuzzServer, RejectsMalformedNamespacedNamesWithTypedErrors) {
     ASSERT_EQ(net::readFrame(S, Reply, 2000), net::WireError::None);
     EXPECT_EQ(Reply.Op, net::Opcode::Ok) << "name '" << Good << "'";
   }
+  expectAlive();
+}
+
+TEST_F(FuzzServer, UnassignedOpcodesAnswerTypedErrorsAndKeepTheConnection) {
+  // Opcodes 9-13 once drove a server-side work queue; they are
+  // unassigned now.  A client still sending them, with the payloads
+  // they used to carry, must get a typed Error on a connection that
+  // stays usable — never Ok, a drop, or a crash.
+  const std::string Name = "fgbs-meas-0123456789abcdef.v1";
+  std::string Enqueue;
+  putStr(Enqueue, Name);
+  putStr(Enqueue, "opaque work spec");
+  std::string Claim;
+  putU64(Claim, 0xBEEFu);
+  putU64(Claim, 30000);
+  putU32(Claim, 4);
+  std::string Renew;
+  putU64(Renew, 0xBEEFu);
+  putU64(Renew, 30000);
+  putU32(Renew, 1);
+  putStr(Renew, Name);
+  std::string Finish;
+  putStr(Finish, Name);
+  putU64(Finish, 0xBEEFu);
+  const std::vector<std::pair<std::uint32_t, std::string>> Retired = {
+      {9, Enqueue}, {10, Claim}, {11, Renew}, {12, Finish}, {13, Finish}};
+
+  net::Socket S = connect();
+  ASSERT_TRUE(S.valid());
+  for (const auto &[Raw, Payload] : Retired) {
+    const auto Op = static_cast<net::Opcode>(Raw);
+    ASSERT_TRUE(net::writeFrame(S, Op, Payload, 2000)) << "opcode " << Raw;
+    net::Frame Reply;
+    ASSERT_EQ(net::readFrame(S, Reply, 2000), net::WireError::None)
+        << "opcode " << Raw;
+    ASSERT_EQ(Reply.Op, net::Opcode::Error) << "opcode " << Raw;
+    ByteReader In(Reply.Payload);
+    const std::string Message = In.str();
+    EXPECT_FALSE(In.overrun()) << "opcode " << Raw;
+    EXPECT_NE(Message.find("unsupported opcode"), std::string::npos)
+        << "opcode " << Raw << ": " << Message;
+  }
+  ASSERT_TRUE(net::writeFrame(S, net::Opcode::Ping, "", 2000));
+  net::Frame Pong;
+  ASSERT_EQ(net::readFrame(S, Pong, 2000), net::WireError::None);
+  EXPECT_EQ(Pong.Op, net::Opcode::Ok);
   expectAlive();
 }
 

@@ -11,7 +11,7 @@
 //   fgbs_cached --root DIR [--port N] [--shards N] [--threads N]
 //               [--bind ADDR] [--max-bytes N] [--max-age SECONDS]
 //               [--model-max-bytes N] [--model-max-age SECONDS]
-//               [--port-file PATH] [--workers N] [--prune-interval SEC]
+//               [--port-file PATH]
 //   fgbs_cached --ping HOST:PORT
 //   fgbs_cached --stats HOST:PORT [--json]
 //
@@ -21,7 +21,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "fgbs/core/FarmWorker.h"
 #include "fgbs/core/RemoteCacheBackend.h"
 #include "fgbs/net/CacheServer.h"
 #include "fgbs/obs/RunReport.h"
@@ -34,7 +33,6 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 using namespace fgbs;
 
@@ -51,7 +49,6 @@ int usage(std::ostream &OS, int Exit) {
         "                   [--threads N] [--bind ADDR] [--max-bytes N]\n"
         "                   [--max-age SEC] [--model-max-bytes N]\n"
         "                   [--model-max-age SEC] [--port-file PATH]\n"
-        "                   [--workers N] [--prune-interval SEC]\n"
         "       fgbs_cached --ping HOST:PORT\n"
         "       fgbs_cached --stats HOST:PORT [--json]\n"
         "\n"
@@ -83,18 +80,11 @@ int usage(std::ostream &OS, int Exit) {
         "  --port-file PATH\n"
         "                 write the bound port as a line of text (for\n"
         "                 scripts using --port 0)\n"
-        "  --workers N    also run N embedded simulation-farm worker\n"
-        "                 threads against this server (a one-process farm\n"
-        "                 for small fleets and tests; default 0)\n"
-        "  --prune-interval SEC\n"
-        "                 self-prune every shard to the --max-bytes/\n"
-        "                 --max-age budgets every SEC seconds, in addition\n"
-        "                 to the after-store pruning (default 0: off)\n"
         "  --ping HOST:PORT\n"
         "                 check a running daemon and exit (0 = healthy)\n"
         "  --stats HOST:PORT\n"
         "                 print a running daemon's shard footprints and\n"
-        "                 request/queue counters and exit\n"
+        "                 request counters and exit\n"
         "  --json         with --stats: emit one fgbs.cachestats.v1 JSON\n"
         "                 document instead of the human-readable text\n"
         "  --help         print this help and exit\n"
@@ -119,8 +109,6 @@ int main(int argc, char **argv) {
   std::string PingSpec;
   std::string StatsSpec;
   bool StatsJson = false;
-  unsigned Workers = 0;
-  std::uint64_t PruneIntervalSeconds = 0;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -175,17 +163,6 @@ int main(int argc, char **argv) {
       }
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
-    } else if (Arg == "--workers" && I + 1 < argc) {
-      if (!parseU64(argv[++I], U) || U > 256) {
-        std::cerr << "fgbs_cached: --workers needs 0..256\n";
-        return usage(std::cerr, 2);
-      }
-      Workers = static_cast<unsigned>(U);
-    } else if (Arg == "--prune-interval" && I + 1 < argc) {
-      if (!parseU64(argv[++I], PruneIntervalSeconds)) {
-        std::cerr << "fgbs_cached: --prune-interval needs a second count\n";
-        return usage(std::cerr, 2);
-      }
     } else if (Arg == "--ping" && I + 1 < argc) {
       PingSpec = argv[++I];
     } else if (Arg == "--stats" && I + 1 < argc) {
@@ -242,14 +219,7 @@ int main(int argc, char **argv) {
               << "requests: " << Stats.Hits << " hits, " << Stats.Misses
               << " misses\n"
               << "leases: " << Stats.LeasesGranted << " granted, "
-              << Stats.LeasesDenied << " denied\n"
-              << "queue: " << Stats.QueuePending << " pending, "
-              << Stats.QueueClaimed << " claimed\n"
-              << "farm: " << Stats.FarmEnqueued << " enqueued, "
-              << Stats.FarmClaimed << " claimed, " << Stats.FarmCompleted
-              << " completed, " << Stats.FarmRequeued << " requeued, "
-              << Stats.FarmHeartbeats << " heartbeats, " << Stats.FarmDropped
-              << " dropped\n";
+              << Stats.LeasesDenied << " denied\n";
     if (Stats.HasModelStats) {
       std::uint64_t ModelEntries = 0, ModelBytes = 0;
       for (const RemoteShardStats &S : Stats.ModelShards) {
@@ -298,31 +268,10 @@ int main(int argc, char **argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  // Embedded farm workers: a one-process farm.  Each thread is the
-  // same loop fgbs_worker runs, pointed over loopback at this server.
-  std::vector<std::thread> WorkerThreads;
-  for (unsigned I = 0; I < Workers; ++I)
-    WorkerThreads.emplace_back([&Server] {
-      WorkerConfig Worker;
-      Worker.Remote.Host = "127.0.0.1";
-      Worker.Remote.Port = Server.port();
-      Worker.Stop = &ShutdownRequested;
-      runWorkerLoop(Worker);
-    });
-
-  const auto PruneEvery = std::chrono::seconds(PruneIntervalSeconds);
-  auto NextPrune = std::chrono::steady_clock::now() + PruneEvery;
-  while (!ShutdownRequested.load()) {
+  while (!ShutdownRequested.load())
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (PruneIntervalSeconds && std::chrono::steady_clock::now() >= NextPrune) {
-      Server.pruneAllShards();
-      NextPrune = std::chrono::steady_clock::now() + PruneEvery;
-    }
-  }
 
   std::cout << "fgbs_cached: shutting down" << std::endl;
-  for (std::thread &T : WorkerThreads)
-    T.join();
   Server.stop();
   return 0;
 }
