@@ -20,6 +20,7 @@
 #include "fgbs/support/Statistics.h"
 #include "fgbs/support/TextTable.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -60,6 +61,38 @@ inline std::unique_ptr<Study> makeNrStudy() {
 
 inline std::unique_ptr<Study> makeNasStudy() {
   return std::make_unique<Study>(makeNasSer());
+}
+
+/// One feature mask scored as the Table 2 GA scores it (section 4.2):
+/// the elbow-cut pipeline's average errors on the two training targets
+/// and its representative count.
+struct Table2Score {
+  double ErrAtom = 0.0;
+  double ErrSandyBridge = 0.0;
+  unsigned K = 0;
+  /// The GA's fitness, to minimize: max(ErrAtom, ErrSandyBridge) x K.  An
+  /// empty mask is infeasible and scores 1e12.
+  double Fitness = 1e12;
+};
+
+inline Table2Score scoreTable2Mask(const MeasurementDatabase &Db,
+                                   const FeatureMask &Mask) {
+  Table2Score Score;
+  if (maskCount(Mask) == 0)
+    return Score;
+  PipelineConfig Config;
+  Config.Features = Mask;
+  PipelineResult R = Pipeline(Db, Config).run();
+  for (const TargetEvaluation &E : R.Targets) {
+    if (E.MachineName == "Atom")
+      Score.ErrAtom = E.AverageErrorPercent;
+    if (E.MachineName == "Sandy Bridge")
+      Score.ErrSandyBridge = E.AverageErrorPercent;
+  }
+  Score.K = R.Selection.FinalK;
+  Score.Fitness = std::max(Score.ErrAtom, Score.ErrSandyBridge) *
+                  static_cast<double>(Score.K);
+  return Score;
 }
 
 /// Every bench main() opens an obs::Session named after its binary as

@@ -3,8 +3,9 @@
 // Google-benchmark microbenchmarks of the library's hot paths: the
 // trace-driven cache hierarchy, the executor, Ward clustering, the elbow
 // search, representative selection, the prediction model, feature
-// computation, and GA generations.  These guard the costs that make the
-// cluster-count sweeps (Figure 3/7) and the GA (Table 2) tractable.
+// computation, GA generations and one Table 2 fitness evaluation.  These
+// guard the costs that make the cluster-count sweeps (Figure 3/7) and the
+// GA (Table 2) tractable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -221,6 +222,30 @@ void BM_PipelineRerun(benchmark::State &State) {
     benchmark::DoNotOptimize(P.run());
 }
 BENCHMARK(BM_PipelineRerun);
+
+void BM_PipelineRerunNr(benchmark::State &State) {
+  // One Table 2 fitness evaluation: steps C-E over the Numerical Recipes
+  // database on the three paper targets, under one of 64 seeded random
+  // feature masks per iteration (the GA's distinct fitness calls).
+  static Suite S = makeNumericalRecipes();
+  static MeasurementDatabase Db(S, makeNehalem(), paperTargets());
+  std::vector<FeatureMask> Masks;
+  Rng R(0x7AB1E2);
+  for (int I = 0; I < 64; ++I) {
+    FeatureMask Mask(NumFeatures);
+    for (std::size_t B = 0; B < NumFeatures; ++B)
+      Mask[B] = R.bernoulli(0.5);
+    Mask[R.below(NumFeatures)] = true; // Never empty.
+    Masks.push_back(std::move(Mask));
+  }
+  std::size_t Next = 0;
+  for (auto _ : State) {
+    PipelineConfig Config;
+    Config.Features = Masks[Next++ % Masks.size()];
+    benchmark::DoNotOptimize(Pipeline(Db, Config).run());
+  }
+}
+BENCHMARK(BM_PipelineRerunNr);
 
 void BM_SuiteTextRoundTrip(benchmark::State &State) {
   Suite S = makeSyntheticSuite({});

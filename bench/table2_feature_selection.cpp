@@ -25,22 +25,6 @@ int main() {
   std::unique_ptr<bench::Study> Study = bench::makeNrStudy();
   const MeasurementDatabase &Db = *Study->Db;
 
-  auto EvaluateMask = [&Db](const FeatureMask &Mask) {
-    PipelineConfig Cfg;
-    Cfg.Features = Mask;
-    PipelineResult R = Pipeline(Db, Cfg).run();
-    double ErrAtom = 0.0;
-    double ErrSb = 0.0;
-    for (const TargetEvaluation &E : R.Targets) {
-      if (E.MachineName == "Atom")
-        ErrAtom = E.AverageErrorPercent;
-      if (E.MachineName == "Sandy Bridge")
-        ErrSb = E.AverageErrorPercent;
-    }
-    return std::make_tuple(std::max(ErrAtom, ErrSb), R.Selection.FinalK,
-                           ErrAtom, ErrSb);
-  };
-
   GaConfig Cfg;
   Cfg.ChromosomeLength = NumFeatures;
   Cfg.PopulationSize = 1000;
@@ -48,30 +32,25 @@ int main() {
   Cfg.MutationProbability = 0.01;
   Cfg.Seed = 0xC602014; // Deterministic study seed (CGO 2014).
 
-  GaResult R = runGa(Cfg, [&](const Chromosome &C) {
-    FeatureMask Mask(C.begin(), C.end());
-    if (maskCount(Mask) == 0)
-      return 1e12; // Infeasible: no features selected.
-    auto [Err, K, A, S] = EvaluateMask(Mask);
-    (void)A;
-    (void)S;
-    return Err * static_cast<double>(K);
+  GaResult R = runGa(Cfg, [&Db](const Chromosome &C) {
+    return bench::scoreTable2Mask(Db, C).Fitness;
   });
 
-  FeatureMask Best(R.Best.begin(), R.Best.end());
-  auto [BestErr, BestK, BestAtom, BestSb] = EvaluateMask(Best);
+  const FeatureMask &Best = R.Best;
+  bench::Table2Score BestScore = bench::scoreTable2Mask(Db, Best);
   Telemetry.recordValue("converged_at_generation", R.ConvergedAtGeneration);
   Telemetry.recordValue("fitness_evaluations",
                         static_cast<double>(R.Evaluations));
   Telemetry.recordValue("best_fitness", R.BestFitness);
-  Telemetry.recordValue("best_k", BestK);
+  Telemetry.recordValue("best_k", BestScore.K);
 
   std::cout << "GA converged at generation " << R.ConvergedAtGeneration
             << " (paper: 47) after " << R.Evaluations
             << " distinct fitness evaluations\n"
             << "Best fitness " << formatDouble(R.BestFitness, 2) << " = max("
-            << formatPercent(BestAtom) << ", " << formatPercent(BestSb)
-            << ") x K=" << BestK << "\n\n";
+            << formatPercent(BestScore.ErrAtom) << ", "
+            << formatPercent(BestScore.ErrSandyBridge)
+            << ") x K=" << BestScore.K << "\n\n";
 
   const FeatureCatalog &Cat = FeatureCatalog::get();
   std::cout << "Selected dynamic (Likwid-like) features:\n";
@@ -88,13 +67,14 @@ int main() {
   unsigned Overlap = 0;
   for (std::size_t I = 0; I < NumFeatures; ++I)
     Overlap += Best[I] && PaperMask[I];
-  auto [PaperErr, PaperK, PaperAtom, PaperSb] = EvaluateMask(PaperMask);
+  bench::Table2Score Paper = bench::scoreTable2Mask(Db, PaperMask);
   std::cout << "\nSelected " << maskCount(Best) << " features; " << Overlap
             << " overlap with the paper's 14-feature set.\n"
             << "Paper's Table 2 set on this testbed: fitness "
-            << formatDouble(PaperErr * PaperK, 2) << " = max("
-            << formatPercent(PaperAtom) << ", " << formatPercent(PaperSb)
-            << ") x K=" << PaperK << "\n";
+            << formatDouble(Paper.Fitness, 2) << " = max("
+            << formatPercent(Paper.ErrAtom) << ", "
+            << formatPercent(Paper.ErrSandyBridge) << ") x K=" << Paper.K
+            << "\n";
 
   bench::paperNote(
       "Paper Table 2: the GA converges by generation 47 to 14 features "

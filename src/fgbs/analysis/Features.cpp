@@ -318,13 +318,28 @@ FeatureMask fgbs::maskForNames(const std::vector<std::string> &Names) {
   return Mask;
 }
 
+std::vector<std::size_t> fgbs::maskColumns(const FeatureMask &Mask) {
+  std::vector<std::size_t> Columns;
+  Columns.reserve(maskCount(Mask));
+  for (std::size_t I = 0; I < Mask.size(); ++I)
+    if (Mask[I])
+      Columns.push_back(I);
+  return Columns;
+}
+
 std::vector<double> fgbs::applyMask(const std::vector<double> &Full,
                                     const FeatureMask &Mask) {
   assert(Full.size() == Mask.size() && "mask width mismatch");
-  std::vector<double> Out;
-  for (std::size_t I = 0; I < Full.size(); ++I)
-    if (Mask[I])
-      Out.push_back(Full[I]);
+  return applyMask(Full, maskColumns(Mask));
+}
+
+std::vector<double> fgbs::applyMask(const std::vector<double> &Full,
+                                    std::span<const std::size_t> Columns) {
+  std::vector<double> Out(Columns.size());
+  for (std::size_t C = 0; C < Columns.size(); ++C) {
+    assert(Columns[C] < Full.size() && "column outside the feature vector");
+    Out[C] = Full[Columns[C]];
+  }
   return Out;
 }
 

@@ -25,6 +25,7 @@
 #include "fgbs/dsl/Codelet.h"
 #include "fgbs/sim/Executor.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,17 @@ FeatureMask allFeaturesMask();
 /// Mask selecting exactly the named features (names must exist).
 FeatureMask maskForNames(const std::vector<std::string> &Names);
 
+/// Catalog indices of the features \p Mask selects, ascending.
+std::vector<std::size_t> maskColumns(const FeatureMask &Mask);
+
 /// Projects \p Full (size 76) onto the selected coordinates of \p Mask.
 std::vector<double> applyMask(const std::vector<double> &Full,
                               const FeatureMask &Mask);
+
+/// Projects \p Full onto \p Columns, a mask's maskColumns(); the form to
+/// use when one mask projects many vectors.
+std::vector<double> applyMask(const std::vector<double> &Full,
+                              std::span<const std::size_t> Columns);
 
 /// Number of selected features in \p Mask.
 std::size_t maskCount(const FeatureMask &Mask);

@@ -36,21 +36,33 @@ NormalizationStats fgbs::computeNormalization(const FeatureTable &Points) {
 }
 
 FeatureTable fgbs::normalizeFeatures(const FeatureTable &Points) {
-  NormalizationStats Stats = computeNormalization(Points);
-  FeatureTable Out = Points;
-  for (std::vector<double> &P : Out)
+  return normalizeFeatures(Points, computeNormalization(Points));
+}
+
+FeatureTable fgbs::normalizeFeatures(FeatureTable Points,
+                                     const NormalizationStats &Stats) {
+  for (std::vector<double> &P : Points) {
+    assert(P.size() == Stats.Mean.size() && P.size() == Stats.Std.size() &&
+           "stats do not match the table width");
     for (std::size_t D = 0; D < P.size(); ++D)
       P[D] = Stats.Std[D] > 0.0 ? (P[D] - Stats.Mean[D]) / Stats.Std[D] : 0.0;
-  return Out;
+  }
+  return Points;
 }
 
 std::vector<std::vector<std::size_t>> Clustering::members() const {
-  std::vector<std::vector<std::size_t>> Out(K);
-  for (std::size_t I = 0; I < Assignment.size(); ++I) {
-    assert(Assignment[I] >= 0 && static_cast<unsigned>(Assignment[I]) < K &&
+  // Count first so each member list is allocated once, at its size.
+  std::vector<std::size_t> Count(K, 0);
+  for (int Label : Assignment) {
+    assert(Label >= 0 && static_cast<unsigned>(Label) < K &&
            "assignment out of range");
-    Out[static_cast<std::size_t>(Assignment[I])].push_back(I);
+    ++Count[static_cast<std::size_t>(Label)];
   }
+  std::vector<std::vector<std::size_t>> Out(K);
+  for (std::size_t Cl = 0; Cl < K; ++Cl)
+    Out[Cl].reserve(Count[Cl]);
+  for (std::size_t I = 0; I < Assignment.size(); ++I)
+    Out[static_cast<std::size_t>(Assignment[I])].push_back(I);
   return Out;
 }
 

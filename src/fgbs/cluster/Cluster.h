@@ -39,6 +39,12 @@ NormalizationStats computeNormalization(const FeatureTable &Points);
 /// carry no clustering information).
 FeatureTable normalizeFeatures(const FeatureTable &Points);
 
+/// Normalizes \p Points in place with precomputed \p Stats (one entry
+/// per column) and returns it: (x - Mean) / Std, or 0 where Std is 0.
+/// normalizeFeatures(P) is normalizeFeatures(P, computeNormalization(P)).
+FeatureTable normalizeFeatures(FeatureTable Points,
+                               const NormalizationStats &Stats);
+
 /// A flat clustering: assignment of each point to a cluster id in
 /// [0, K).
 struct Clustering {

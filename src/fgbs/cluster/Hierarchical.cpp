@@ -67,13 +67,16 @@ Clustering Dendrogram::cut(unsigned K) const {
 
 namespace {
 
-/// Index of the (I, J) entry (I != J) in a condensed upper-triangular
-/// distance matrix over N points.
-inline std::size_t condensedIndex(std::size_t N, std::size_t I,
-                                  std::size_t J) {
-  if (I > J)
-    std::swap(I, J);
-  return I * (2 * N - I - 1) / 2 + (J - I - 1);
+/// Row bases of a condensed upper-triangular distance matrix over N
+/// points: entry (I, J), I < J, lives at Base[I] + J.  Base[I] is the
+/// condensed index I * (2N - I - 1) / 2 + (J - I - 1) with the J term
+/// taken out; for I = 0 it wraps below zero, and the unsigned sum with
+/// J >= 1 wraps back.
+std::vector<std::size_t> condensedRowBases(std::size_t N) {
+  std::vector<std::size_t> Base(N);
+  for (std::size_t I = 0; I < N; ++I)
+    Base[I] = I * (2 * N - I - 1) / 2 - I - 1;
+  return Base;
 }
 
 /// Lance-Williams dissimilarity between the merger of clusters I and J
@@ -151,17 +154,44 @@ std::vector<MergeStep> canonicalize(std::size_t N, std::vector<RawMerge> Raw,
 
 /// Pairwise dissimilarities in condensed form: squared Euclidean for Ward
 /// (the Lance-Williams recurrence is exact on squared distances),
-/// Euclidean otherwise.
+/// Euclidean otherwise.  Four pairs (I, J..J+3) are summed side by side;
+/// each sum still runs over its features in order, (a - b)^2 at a time,
+/// so every entry is bit-identical to squaredDistance().
 std::vector<double> condensedDistances(const FeatureTable &Points,
                                        bool Squared) {
   std::size_t N = Points.size();
+  std::size_t Dim = Points.front().size();
   std::vector<double> Dist(N * (N - 1) / 2);
+  auto Finish = [Squared](double D2) { return Squared ? D2 : std::sqrt(D2); };
   std::size_t Next = 0;
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t J = I + 1; J < N; ++J) {
-      double D2 = squaredDistance(Points[I], Points[J]);
-      Dist[Next++] = Squared ? D2 : std::sqrt(D2);
+  for (std::size_t I = 0; I < N; ++I) {
+    assert(Points[I].size() == Dim && "ragged feature table");
+    const double *A = Points[I].data();
+    std::size_t J = I + 1;
+    for (; J + 4 <= N; J += 4) {
+      const double *B0 = Points[J].data();
+      const double *B1 = Points[J + 1].data();
+      const double *B2 = Points[J + 2].data();
+      const double *B3 = Points[J + 3].data();
+      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+      for (std::size_t D = 0; D < Dim; ++D) {
+        double D0 = A[D] - B0[D];
+        double D1 = A[D] - B1[D];
+        double D2 = A[D] - B2[D];
+        double D3 = A[D] - B3[D];
+        S0 += D0 * D0;
+        S1 += D1 * D1;
+        S2 += D2 * D2;
+        S3 += D3 * D3;
+      }
+      Dist[Next++] = Finish(S0);
+      Dist[Next++] = Finish(S1);
+      Dist[Next++] = Finish(S2);
+      Dist[Next++] = Finish(S3);
     }
+    for (; J < N; ++J)
+      Dist[Next++] = Finish(squaredDistance(Points[I], Points[J]));
+  }
   return Dist;
 }
 
@@ -178,7 +208,8 @@ Dendrogram fgbs::hierarchicalCluster(const FeatureTable &Points,
   bool Squared = Method == Linkage::Ward;
   std::vector<double> Dist = condensedDistances(Points, Squared);
 
-  std::vector<bool> Active(N, true);
+  const std::vector<std::size_t> Base = condensedRowBases(N);
+  std::vector<unsigned char> Active(N, 1);
   std::vector<double> Size(N, 1.0);
 
   // Telemetry tallies, maintained per outer iteration so the scan and
@@ -212,42 +243,52 @@ Dendrogram fgbs::hierarchicalCluster(const FeatureTable &Points,
     DistanceEvals += ActiveCount - 1;
 
     // Nearest active neighbor of Top; prefer the chain predecessor on
-    // ties (guarantees termination), then the lowest slot.
+    // ties (guarantees termination), then the lowest slot.  The scan runs
+    // over ascending slots, column Top of the rows above it and then
+    // Top's own row, and selects without branching: only a strictly
+    // closer active slot replaces the current best.
     std::size_t Nearest = SIZE_MAX;
     double Best = std::numeric_limits<double>::infinity();
     if (Chain.size() >= 2) {
       Nearest = Chain[Chain.size() - 2];
-      Best = Dist[condensedIndex(N, Top, Nearest)];
+      Best = Nearest < Top ? Dist[Base[Nearest] + Top]
+                           : Dist[Base[Top] + Nearest];
     }
-    for (std::size_t K = 0; K < N; ++K) {
-      if (!Active[K] || K == Top)
-        continue;
-      double D = Dist[condensedIndex(N, Top, K)];
-      if (D < Best) {
-        Best = D;
-        Nearest = K;
-      }
-    }
+    auto Consider = [&](std::size_t K, double D) {
+      bool Closer = Active[K] & (D < Best);
+      Nearest = Closer ? K : Nearest;
+      Best = Closer ? D : Best;
+    };
+    for (std::size_t K = 0; K < Top; ++K)
+      Consider(K, Dist[Base[K] + Top]);
+    for (std::size_t K = Top + 1; K < N; ++K)
+      Consider(K, Dist[Base[Top] + K]);
 
     if (Chain.size() >= 2 && Nearest == Chain[Chain.size() - 2]) {
-      // Reciprocal pair: merge Top with its predecessor.
+      // Reciprocal pair: merge Top with its predecessor.  Each update
+      // reads and writes only its own K's entries, so the three slot
+      // ranges around Lo and Hi can go in any order.
       Chain.pop_back();
       Chain.pop_back();
       std::size_t Lo = std::min(Top, Nearest);
       std::size_t Hi = std::max(Top, Nearest);
       double NI = Size[Lo];
       double NJ = Size[Hi];
-      for (std::size_t K = 0; K < N; ++K) {
-        if (!Active[K] || K == Lo || K == Hi)
-          continue;
-        Dist[condensedIndex(N, Lo, K)] =
-            lanceWilliams(Method, Dist[condensedIndex(N, Lo, K)],
-                          Dist[condensedIndex(N, Hi, K)], Best, NI, NJ,
-                          Size[K]);
-      }
+      auto Update = [&](std::size_t K, double &DLo, double DHi) {
+        DLo = lanceWilliams(Method, DLo, DHi, Best, NI, NJ, Size[K]);
+      };
+      for (std::size_t K = 0; K < Lo; ++K)
+        if (Active[K])
+          Update(K, Dist[Base[K] + Lo], Dist[Base[K] + Hi]);
+      for (std::size_t K = Lo + 1; K < Hi; ++K)
+        if (Active[K])
+          Update(K, Dist[Base[Lo] + K], Dist[Base[K] + Hi]);
+      for (std::size_t K = Hi + 1; K < N; ++K)
+        if (Active[K])
+          Update(K, Dist[Base[Lo] + K], Dist[Base[Hi] + K]);
       Raw.push_back({Lo, Hi, Best});
       Size[Lo] += Size[Hi];
-      Active[Hi] = false;
+      Active[Hi] = 0;
       DistanceEvals += ActiveCount - 2;
       --ActiveCount;
     } else {
@@ -345,12 +386,14 @@ unsigned fgbs::elbowK(const FeatureTable &Points, const Dendrogram &Tree,
   // clusters A and B moves the WSS up by the Huygens centroid-merge
   // delta |A||B|/(|A|+|B|) * ||centroid(A) - centroid(B)||^2, so the
   // whole K sweep costs O(N * Dim) instead of O(N^2 * Dim * MaxK).
+  // Node sums live in one flat buffer, Dim doubles per dendrogram node.
   const std::vector<MergeStep> &Merges = Tree.merges();
   std::size_t Dim = Points.front().size();
-  std::vector<std::vector<double>> SumOf(N + Merges.size());
+  std::vector<double> Sums((N + Merges.size()) * Dim);
   std::vector<double> CountOf(N + Merges.size(), 0.0);
   for (std::size_t I = 0; I < N; ++I) {
-    SumOf[I] = Points[I];
+    assert(Points[I].size() == Dim && "ragged feature table");
+    std::copy(Points[I].begin(), Points[I].end(), Sums.begin() + I * Dim);
     CountOf[I] = 1.0;
   }
 
@@ -359,23 +402,23 @@ unsigned fgbs::elbowK(const FeatureTable &Points, const Dendrogram &Tree,
   double Wss = 0.0;
   for (std::size_t Step = 0; Step < Merges.size(); ++Step) {
     const MergeStep &M = Merges[Step];
-    std::vector<double> &Left = SumOf[static_cast<std::size_t>(M.Left)];
-    std::vector<double> &Right = SumOf[static_cast<std::size_t>(M.Right)];
-    double NL = CountOf[static_cast<std::size_t>(M.Left)];
-    double NR = CountOf[static_cast<std::size_t>(M.Right)];
+    auto Left = static_cast<std::size_t>(M.Left);
+    auto Right = static_cast<std::size_t>(M.Right);
+    const double *LeftSum = Sums.data() + Left * Dim;
+    const double *RightSum = Sums.data() + Right * Dim;
+    double NL = CountOf[Left];
+    double NR = CountOf[Right];
     double Gap = 0.0;
     for (std::size_t D = 0; D < Dim; ++D) {
-      double Diff = Left[D] / NL - Right[D] / NR;
+      double Diff = LeftSum[D] / NL - RightSum[D] / NR;
       Gap += Diff * Diff;
     }
     Wss += NL * NR / (NL + NR) * Gap;
 
     std::size_t Node = N + Step;
-    SumOf[Node] = std::move(Left);
+    double *NodeSum = Sums.data() + Node * Dim;
     for (std::size_t D = 0; D < Dim; ++D)
-      SumOf[Node][D] += Right[D];
-    Right.clear();
-    Right.shrink_to_fit();
+      NodeSum[D] = LeftSum[D] + RightSum[D];
     CountOf[Node] = NL + NR;
 
     std::size_t K = N - Step - 1; // Clusters remaining after this merge.

@@ -144,6 +144,7 @@ MeasurementDatabase::MeasurementDatabase(
 
 std::vector<std::size_t> MeasurementDatabase::keptCodelets() const {
   std::vector<std::size_t> Kept;
+  Kept.reserve(Profiles.size());
   for (std::size_t I = 0; I < Profiles.size(); ++I)
     if (!Profiles[I].Discarded)
       Kept.push_back(I);

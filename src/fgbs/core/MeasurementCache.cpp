@@ -431,6 +431,9 @@ MeasurementLoadResult fgbs::parseMeasurements(std::string_view Bytes,
     if (In.overrun() || F > In.remaining() / 8)
       return failed(MeasurementCacheError::Malformed,
                     "damaged feature vector");
+    if (F != NumFeatures)
+      return failed(MeasurementCacheError::Malformed,
+                    "feature count does not match this build");
     P.Features = In.f64Vector(F);
     for (double V : P.Features)
       if (!std::isfinite(V))

@@ -50,7 +50,8 @@ struct PipelineConfig {
   /// picks the first member).
   bool MedoidRepresentative = true;
 
-  PipelineConfig() : Features(maskForNames(kTable2FeatureNames)) {}
+  /// Selects the Table 2 features (resolved by name once per process).
+  PipelineConfig();
 };
 
 /// Evaluation of the reduced suite against one target architecture.
@@ -121,15 +122,18 @@ private:
                           NormalizationStats Norm, Clustering Initial,
                           unsigned ElbowChoice) const;
 
-  /// The masked but unnormalized feature table over kept codelets.
-  FeatureTable buildRawPoints() const;
+  /// The masked but unnormalized feature table over \p Kept.
+  FeatureTable buildRawPoints(const std::vector<std::size_t> &Kept) const;
 
-  /// The normalization a result should carry: the raw table's per-column
-  /// stats, or the identity when normalization is disabled.
-  NormalizationStats normalizationFor(const FeatureTable &Raw) const;
+  /// Normalizes \p Points in place when the config asks for it, and
+  /// returns the normalization a result should carry: the table's
+  /// per-column stats, or the identity when normalization is disabled.
+  NormalizationStats normalize(FeatureTable &Points) const;
 
   const MeasurementDatabase &Db;
   PipelineConfig Config;
+  /// maskColumns(Config.Features): the columns every raw row keeps.
+  std::vector<std::size_t> Columns;
 };
 
 } // namespace fgbs

@@ -82,22 +82,29 @@ SelectionResult fgbs::selectRepresentatives(
   std::vector<bool> IllBehavedFlag(Points.size(), false);
 
   // Phase 1: per cluster, walk candidates by distance to centroid and
-  // keep the first well-behaved one.
+  // keep the first well-behaved one.  Each member's distance is computed
+  // once and the stable sort orders by those keys; a single member needs
+  // no order.
   std::vector<long> ClusterRep(Members.size(), -1); // -1 = destroyed.
+  std::vector<std::size_t> Order;
+  std::vector<double> Key;
   for (std::size_t Cl = 0; Cl < Members.size(); ++Cl) {
     const std::vector<std::size_t> &M = Members[Cl];
     if (M.empty())
       continue;
-    std::vector<double> Centroid = centroidOf(Points, M);
-    std::vector<std::size_t> Order(M.size());
+    Order.resize(M.size());
     for (std::size_t I = 0; I < M.size(); ++I)
       Order[I] = I;
-    if (PreferMedoid)
+    if (PreferMedoid && M.size() > 1) {
+      std::vector<double> Centroid = centroidOf(Points, M);
+      Key.resize(M.size());
+      for (std::size_t I = 0; I < M.size(); ++I)
+        Key[I] = squaredDistance(Points[M[I]], Centroid);
       std::stable_sort(Order.begin(), Order.end(),
-                       [&](std::size_t A, std::size_t B) {
-                         return squaredDistance(Points[M[A]], Centroid) <
-                                squaredDistance(Points[M[B]], Centroid);
+                       [&Key](std::size_t A, std::size_t B) {
+                         return Key[A] < Key[B];
                        });
+    }
     for (std::size_t I : Order) {
       std::size_t Candidate = M[I];
       if (WellBehaved(Candidate)) {

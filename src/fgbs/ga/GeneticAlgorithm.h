@@ -46,6 +46,8 @@ struct GaConfig {
   unsigned Generations = 100;
   double MutationProbability = 0.01;
   /// Fraction of the population surviving unchanged (genalg elitism).
+  /// The elite count is clamped to [1, PopulationSize]; a negative or
+  /// NaN fraction keeps one elite.
   double EliteFraction = 0.20;
   /// Tournament size for parent selection.
   unsigned TournamentSize = 3;
@@ -58,7 +60,8 @@ struct GaConfig {
   /// 1 = strictly serial, reproducing the historical single-threaded
   /// evaluation order exactly.  Any thread count yields identical
   /// results (Best, BestHistory, Evaluations) because selection,
-  /// breeding, and the memo-cache merge stay on the caller thread.
+  /// breeding, and every memo lookup and insert stay on the caller
+  /// thread.
   unsigned Threads = 0;
 };
 

@@ -58,12 +58,15 @@ fgbs::predictionErrorsPercent(const std::vector<double> &Predicted,
 
 double fgbs::applicationTime(const std::vector<double> &CodeletTimes,
                              const std::vector<double> &InvocationCounts,
+                             std::span<const std::size_t> Members,
                              double Coverage) {
   assert(CodeletTimes.size() == InvocationCounts.size() && "size mismatch");
   assert(Coverage > 0.0 && Coverage <= 1.0 && "coverage out of range");
   double Covered = 0.0;
-  for (std::size_t I = 0; I < CodeletTimes.size(); ++I)
+  for (std::size_t I : Members) {
+    assert(I < CodeletTimes.size() && "member out of range");
     Covered += CodeletTimes[I] * InvocationCounts[I];
+  }
   return Covered / Coverage;
 }
 

@@ -28,6 +28,7 @@
 #include "fgbs/support/Matrix.h"
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace fgbs {
@@ -66,12 +67,14 @@ std::vector<double> predictionErrorsPercent(const std::vector<double> &Predicted
                                             const std::vector<double> &Actual);
 
 /// Application-level aggregation: given per-codelet times and invocation
-/// counts, returns the application time scaled by codelet coverage
-/// (section 4.4: the uncovered part is assumed to share the covered
-/// part's speedup, so T_app = sum(t_i * n_i) / coverage).
+/// counts, returns the time of the application made of the codelets
+/// \p Members (indices into both vectors, summed in the order given),
+/// scaled by codelet coverage (section 4.4: the uncovered part is assumed
+/// to share the covered part's speedup, so T_app = sum(t_i * n_i) /
+/// coverage).
 double applicationTime(const std::vector<double> &CodeletTimes,
                        const std::vector<double> &InvocationCounts,
-                       double Coverage);
+                       std::span<const std::size_t> Members, double Coverage);
 
 /// Per-application speedup t_ref / t_tar, then the geometric mean over
 /// applications (Figure 6).

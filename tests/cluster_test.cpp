@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 
 using namespace fgbs;
 
@@ -205,6 +208,106 @@ TEST(Hierarchical, ElbowMatchesPerCutRecomputation) {
           << "seed " << Seed << " threshold " << Threshold;
     }
   }
+}
+
+namespace {
+
+/// Folds a dendrogram and its elbow choices into \p Hash: every merge's
+/// children, size and height bits, then elbowK at two thresholds.
+std::uint64_t foldClustering(std::uint64_t Hash, const FeatureTable &Points,
+                             Linkage Method) {
+  Dendrogram Tree = hierarchicalCluster(Points, Method);
+  Hash = hashCombine(Hash, Points.size());
+  for (const MergeStep &M : Tree.merges()) {
+    Hash = hashCombine(Hash, static_cast<std::uint64_t>(M.Left));
+    Hash = hashCombine(Hash, static_cast<std::uint64_t>(M.Right));
+    Hash = hashCombine(Hash, M.Size);
+    Hash = hashCombine(Hash, std::bit_cast<std::uint64_t>(M.Height));
+  }
+  for (double Threshold : {0.005, 0.05})
+    Hash = hashCombine(Hash, elbowK(Points, Tree, 24, Threshold));
+  return Hash;
+}
+
+std::string hex64(std::uint64_t Value) {
+  char Buffer[20];
+  std::snprintf(Buffer, sizeof(Buffer), "%016llx",
+                static_cast<unsigned long long>(Value));
+  return Buffer;
+}
+
+/// Integer coordinates with repeated rows: zero distances and many equal
+/// pairwise distances, so the chain's tie rules decide the merges.
+FeatureTable duplicatedRows() {
+  const std::vector<double> Rows[] = {
+      {0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {3, 0, 1}, {0, 0, 0},
+      {1, 0, 0}, {3, 0, 1}, {5, 5, 5}, {0, 1, 0}, {2, 2, 2}, {5, 5, 5},
+      {1, 1, 0}, {0, 0, 0}, {2, 2, 2}, {4, 4, 4}};
+  return FeatureTable(std::begin(Rows), std::end(Rows));
+}
+
+const char *linkageName(Linkage Method) {
+  switch (Method) {
+  case Linkage::Ward:
+    return "ward";
+  case Linkage::Single:
+    return "single";
+  case Linkage::Complete:
+    return "complete";
+  case Linkage::Average:
+    return "average";
+  }
+  return "?";
+}
+
+} // namespace
+
+TEST(ClusterGolden, MergesAndElbowAreExact) {
+  // Exact dendrograms recorded before the NN-chain scan was reworked:
+  // every merge's Left, Right, Size and height bits, and elbowK, over
+  // N in {1..9, 28, 67}, four widths and all four linkages.  ChainVsNaive
+  // only compares heights to 1e-9; this pins them to the bit.
+  struct Golden {
+    std::size_t Dim;
+    Linkage Method;
+    const char *Hash;
+  };
+  const Golden Goldens[] = {
+      {1, Linkage::Ward, "c6073ee6e84524af"},
+      {1, Linkage::Single, "ee1fd69bee7a9b96"},
+      {1, Linkage::Complete, "e423247b4662884d"},
+      {1, Linkage::Average, "b6b1ef200b984c04"},
+      {3, Linkage::Ward, "d866b72f0e9b2d57"},
+      {3, Linkage::Single, "d8bc006a9ce8b045"},
+      {3, Linkage::Complete, "1772c62c34172737"},
+      {3, Linkage::Average, "af4647bc9f4abf05"},
+      {38, Linkage::Ward, "23cc0f46e705a493"},
+      {38, Linkage::Single, "9cdd41e0a6d13b8a"},
+      {38, Linkage::Complete, "9e7fe496012368b3"},
+      {38, Linkage::Average, "c401ccecb96eb6e6"},
+      {76, Linkage::Ward, "0c70994122878178"},
+      {76, Linkage::Single, "92d4499f13342470"},
+      {76, Linkage::Complete, "3188ffd5fc7798b9"},
+      {76, Linkage::Average, "c9b0b84fbf705dad"},
+  };
+  for (const Golden &G : Goldens) {
+    std::uint64_t Hash = 0;
+    for (std::size_t N : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 28u, 67u})
+      Hash = foldClustering(
+          Hash, randomPoints(N, G.Dim, 7000 + 100 * G.Dim + N), G.Method);
+    EXPECT_EQ(hex64(Hash), G.Hash)
+        << "dim " << G.Dim << " " << linkageName(G.Method);
+  }
+
+  const std::pair<Linkage, const char *> Duplicated[] = {
+      {Linkage::Ward, "cadcad05a9d1ed94"},
+      {Linkage::Single, "0422fce44fcd12d8"},
+      {Linkage::Complete, "5ca423ab408474fa"},
+      {Linkage::Average, "3e204498ac208d32"},
+  };
+  for (const auto &[Method, Expected] : Duplicated)
+    EXPECT_EQ(hex64(foldClustering(0, duplicatedRows(), Method)), Expected)
+        << "duplicated rows, " << linkageName(Method);
 }
 
 TEST(Hierarchical, CutBoundsRespected) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace fgbs;
 
 namespace {
@@ -47,7 +49,13 @@ Codelet recurrenceCodelet() {
 struct StrideVectorizationCase {
   StrideClass Stride;
   bool ExpectVector;
+  /// gtest has no printer for this struct, so each case's name shows its
+  /// bytes.  These three would otherwise be padding holding whatever the
+  /// stack held, and the names would change from run to run.
+  char Zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<StrideVectorizationCase>,
+              "every byte of a case must be a member");
 
 class VectorizationStrides
     : public ::testing::TestWithParam<StrideVectorizationCase> {};

@@ -91,6 +91,12 @@ TEST(FeatureMaskOps, ApplyMaskProjects) {
   Mask[3] = Mask[10] = true;
   std::vector<double> Out = applyMask(Full, Mask);
   EXPECT_EQ(Out, (std::vector<double>{3.0, 10.0}));
+  std::vector<std::size_t> Columns = maskColumns(Mask);
+  EXPECT_EQ(Columns, (std::vector<std::size_t>{3, 10}));
+  EXPECT_EQ(applyMask(Full, Columns), Out);
+  Mask[0] = Mask[75] = true;
+  EXPECT_EQ(maskColumns(Mask), (std::vector<std::size_t>{0, 3, 10, 75}));
+  EXPECT_TRUE(maskColumns(FeatureMask(76, false)).empty());
 }
 
 TEST(Features, VectorHas76Entries) {

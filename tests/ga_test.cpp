@@ -2,9 +2,16 @@
 
 #include "fgbs/ga/GeneticAlgorithm.h"
 
+#include "fgbs/support/Rng.h"
+
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
 
 using namespace fgbs;
 
@@ -17,6 +24,49 @@ double oneMax(const Chromosome &C) {
   for (bool Bit : C)
     Zeros += !Bit;
   return Zeros;
+}
+
+/// A seeded, rugged landscape: every set bit adds a hashed per-position
+/// weight, the selected positions add hashed noise, and the sum is
+/// quantized to quarters so many individuals tie.  The ties exercise the
+/// stable ranking and the strict tournament comparison.
+double hashedFitness(const Chromosome &C) {
+  double Weighted = 0.0;
+  std::uint64_t Selected = 0x5eed;
+  for (std::size_t I = 0; I < C.size(); ++I) {
+    if (!C[I])
+      continue;
+    Weighted += static_cast<double>(hashU64(I * 31 + 7) % 1000) / 1000.0 - 0.3;
+    Selected = hashCombine(Selected, I);
+  }
+  double Noise = static_cast<double>(Selected % 1024) / 1024.0;
+  return std::floor((Weighted + Noise) * 4.0) / 4.0;
+}
+
+std::string hexBits(double X) {
+  char Buffer[24];
+  auto Bits = static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(X));
+  std::snprintf(Buffer, sizeof(Buffer), "%016llx", Bits);
+  return Buffer;
+}
+
+/// Every field of a GA outcome, exactly: the best bits, the bit patterns
+/// of the best fitness and of a hash over the whole history, the
+/// evaluation count and the convergence generation.
+std::string describe(const GaResult &R) {
+  std::string Bits;
+  for (bool Gene : R.Best)
+    Bits += Gene ? '1' : '0';
+  std::uint64_t History = hashU64(R.BestHistory.size());
+  for (double Value : R.BestHistory)
+    History = hashCombine(History, std::bit_cast<std::uint64_t>(Value));
+  char Tail[96];
+  std::snprintf(Tail, sizeof(Tail), " %s %016llx %llu %u",
+                hexBits(R.BestFitness).c_str(),
+                static_cast<unsigned long long>(History),
+                static_cast<unsigned long long>(R.Evaluations),
+                R.ConvergedAtGeneration);
+  return Bits + Tail;
 }
 
 GaConfig smallConfig() {
@@ -178,4 +228,88 @@ TEST(Ga, PenalizedEmptySelectionAvoided) {
   for (bool Bit : R.Best)
     Count += Bit;
   EXPECT_EQ(Count, 1.0);
+}
+
+TEST(Ga, GoldenOutcomes) {
+  // Exact outcomes recorded before the packed-chromosome GA: the RNG draw
+  // sequence, the ranking, the tournaments, the memo and the evaluation
+  // count must all stay bit-identical, for every thread count.
+  struct Golden {
+    std::size_t Length;
+    bool Cached;
+    const char *Outcome;
+  };
+  const Golden Goldens[] = {
+      {1, true, "0 3fe0000000000000 e41c24a426c8e91c 2 0"},
+      {1, false, "0 3fe0000000000000 e41c24a426c8e91c 1000 0"},
+      {63, true,
+       "000100000111010111101001100110011000000001100000011110000110100"
+       " c00c000000000000 c51b5cd0713d6620 784 20"},
+      {63, false,
+       "000100000111010111101001100110011000000001100000011110000110100"
+       " c00c000000000000 c51b5cd0713d6620 1000 20"},
+      {64, true,
+       "0001001001101101101010011001010110000000010001000011100000101001"
+       " c00a000000000000 4453d52413b3623a 792 20"},
+      {64, false,
+       "0001001001101101101010011001010110000000010001000011100000101001"
+       " c00a000000000000 4453d52413b3623a 1000 20"},
+      {65, true,
+       "0001001001110101111000011001110110000000011000000111100000001001"
+       "0"
+       " c00e000000000000 1c22354d09ed878c 791 24"},
+      {65, false,
+       "0001001001110101111000011001110110000000011000000111100000001001"
+       "0"
+       " c00e000000000000 1c22354d09ed878c 1000 24"},
+      {76, true,
+       "0001001001110001101010011001100110000000011001000111110000101001"
+       "001000010110"
+       " c010000000000000 96ea23139f831e5a 799 24"},
+      {76, false,
+       "0001001001110001101010011001100110000000011001000111110000101001"
+       "001000010110"
+       " c010000000000000 96ea23139f831e5a 1000 24"},
+      {130, true,
+       "0101000001100101110001011001110110000000011000000110000000100001"
+       "0100000101000000000000010000000001001011000000001010100000011001"
+       "00"
+       " c00a000000000000 08387a0926103773 803 24"},
+      {130, false,
+       "0101000001100101110001011001110110000000011000000110000000100001"
+       "0100000101000000000000010000000001001011000000001010100000011001"
+       "00"
+       " c00a000000000000 08387a0926103773 1000 24"},
+  };
+  for (const Golden &G : Goldens)
+    for (unsigned Threads : {1u, 4u}) {
+      GaConfig Cfg;
+      Cfg.ChromosomeLength = G.Length;
+      Cfg.PopulationSize = 40;
+      Cfg.Generations = 25;
+      Cfg.MutationProbability = 0.02;
+      Cfg.Seed = 1000 + G.Length;
+      Cfg.CacheFitness = G.Cached;
+      Cfg.Threads = Threads;
+      EXPECT_EQ(describe(runGa(Cfg, hashedFitness)), G.Outcome)
+          << "length " << G.Length << (G.Cached ? " cached" : " uncached")
+          << " threads " << Threads;
+    }
+}
+
+TEST(Ga, EliteFractionOutOfRangeIsClamped) {
+  // The elite count clamps to [1, PopulationSize]: a fraction above 1
+  // keeps the whole population, a negative or NaN one keeps one elite.
+  auto RunWith = [](double Fraction) {
+    GaConfig Cfg = smallConfig();
+    Cfg.Generations = 12;
+    Cfg.EliteFraction = Fraction;
+    return describe(runGa(Cfg, hashedFitness));
+  };
+  std::string Everyone = RunWith(1.0);
+  std::string One = RunWith(0.0);
+  EXPECT_NE(Everyone, One);
+  EXPECT_EQ(RunWith(1.5), Everyone);
+  EXPECT_EQ(RunWith(-0.5), One);
+  EXPECT_EQ(RunWith(std::numeric_limits<double>::quiet_NaN()), One);
 }

@@ -225,6 +225,38 @@ TEST_F(MeasurementCacheTest, NonFiniteValuesAreRejected) {
   EXPECT_TRUE(SawInvalidValue);
 }
 
+TEST_F(MeasurementCacheTest, FeatureCountOfAnotherBuildIsRejected) {
+  // An entry written by a build with another feature catalog (or crafted
+  // with a valid checksum) must not reach the pipeline, which indexes
+  // every profile's features by catalog position.
+  for (std::size_t Count : {NumFeatures - 1, NumFeatures + 1}) {
+    std::vector<CodeletProfile> Profiles;
+    std::vector<StandaloneMeasurement> StandaloneRef;
+    std::vector<std::vector<Measurement>> Real(Targets.size());
+    std::vector<std::vector<StandaloneMeasurement>> StandaloneTgt(
+        Targets.size());
+    for (std::size_t I = 0; I < Db->numCodelets(); ++I) {
+      Profiles.push_back(Db->profile(I));
+      StandaloneRef.push_back(Db->standaloneRef(I));
+      for (std::size_t T = 0; T < Targets.size(); ++T) {
+        Real[T].push_back(Db->realTargetMeasurement(I, T));
+        StandaloneTgt[T].push_back(Db->standaloneTarget(I, T));
+      }
+    }
+    Profiles.back().Features.resize(Count, 1.0);
+    MeasurementDatabase Other(*TheSuite, makeNehalem(), Targets,
+                              std::move(Profiles), std::move(Real),
+                              std::move(StandaloneRef),
+                              std::move(StandaloneTgt));
+    MeasurementLoadResult R =
+        parseMeasurements(serializeMeasurements(Other, Key), *TheSuite,
+                          makeNehalem(), Targets, Key);
+    ASSERT_FALSE(R) << Count << " features";
+    EXPECT_EQ(R.Error, MeasurementCacheError::Malformed) << Count;
+    EXPECT_EQ(R.Message, "feature count does not match this build") << Count;
+  }
+}
+
 TEST_F(MeasurementCacheTest, FutureMinorVersionSkipsTrailingFields) {
   std::string Bytes = serializeMeasurements(*Db, Key);
   Bytes.append("\x01\x02\x03\x04", 4);

@@ -75,12 +75,23 @@ TEST(Metrics, PredictionErrorsPercent) {
 
 TEST(Metrics, ApplicationTimeCoverage) {
   // 2 codelets x (time x invocations) = 10s covered, 92% coverage.
-  double T = applicationTime({1.0, 2.0}, {4.0, 3.0}, 0.92);
+  std::vector<std::size_t> Members = {0, 1};
+  double T = applicationTime({1.0, 2.0}, {4.0, 3.0}, Members, 0.92);
   EXPECT_NEAR(T, 10.0 / 0.92, 1e-12);
 }
 
 TEST(Metrics, ApplicationTimeFullCoverage) {
-  EXPECT_DOUBLE_EQ(applicationTime({5.0}, {2.0}, 1.0), 10.0);
+  std::vector<std::size_t> Members = {0};
+  EXPECT_DOUBLE_EQ(applicationTime({5.0}, {2.0}, Members, 1.0), 10.0);
+}
+
+TEST(Metrics, ApplicationTimeSumsOnlyItsMembers) {
+  // Codelets 1 and 3 of a four-codelet suite; 0 and 2 belong to another
+  // application.
+  std::vector<double> Times = {100.0, 2.0, 7.0, 1.0};
+  std::vector<double> Invocations = {1.0, 3.0, 1.0, 4.0};
+  std::vector<std::size_t> Members = {1, 3};
+  EXPECT_DOUBLE_EQ(applicationTime(Times, Invocations, Members, 0.5), 20.0);
 }
 
 TEST(Metrics, GeomeanSpeedup) {
