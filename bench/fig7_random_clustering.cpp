@@ -5,11 +5,16 @@
 // uniformly random partitions of the NAS codelets into K non-empty
 // clusters are pushed through steps D and E; the per-target median
 // prediction error of the worst, median and best random partition is
-// reported next to the feature-guided clustering.
+// reported next to the feature-guided clustering.  Each partition is
+// drawn and evaluated once for all three targets, and the draws of one
+// K are spread over the thread pool (FGBS_THREADS); each writes its own
+// slot, so the output is the same for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/common.h"
+
+#include "fgbs/support/ThreadPool.h"
 
 using namespace fgbs;
 
@@ -22,37 +27,43 @@ int main() {
   const MeasurementDatabase &Db = *Study->Db;
   Pipeline P(Db, PipelineConfig());
   std::size_t NumKept = Db.keptCodelets().size();
+  const std::size_t NumTargets = Db.targets().size();
 
+  constexpr unsigned MinK = 2;
+  constexpr unsigned MaxK = 24;
   constexpr unsigned Draws = 1000;
-  std::vector<std::string> Targets;
-  {
-    PipelineResult Probe = P.run();
-    for (const TargetEvaluation &E : Probe.Targets)
-      Targets.push_back(E.MachineName);
+  // [K - MinK][target][draw] and [K - MinK][target].
+  std::vector<std::vector<std::vector<double>>> RandomErrors(MaxK - MinK + 1);
+  std::vector<std::vector<double>> GuidedErrors(MaxK - MinK + 1);
+  ThreadPool Pool(ThreadPool::defaultThreadCount());
+  for (unsigned K = MinK; K <= MaxK; ++K) {
+    std::vector<std::vector<double>> &Errors = RandomErrors[K - MinK];
+    Errors.assign(NumTargets, std::vector<double>(Draws));
+    Pool.parallelFor(0, Draws, [&](std::size_t Draw) {
+      Clustering C = randomClustering(NumKept, K,
+                                      /*Seed=*/K * 100003ull + Draw);
+      PipelineResult R = P.runWithClustering(C);
+      for (std::size_t TIdx = 0; TIdx < NumTargets; ++TIdx)
+        Errors[TIdx][Draw] = R.Targets[TIdx].MedianErrorPercent;
+    });
+    PipelineConfig Cfg;
+    Cfg.K = K;
+    PipelineResult Guided = Pipeline(Db, Cfg).run();
+    for (const TargetEvaluation &E : Guided.Targets)
+      GuidedErrors[K - MinK].push_back(E.MedianErrorPercent);
   }
 
-  for (std::size_t TIdx = 0; TIdx < Targets.size(); ++TIdx) {
-    std::cout << "--- " << Targets[TIdx] << " ---\n";
+  for (std::size_t TIdx = 0; TIdx < NumTargets; ++TIdx) {
+    std::cout << "--- " << Db.targets()[TIdx].Name << " ---\n";
     TextTable T;
     T.setHeader({"K", "worst random", "median random", "best random",
                  "GA features"});
-    for (unsigned K = 2; K <= 24; ++K) {
-      std::vector<double> RandomErrors;
-      RandomErrors.reserve(Draws);
-      for (unsigned Draw = 0; Draw < Draws; ++Draw) {
-        Clustering C = randomClustering(NumKept, K,
-                                        /*Seed=*/K * 100003ull + Draw);
-        PipelineResult R = P.runWithClustering(C);
-        RandomErrors.push_back(R.Targets[TIdx].MedianErrorPercent);
-      }
-      PipelineConfig Cfg;
-      Cfg.K = K;
-      PipelineResult Guided = Pipeline(Db, Cfg).run();
-      T.addRow({std::to_string(K),
-                formatPercent(percentile(RandomErrors, 100)),
-                formatPercent(median(RandomErrors)),
-                formatPercent(percentile(RandomErrors, 0)),
-                formatPercent(Guided.Targets[TIdx].MedianErrorPercent)});
+    for (unsigned K = MinK; K <= MaxK; ++K) {
+      const std::vector<double> &Errors = RandomErrors[K - MinK][TIdx];
+      T.addRow({std::to_string(K), formatPercent(percentile(Errors, 100)),
+                formatPercent(median(Errors)),
+                formatPercent(percentile(Errors, 0)),
+                formatPercent(GuidedErrors[K - MinK][TIdx])});
     }
     T.print(std::cout);
     std::cout << "\n";

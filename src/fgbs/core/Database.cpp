@@ -3,13 +3,49 @@
 #include "fgbs/core/Database.h"
 
 #include "fgbs/compiler/CompileCache.h"
+#include "fgbs/model/Prediction.h"
 #include "fgbs/obs/Trace.h"
 #include "fgbs/support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 using namespace fgbs;
+
+namespace {
+
+/// Groups \p Kept, the kept codelets in kept order, by application as
+/// AppMembers documents.
+AppMembers membersByApplication(const Suite &S,
+                                const std::vector<const Codelet *> &Kept) {
+  const std::vector<Application> &Apps = S.Applications;
+  auto FirstNamed = [&Apps](const std::string &Name) {
+    std::size_t A = 0;
+    while (A < Apps.size() && Apps[A].Name != Name)
+      ++A;
+    return A; // Apps.size() when no application has the name.
+  };
+  std::vector<std::size_t> OwnerOf(Kept.size());
+  for (std::size_t I = 0; I < Kept.size(); ++I)
+    OwnerOf[I] = FirstNamed(Kept[I]->App);
+
+  AppMembers Out;
+  for (std::size_t A = 0; A < Apps.size(); ++A) {
+    const std::size_t Owner = FirstNamed(Apps[A].Name);
+    for (std::size_t I = 0; I < Kept.size(); ++I)
+      if (OwnerOf[I] == Owner)
+        Out.Members.push_back(I);
+    if (Out.Members.size() == Out.Begin.back())
+      continue; // No kept codelet: the application is not reported.
+    Out.Names.push_back(Apps[A].Name);
+    Out.Coverage.push_back(Apps[A].Coverage);
+    Out.Begin.push_back(Out.Members.size());
+  }
+  return Out;
+}
+
+} // namespace
 
 std::size_t fgbs::measurementItemCount(std::size_t NumCodelets,
                                        std::size_t NumTargets) {
@@ -122,6 +158,7 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
 
   FGBS_COUNTER_ADD("db.codelets_profiled", N);
   assert(Codelets.size() == Profiles.size() && "profile count mismatch");
+  Inputs = computePipelineInputs();
 }
 
 MeasurementDatabase::MeasurementDatabase(
@@ -140,15 +177,70 @@ MeasurementDatabase::MeasurementDatabase(
   assert(RealTarget.size() == Targets.size() && "target grid mismatch");
   assert(StandaloneOnTarget.size() == Targets.size() &&
          "target grid mismatch");
+  Inputs = computePipelineInputs();
 }
 
-std::vector<std::size_t> MeasurementDatabase::keptCodelets() const {
-  std::vector<std::size_t> Kept;
-  Kept.reserve(Profiles.size());
+PipelineInputs MeasurementDatabase::computePipelineInputs() const {
+  PipelineInputs In;
   for (std::size_t I = 0; I < Profiles.size(); ++I)
     if (!Profiles[I].Discarded)
-      Kept.push_back(I);
-  return Kept;
+      In.Kept.push_back(I);
+  const std::size_t N = In.Kept.size();
+
+  FeatureTable Features;
+  Features.reserve(N);
+  std::vector<const Codelet *> KeptCodelets(N);
+  In.WellBehaved.resize(N);
+  In.RefTimes.resize(N);
+  In.Invocations.resize(N);
+  for (std::size_t I = 0; I < N; ++I) {
+    const std::size_t C = In.Kept[I];
+    Features.push_back(Profiles[C].Features);
+    KeptCodelets[I] = Profiles[C].C;
+    In.WellBehaved[I] = isWellBehavedOnRef(C);
+    In.RefTimes[I] = Profiles[C].InApp.MeasuredSeconds;
+    In.Invocations[I] = static_cast<double>(codelet(C).totalInvocations());
+  }
+  // computeNormalization needs a non-empty, rectangular table.  A suite
+  // whose codelets are all discarded has no rows, and a database
+  // assembled from another build's feature vectors (which the
+  // fgbs.meas.v1 loader rejects) has rows no pipeline can read.
+  auto IsFullWidth = [](const std::vector<double> &Row) {
+    return Row.size() == NumFeatures;
+  };
+  if (N > 0 && std::all_of(Features.begin(), Features.end(), IsFullWidth)) {
+    In.Norm = computeNormalization(Features);
+    In.Normalized = normalizeFeatures(std::move(Features), In.Norm);
+  }
+
+  In.Apps = membersByApplication(*TheSuite, KeptCodelets);
+  for (std::size_t J = 0; J < In.Apps.size(); ++J)
+    In.AppReference.push_back(applicationTime(
+        In.RefTimes, In.Invocations, In.Apps.of(J), In.Apps.Coverage[J]));
+
+  In.Targets.resize(Targets.size());
+  for (std::size_t T = 0; T < Targets.size(); ++T) {
+    TargetInputs &Tgt = In.Targets[T];
+    Tgt.Real.resize(N);
+    Tgt.StandaloneMedian.resize(N);
+    Tgt.BenchmarkSeconds.resize(N);
+    for (std::size_t I = 0; I < N; ++I) {
+      const StandaloneMeasurement &Standalone =
+          StandaloneOnTarget[T][In.Kept[I]];
+      Tgt.Real[I] = RealTarget[T][In.Kept[I]].MeasuredSeconds;
+      Tgt.StandaloneMedian[I] = Standalone.MedianSeconds;
+      Tgt.BenchmarkSeconds[I] = Standalone.TotalBenchmarkSeconds;
+      Tgt.FullSuiteSeconds += Tgt.Real[I] * In.Invocations[I];
+      Tgt.ReducedInvocationSeconds += Standalone.TotalBenchmarkSeconds;
+    }
+    for (std::size_t J = 0; J < In.Apps.size(); ++J)
+      Tgt.AppReal.push_back(applicationTime(
+          Tgt.Real, In.Invocations, In.Apps.of(J), In.Apps.Coverage[J]));
+    if (!Tgt.AppReal.empty())
+      Tgt.RealGeomeanSpeedup =
+          geometricMeanSpeedup(In.AppReference, Tgt.AppReal);
+  }
+  return In;
 }
 
 bool MeasurementDatabase::isWellBehavedOnRef(std::size_t Codelet) const {

@@ -20,8 +20,11 @@
 #define FGBS_CORE_DATABASE_H
 
 #include "fgbs/analysis/Profiler.h"
+#include "fgbs/cluster/Cluster.h"
 #include "fgbs/extract/Extraction.h"
 
+#include <span>
+#include <string>
 #include <vector>
 
 namespace fgbs {
@@ -85,13 +88,87 @@ struct DatabaseOptions {
   unsigned Threads = 0;
 };
 
+/// The kept codelets of every suite application that has any, in suite
+/// application order, grouped by name as the per-application sums define
+/// it: an application owns every kept codelet whose App names it, in
+/// kept order; an application that repeats an earlier one's name has the
+/// same members; a codelet whose App names no application belongs to
+/// none.
+struct AppMembers {
+  std::vector<std::string> Names;
+  std::vector<double> Coverage;
+  /// Application J's members (kept-local indices) are
+  /// Members[Begin[J], Begin[J + 1]).
+  std::vector<std::size_t> Begin{0};
+  std::vector<std::size_t> Members;
+
+  std::size_t size() const { return Names.size(); }
+
+  /// Application J's members.
+  std::span<const std::size_t> of(std::size_t J) const {
+    return std::span(Members).subspan(Begin[J], Begin[J + 1] - Begin[J]);
+  }
+};
+
+/// What a pipeline run reads of one target that no PipelineConfig
+/// changes.  Per-codelet vectors are in PipelineInputs::Kept order.
+struct TargetInputs {
+  /// Ground truth: in-application seconds per invocation.
+  std::vector<double> Real;
+  /// Standalone median seconds per invocation (what a representative
+  /// contributes to the prediction).
+  std::vector<double> StandaloneMedian;
+  /// Standalone benchmarking seconds at the reduced invocation count.
+  std::vector<double> BenchmarkSeconds;
+  /// Table 5's full-suite and reduced-invocation times.
+  double FullSuiteSeconds = 0.0;
+  double ReducedInvocationSeconds = 0.0;
+  /// Whole-application ground truth, one per PipelineInputs::Apps entry.
+  std::vector<double> AppReal;
+  /// Geometric-mean speedup of AppReal over the reference (0 when no
+  /// application has a kept codelet).
+  double RealGeomeanSpeedup = 0.0;
+};
+
+/// Everything a pipeline run reads that no PipelineConfig changes,
+/// computed once per database instead of once per run (the Table 2 GA
+/// makes about 80,000 runs over one database).  It holds plain values
+/// only, so copying or moving the database keeps it valid.
+struct PipelineInputs {
+  /// Indices of codelets surviving the 1M-cycle profiling filter.
+  std::vector<std::size_t> Kept;
+  /// The kept codelets' full feature vectors, each column normalized
+  /// over the kept rows, and the per-column stats.  Normalization works
+  /// column by column, so projecting both onto a mask's columns gives
+  /// the bits normalizing the masked table would.  Empty when no
+  /// codelet is kept or a kept vector is not NumFeatures wide.
+  FeatureTable Normalized;
+  NormalizationStats Norm;
+  /// Per kept codelet: the section 3.4 agreement test on the reference,
+  /// the in-application reference seconds and the invocation count.
+  std::vector<bool> WellBehaved;
+  std::vector<double> RefTimes;
+  std::vector<double> Invocations;
+  AppMembers Apps;
+  /// Whole-application reference seconds, one per Apps entry.
+  std::vector<double> AppReference;
+  /// One per database target.
+  std::vector<TargetInputs> Targets;
+};
+
 /// Eagerly computed measurement store for one suite.
+///
+/// Both constructors also compute the database's PipelineInputs, which
+/// take the kept set and the application grouping from the suite.  The
+/// suite must not change while the database lives: its measurements and
+/// those inputs are frozen at construction.
 class MeasurementDatabase {
 public:
   /// Profiles \p S on \p Reference and measures it on every machine in
-  /// \p Targets.  \p S must outlive the database.  The simulator sweep
-  /// fans out one work item per (codelet, machine, measurement kind)
-  /// over \p Options.Threads threads, sharing one compile memo.
+  /// \p Targets.  \p S must outlive the database and must not change
+  /// while it lives.  The simulator sweep fans out one work item per
+  /// (codelet, machine, measurement kind) over \p Options.Threads
+  /// threads, sharing one compile memo.
   MeasurementDatabase(const Suite &S, Machine Reference,
                       std::vector<Machine> Targets,
                       const TimingPolicy &Policy = {},
@@ -101,7 +178,9 @@ public:
   /// fgbs.meas.v1 cache loader).  The vectors must be mutually
   /// consistent: one profile/standalone per codelet of \p S, one
   /// [target][codelet] grid per machine in \p Targets, and every
-  /// CodeletProfile::C pointing into \p S.
+  /// CodeletProfile::C pointing into \p S.  As for the simulating
+  /// constructor, \p S must outlive the database and must not change
+  /// while it lives.
   MeasurementDatabase(const Suite &S, Machine Reference,
                       std::vector<Machine> Targets,
                       std::vector<CodeletProfile> Profiles,
@@ -151,13 +230,21 @@ public:
   }
 
   /// Indices of codelets surviving the 1M-cycle profiling filter.
-  std::vector<std::size_t> keptCodelets() const;
+  const std::vector<std::size_t> &keptCodelets() const {
+    return Inputs.Kept;
+  }
+
+  /// The per-database pipeline inputs (see PipelineInputs).
+  const PipelineInputs &pipelineInputs() const { return Inputs; }
 
   /// True when \p Codelet passes the section 3.4 agreement test on the
   /// reference machine.
   bool isWellBehavedOnRef(std::size_t Codelet) const;
 
 private:
+  /// Computes Inputs from the measurements; each constructor's last step.
+  PipelineInputs computePipelineInputs() const;
+
   const Suite *TheSuite;
   Machine Reference;
   std::vector<Machine> Targets;
@@ -167,6 +254,7 @@ private:
   std::vector<StandaloneMeasurement> StandaloneOnRef;
   /// [target][codelet]
   std::vector<std::vector<StandaloneMeasurement>> StandaloneOnTarget;
+  PipelineInputs Inputs;
 };
 
 } // namespace fgbs

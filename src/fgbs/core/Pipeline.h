@@ -11,9 +11,10 @@
 /// over a pre-computed MeasurementDatabase.
 ///
 /// The pipeline is cheap to re-run with different configurations (K,
-/// feature mask, linkage, ablation toggles) because all simulation lives
-/// in the database; the cluster-count sweeps of Figure 3 and the 1000
-/// random clusterings of Figure 7 rely on this.
+/// feature mask, linkage, ablation toggles) because all simulation, and
+/// everything else no configuration changes (PipelineInputs), lives in
+/// the database; the cluster-count sweeps of Figure 3, the 1000 random
+/// clusterings of Figure 7 and the Table 2 GA rely on this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,17 +119,13 @@ public:
   const PipelineConfig &config() const { return Config; }
 
 private:
-  PipelineResult evaluate(std::vector<std::size_t> Kept, FeatureTable Points,
-                          NormalizationStats Norm, Clustering Initial,
-                          unsigned ElbowChoice) const;
+  PipelineResult evaluate(FeatureTable Points, NormalizationStats Norm,
+                          Clustering Initial, unsigned ElbowChoice) const;
 
-  /// The masked but unnormalized feature table over \p Kept.
-  FeatureTable buildRawPoints(const std::vector<std::size_t> &Kept) const;
-
-  /// Normalizes \p Points in place when the config asks for it, and
-  /// returns the normalization a result should carry: the table's
-  /// per-column stats, or the identity when normalization is disabled.
-  NormalizationStats normalize(FeatureTable &Points) const;
+  /// The masked (and normalized) feature table over the kept codelets;
+  /// sets \p Norm to the normalization a result carries: the masked
+  /// columns' stats, or the identity when normalization is disabled.
+  FeatureTable maskedPoints(NormalizationStats &Norm) const;
 
   const MeasurementDatabase &Db;
   PipelineConfig Config;

@@ -96,5 +96,9 @@ std::string fgbs::formatPercent(double Value, int Digits) {
 }
 
 std::string fgbs::formatFactor(double Value, int Digits) {
-  return "x" + formatDouble(Value, Digits);
+  // Appending (rather than "x" + ...) keeps g++ 12's -O3 -Wrestrict
+  // false positive on operator+(const char *, string &&) away.
+  std::string Out = "x";
+  Out += formatDouble(Value, Digits);
+  return Out;
 }

@@ -2,11 +2,13 @@
 
 #include "fgbs/core/MeasurementCache.h"
 
+#include "fgbs/dsl/Builder.h"
 #include "fgbs/suites/Synthetic.h"
 #include "fgbs/support/Crc32.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -70,6 +72,69 @@ void fixChecksum(std::string &Bytes) {
            crc32(std::string_view(Bytes).substr(kMeasurementHeaderBytes)));
 }
 
+std::uint64_t bitsOf(double V) { return std::bit_cast<std::uint64_t>(V); }
+
+/// Bit patterns, so that signed zeros and NaN payloads count too.
+std::vector<std::uint64_t> bitsOf(const std::vector<double> &V) {
+  std::vector<std::uint64_t> Out;
+  for (double X : V)
+    Out.push_back(bitsOf(X));
+  return Out;
+}
+
+/// Expects two databases' pipeline inputs to agree bit for bit.
+void expectSameInputs(const PipelineInputs &A, const PipelineInputs &B) {
+  EXPECT_EQ(A.Kept, B.Kept);
+  ASSERT_EQ(A.Normalized.size(), B.Normalized.size());
+  for (std::size_t I = 0; I < A.Normalized.size(); ++I)
+    EXPECT_EQ(bitsOf(A.Normalized[I]), bitsOf(B.Normalized[I])) << I;
+  EXPECT_EQ(bitsOf(A.Norm.Mean), bitsOf(B.Norm.Mean));
+  EXPECT_EQ(bitsOf(A.Norm.Std), bitsOf(B.Norm.Std));
+  EXPECT_EQ(A.WellBehaved, B.WellBehaved);
+  EXPECT_EQ(bitsOf(A.RefTimes), bitsOf(B.RefTimes));
+  EXPECT_EQ(bitsOf(A.Invocations), bitsOf(B.Invocations));
+  EXPECT_EQ(A.Apps.Names, B.Apps.Names);
+  EXPECT_EQ(bitsOf(A.Apps.Coverage), bitsOf(B.Apps.Coverage));
+  EXPECT_EQ(A.Apps.Begin, B.Apps.Begin);
+  EXPECT_EQ(A.Apps.Members, B.Apps.Members);
+  EXPECT_EQ(bitsOf(A.AppReference), bitsOf(B.AppReference));
+  ASSERT_EQ(A.Targets.size(), B.Targets.size());
+  for (std::size_t T = 0; T < A.Targets.size(); ++T) {
+    const TargetInputs &X = A.Targets[T];
+    const TargetInputs &Y = B.Targets[T];
+    EXPECT_EQ(bitsOf(X.Real), bitsOf(Y.Real)) << T;
+    EXPECT_EQ(bitsOf(X.StandaloneMedian), bitsOf(Y.StandaloneMedian)) << T;
+    EXPECT_EQ(bitsOf(X.BenchmarkSeconds), bitsOf(Y.BenchmarkSeconds)) << T;
+    EXPECT_EQ(bitsOf(X.FullSuiteSeconds), bitsOf(Y.FullSuiteSeconds)) << T;
+    EXPECT_EQ(bitsOf(X.ReducedInvocationSeconds),
+              bitsOf(Y.ReducedInvocationSeconds))
+        << T;
+    EXPECT_EQ(bitsOf(X.AppReal), bitsOf(Y.AppReal)) << T;
+    EXPECT_EQ(bitsOf(X.RealGeomeanSpeedup), bitsOf(Y.RealGeomeanSpeedup))
+        << T;
+  }
+}
+
+/// Two applications of one microsecond-long stream codelet each: both
+/// run far under the 1M-cycle profiling filter.
+Suite tinySuite() {
+  Suite S;
+  S.Name = "tiny";
+  for (const char *Name : {"a", "b"}) {
+    Application App;
+    App.Name = Name;
+    CodeletBuilder B(std::string("tiny_") + Name, Name);
+    unsigned X = B.array("x", Precision::DP, 1 << 10);
+    unsigned Y = B.array("y", Precision::DP, 1 << 10);
+    B.loops(1 << 10);
+    B.stmt(storeTo(B.at(X, StrideClass::Unit),
+                   add(B.ld(Y, StrideClass::Unit), constant(Precision::DP))));
+    App.Codelets.push_back(B.take());
+    S.Applications.push_back(std::move(App));
+  }
+  return S;
+}
+
 /// A scratch directory unique to the running test, removed on scope
 /// exit.
 struct TempDir {
@@ -127,6 +192,51 @@ TEST_F(MeasurementCacheTest, LoadedDatabaseMatchesFieldByField) {
                 Db->standaloneTarget(I, T).MedianSeconds);
     }
   }
+
+  // Both constructors derive the same per-database pipeline inputs, and
+  // the normalized table is the kept features normalized per column.
+  const PipelineInputs &In = Db->pipelineInputs();
+  ASSERT_FALSE(In.Kept.empty());
+  expectSameInputs(R.Db->pipelineInputs(), In);
+  FeatureTable Kept;
+  for (std::size_t I : In.Kept)
+    Kept.push_back(Db->profile(I).Features);
+  FeatureTable Normalized = normalizeFeatures(Kept);
+  ASSERT_EQ(Normalized.size(), In.Normalized.size());
+  for (std::size_t I = 0; I < Normalized.size(); ++I)
+    EXPECT_EQ(bitsOf(Normalized[I]), bitsOf(In.Normalized[I])) << I;
+}
+
+TEST(PipelineInputsTest, SuiteWithEveryCodeletDiscardedStillBuilds) {
+  // Nothing is kept: there is no table to normalize and no application
+  // to aggregate, and both constructors must still succeed.
+  Suite S = tinySuite();
+  std::vector<Machine> Targets = {makeAtom(), makeSandyBridge()};
+  MeasurementDatabase Db(S, makeNehalem(), Targets);
+  ASSERT_EQ(Db.numCodelets(), 2u);
+  for (std::size_t I = 0; I < Db.numCodelets(); ++I)
+    ASSERT_TRUE(Db.profile(I).Discarded) << Db.codelet(I).Name;
+
+  const PipelineInputs &In = Db.pipelineInputs();
+  EXPECT_TRUE(Db.keptCodelets().empty());
+  EXPECT_TRUE(In.Normalized.empty());
+  EXPECT_TRUE(In.Norm.Mean.empty());
+  EXPECT_EQ(In.Apps.size(), 0u);
+  EXPECT_TRUE(In.AppReference.empty());
+  ASSERT_EQ(In.Targets.size(), Targets.size());
+  for (const TargetInputs &T : In.Targets) {
+    EXPECT_TRUE(T.Real.empty());
+    EXPECT_TRUE(T.AppReal.empty());
+    EXPECT_EQ(T.FullSuiteSeconds, 0.0);
+    EXPECT_EQ(T.ReducedInvocationSeconds, 0.0);
+    EXPECT_EQ(T.RealGeomeanSpeedup, 0.0);
+  }
+
+  const std::uint64_t Key = measurementKey(S, makeNehalem(), Targets);
+  MeasurementLoadResult R = parseMeasurements(
+      serializeMeasurements(Db, Key), S, makeNehalem(), Targets, Key);
+  ASSERT_TRUE(R) << R.Message;
+  expectSameInputs(R.Db->pipelineInputs(), In);
 }
 
 TEST_F(MeasurementCacheTest, SaveLoadSaveFileIsByteIdentical) {

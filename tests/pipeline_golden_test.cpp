@@ -202,7 +202,8 @@ TEST(PipelineGolden, AppAggregationOnSynthetic) {
   // codelets, and its own (whose App no longer names any application)
   // drop out of the per-application sums.  Then the third and its
   // codelets take the first application's name: the first and the third
-  // both aggregate the codelets of both.
+  // both aggregate the codelets of both.  A database freezes its suite's
+  // grouping, so each renamed suite gets a database of its own.
   SyntheticConfig Config;
   Config.IllBehavedProbability = 0.5;
   Suite S = makeSyntheticSuite(Config);
@@ -210,11 +211,13 @@ TEST(PipelineGolden, AppAggregationOnSynthetic) {
 
   std::vector<std::string> Digests;
   std::size_t IllBehaved = 0;
-  auto Run = [&](const PipelineConfig &Config) {
-    PipelineResult R = Pipeline(Db, Config).run();
+  auto RunOn = [&](const MeasurementDatabase &On,
+                   const PipelineConfig &Config) {
+    PipelineResult R = Pipeline(On, Config).run();
     IllBehaved += R.Selection.IllBehaved.size();
     Digests.push_back(ResultImage(R).digest());
   };
+  auto Run = [&](const PipelineConfig &Config) { RunOn(Db, Config); };
   Run(PipelineConfig());
   for (const FeatureMask &Mask : randomMasks(8)) {
     PipelineConfig Masked;
@@ -231,12 +234,16 @@ TEST(PipelineGolden, AppAggregationOnSynthetic) {
   FirstMember.MedoidRepresentative = false;
   Run(FirstMember);
   ASSERT_GE(S.Applications.size(), 3u);
-  S.Applications[2].Name = S.Applications[1].Name;
-  Run(PipelineConfig());
-  S.Applications[2].Name = S.Applications[0].Name;
-  for (Codelet &C : S.Applications[2].Codelets)
+  Suite SecondTwice = makeSyntheticSuite(Config);
+  SecondTwice.Applications[2].Name = S.Applications[1].Name;
+  RunOn(MeasurementDatabase(SecondTwice, makeNehalem(), paperTargets()),
+        PipelineConfig());
+  Suite FirstTwice = makeSyntheticSuite(Config);
+  FirstTwice.Applications[2].Name = S.Applications[0].Name;
+  for (Codelet &C : FirstTwice.Applications[2].Codelets)
     C.App = S.Applications[0].Name;
-  Run(PipelineConfig());
+  RunOn(MeasurementDatabase(FirstTwice, makeNehalem(), paperTargets()),
+        PipelineConfig());
   EXPECT_GT(IllBehaved, 0u);
 
   const char *const Expected[] = {
