@@ -1,7 +1,8 @@
 //===- bench/perf_library.cpp - Library performance microbenchmarks -------===//
 //
 // Google-benchmark microbenchmarks of the library's hot paths: the
-// trace-driven cache hierarchy, the executor, Ward clustering, the elbow
+// trace-driven cache hierarchy, cold sampling of a whole suite, the
+// executor, Ward clustering, the elbow
 // search, representative selection, the prediction model, feature
 // computation, GA generations and one Table 2 fitness evaluation.  These
 // guard the costs that make the cluster-count sweeps (Figure 3/7) and the
@@ -20,6 +21,8 @@
 #include "fgbs/support/Rng.h"
 
 #include <benchmark/benchmark.h>
+
+#include <set>
 
 using namespace fgbs;
 
@@ -82,6 +85,41 @@ void BM_SampleMemoryBehaviorNasShaped(benchmark::State &State) {
     benchmark::DoNotOptimize(sampleMemoryBehavior(Streams, M, 1 << 24));
 }
 BENCHMARK(BM_SampleMemoryBehaviorNasShaped);
+
+/// Every distinct memory trace a Numerical Recipes database samples:
+/// one per codelet and distinct invocation-group dataset scale.
+const std::set<MemoryTrace> &nrTraces() {
+  static const std::set<MemoryTrace> Traces = [] {
+    std::set<MemoryTrace> Out;
+    Suite S = makeNumericalRecipes();
+    for (const Codelet *C : S.allCodelets())
+      for (const InvocationGroup &G : C->Invocations)
+        Out.insert(memoryTrace(*C, G.DatasetScale));
+    return Out;
+  }();
+  return Traces;
+}
+
+/// Cold sampling of a whole NR database on the four paper machines,
+/// through the unmemoized sampler: each trace in one walk for all four
+/// machines (Shared), or in four one-machine walks.
+void BM_SampleSuiteNr(benchmark::State &State, bool Shared) {
+  const std::vector<Machine> Machines = paperMachines();
+  std::vector<const Machine *> All;
+  for (const Machine &M : Machines)
+    All.push_back(&M);
+  for (auto _ : State)
+    for (const auto &[Streams, Iters] : nrTraces()) {
+      if (Shared) {
+        benchmark::DoNotOptimize(sampleMemoryBehavior(Streams, All, Iters));
+        continue;
+      }
+      for (const Machine &M : Machines)
+        benchmark::DoNotOptimize(sampleMemoryBehavior(Streams, M, Iters));
+    }
+}
+BENCHMARK_CAPTURE(BM_SampleSuiteNr, shared, true);
+BENCHMARK_CAPTURE(BM_SampleSuiteNr, per_machine, false);
 
 void BM_ExecutorRun(benchmark::State &State) {
   Codelet C = benchCodelet(1 << 20);

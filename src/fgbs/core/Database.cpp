@@ -5,6 +5,7 @@
 #include "fgbs/compiler/CompileCache.h"
 #include "fgbs/model/Prediction.h"
 #include "fgbs/obs/Trace.h"
+#include "fgbs/sim/Executor.h"
 #include "fgbs/support/ThreadPool.h"
 
 #include <algorithm>
@@ -130,6 +131,25 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
       Options.Threads > 0 ? Options.Threads : ThreadPool::defaultThreadCount();
   FGBS_GAUGE_SET("db.threads", Threads);
   ThreadPool Pool(Threads);
+
+  // Sample every memory trace the sweep will ask for first, each in one
+  // walk for the reference and all targets: per codelet, one trace per
+  // distinct dataset scale of its invocation groups (the standalone runs
+  // replay the first group's).  memoryTrace() is what execute() samples,
+  // so every sampling in the sweep below is a memo hit.
+  std::vector<const Machine *> Machines = {&Reference};
+  for (const Machine &Target : Targets)
+    Machines.push_back(&Target);
+  Pool.parallelFor(0, N, [&](std::size_t I) {
+    std::vector<double> Scales;
+    for (const InvocationGroup &G : Codelets[I]->Invocations)
+      if (std::count(Scales.begin(), Scales.end(), G.DatasetScale) == 0)
+        Scales.push_back(G.DatasetScale);
+    for (double Scale : Scales) {
+      const auto [Streams, Iterations] = memoryTrace(*Codelets[I], Scale);
+      primeMemoryBehavior(Streams, Machines, Iterations);
+    }
+  });
 
   // Work-item index space, kind-major (decodeMeasurementItem owns it):
   //   [0, N)        profile codelet I on the reference (step B),

@@ -18,6 +18,7 @@
 
 #include "fgbs/dsl/Expr.h"
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -123,6 +124,8 @@ struct MemoryStreamDesc {
   unsigned PointsPerIter;       ///< Touches per iteration (stencils > 1).
   bool IsStore;
   unsigned ElemBytes;
+
+  auto operator<=>(const MemoryStreamDesc &) const = default;
 };
 
 /// Derives the memory streams of \p C at dataset scale \p Scale.

@@ -7,10 +7,12 @@
 ///
 /// \file
 /// A trace-driven, set-associative, LRU, inclusive multi-level data-cache
-/// simulator.  The executor (fgbs/sim/Executor.h) drives it with sampled
-/// address streams derived from codelet access patterns to classify each
-/// stream's steady-state residence level and line traffic; those feed both
-/// the memory-time model and the Likwid-like cache counters.
+/// simulator.  The executor (fgbs/sim/Executor.h) drives its levels with
+/// sampled address streams derived from codelet access patterns, one
+/// tree of levels for all the machines a trace is sampled on, to
+/// classify each stream's steady-state residence level and line traffic;
+/// those feed both the memory-time model and the Likwid-like cache
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 
 #include "fgbs/arch/Machine.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -26,53 +29,64 @@ namespace fgbs {
 
 /// One set-associative LRU cache level.
 ///
-/// The tags live in one flat NumSets x Ways array of line numbers, each
-/// row ordered most-recently-used first; unused ways hold EmptyWay.  A
-/// hit moves its way to the front of the row, a miss shifts the whole
-/// row down one way (dropping the LRU line) and inserts at the front --
-/// exactly the decisions of a per-set MRU-first list.
+/// The tags live in one flat NumSets x Ways array of 32-bit line
+/// numbers, each row ordered most-recently-used first; unused ways hold
+/// EmptyWay.  A hit moves its way to the front of the row, a miss shifts
+/// the whole row down one way (dropping the LRU line) and inserts at the
+/// front -- exactly the decisions of a per-set MRU-first list.
 class CacheLevel {
 public:
+  /// Line numbers (Addr >> log2(LineBytes)) must stay below this bound:
+  /// rows store them in 32 bits and EmptyWay takes the top value.
+  static constexpr std::uint64_t LineLimit = 0xFFFFFFFFu;
+
   explicit CacheLevel(const CacheLevelConfig &Config);
 
-  /// Looks up the line containing \p Addr; inserts it on miss.
+  /// Looks up the line containing \p Addr; inserts it on miss.  The
+  /// line number must be below LineLimit.
   /// \returns true on hit.
-  bool access(std::uint64_t Addr);
+  bool access(std::uint64_t Addr) {
+    std::uint64_t Line = Addr >> LineShift;
+    assert(Line < LineLimit && "line number does not fit a 32-bit row");
+    auto Tag = static_cast<std::uint32_t>(Line);
+    std::uint32_t Set = MaskedIndex ? Tag & SetMask : Tag % NumSets;
+    std::uint32_t *Way = Tags.data() + std::size_t(Set) * Ways;
+    std::uint32_t *const End = Way + Ways;
+
+    // Insert at the MRU slot and shift the row down one way until the
+    // line turns up: a hit ends the shift at its old way, a miss shifts
+    // the whole row and drops the LRU way (an EmptyWay while the set
+    // fills).
+    std::uint32_t Carry = Tag;
+    for (; Way != End; ++Way) {
+      std::uint32_t Old = *Way;
+      *Way = Carry;
+      if (Old == Tag)
+        return true;
+      Carry = Old;
+    }
+    return false;
+  }
 
   /// Drops all cached lines.
   void flush();
 
-  /// Pre-loads the line containing \p Addr without counting a reference
-  /// (used to model a warmed cache state).
-  void touch(std::uint64_t Addr);
-
-  std::uint64_t hits() const { return Hits; }
-  std::uint64_t misses() const { return Misses; }
-  void resetCounters() { Hits = Misses = 0; }
-
   const CacheLevelConfig &config() const { return Config; }
 
 private:
-  /// Marks an unused way.  No line number can equal it: a line number is
-  /// Addr >> LineShift, and LineShift >= 1 since lines hold >= 2 bytes.
-  static constexpr std::uint64_t EmptyWay = ~std::uint64_t(0);
+  /// Marks an unused way; no line number below LineLimit equals it.
+  static constexpr std::uint32_t EmptyWay = ~std::uint32_t(0);
 
-  /// \returns true if the tag was present; updates LRU order and inserts
-  /// on miss.  \p CountReference controls statistics updates.
-  bool lookupAndFill(std::uint64_t Addr, bool CountReference);
-
-  CacheLevelConfig Config;
-  unsigned NumSets;
+  /// NumSets rows of Ways line numbers, each most recently used first.
+  std::vector<std::uint32_t> Tags;
   unsigned LineShift;
+  unsigned Ways;
+  unsigned NumSets;
   /// NumSets - 1 when NumSets is a power of two (the set index is then a
   /// mask), else 0 and the index is Line % NumSets.
-  std::uint64_t SetMask;
+  std::uint32_t SetMask;
   bool MaskedIndex;
-  /// NumSets rows of Associativity line numbers, each most recently
-  /// used first.
-  std::vector<std::uint64_t> Tags;
-  std::uint64_t Hits = 0;
-  std::uint64_t Misses = 0;
+  CacheLevelConfig Config;
 };
 
 /// Which level served an access (L1 = 0, ..., Memory = number of levels).
@@ -90,12 +104,6 @@ public:
 
   /// Number of cache levels.
   unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
-
-  /// Access to level statistics.
-  const CacheLevel &level(unsigned Index) const { return Levels[Index]; }
-
-  /// Resets hit/miss counters on all levels.
-  void resetCounters();
 
   /// Drops all cached state.
   void flush();

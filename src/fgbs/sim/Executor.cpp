@@ -3,6 +3,7 @@
 #include "fgbs/sim/Executor.h"
 
 #include "fgbs/obs/Metrics.h"
+#include "fgbs/obs/Trace.h"
 #include "fgbs/support/Rng.h"
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace fgbs;
@@ -49,6 +51,11 @@ public:
   const std::vector<std::uint64_t> &points() const { return PointBases; }
   std::uint64_t offset() const { return Offset; }
 
+  /// The highest address the stream can touch (0 with no touch points).
+  std::uint64_t lastAddress() const {
+    return PointBases.empty() ? 0 : PointBases.back() + Footprint - 1;
+  }
+
   /// Moves to the next iteration.
   void advance() {
     Offset += Step;
@@ -64,6 +71,196 @@ private:
   std::uint64_t Offset = 0;
   std::vector<std::uint64_t> PointBases;
 };
+
+/// One machine's sampling windows: iterations [0, Warm) fill its
+/// caches, and the next Measure iterations are counted.
+struct Windows {
+  std::uint64_t Warm = 0;
+  std::uint64_t Measure = 0;
+
+  std::uint64_t end() const { return Warm + Measure; }
+};
+
+Windows windowsFor(const std::vector<MemoryStreamDesc> &Streams,
+                   const Machine &M, std::uint64_t TotalIterations,
+                   unsigned TouchesPerIter) {
+  // Warm until the largest wrapping stream has wrapped once (bounded),
+  // then measure a steady-state window.  Working sets far beyond the
+  // last-level cache can never produce reuse hits at the wrap, so a
+  // short warmup already reaches the streaming steady state.
+  std::uint64_t WrapIters = 1;
+  std::uint64_t TotalFootprint = 0;
+  for (const MemoryStreamDesc &S : Streams) {
+    TotalFootprint += S.FootprintBytes;
+    if (S.StrideBytes == 0)
+      continue;
+    std::uint64_t AbsStride =
+        static_cast<std::uint64_t>(std::llabs(S.StrideBytes));
+    WrapIters = std::max(WrapIters, S.FootprintBytes / AbsStride + 1);
+  }
+  if (TotalFootprint > 4 * M.lastLevelCacheBytes())
+    WrapIters = std::min<std::uint64_t>(WrapIters, 30000);
+  Windows W;
+  W.Warm = std::min(WrapIters + 1024, MaxWarmupAccesses / TouchesPerIter);
+  W.Measure = std::max<std::uint64_t>(1, MaxMeasureAccesses / TouchesPerIter);
+  // Short-running codelets never reach the asymptote; shrink the windows
+  // so per-invocation behaviour stays representative.
+  if (TotalIterations < W.Warm + W.Measure) {
+    W.Warm = TotalIterations / 2;
+    W.Measure = std::max<std::uint64_t>(1, TotalIterations - W.Warm);
+  }
+  return W;
+}
+
+/// The live part of a LevelTree during one phase of the walk, in
+/// preorder.  An access probes Levels[0]; a hit at I skips I's subtree
+/// (to Skip[I]) and a miss moves to I + 1, which is I's first child,
+/// or after a leaf the next subtree still to probe.
+struct ActiveLevels {
+  std::vector<CacheLevel *> Levels;
+  std::vector<std::size_t> Skip;
+  /// Per tree node: its position in Levels (meaningful for live nodes).
+  std::vector<std::size_t> Slot;
+};
+
+/// The cache levels of a set of machines as a tree.  Machines share a
+/// node at level D while their levels 0..D agree in size, associativity
+/// and line size.  No level feeds anything back up (no back-invalidation,
+/// no writeback), so a level's contents depend only on the accesses that
+/// missed every level above it: a shared node sees exactly the accesses,
+/// and makes exactly the hit/miss decisions, that each of its machines'
+/// own level would.
+class LevelTree {
+public:
+  explicit LevelTree(std::span<const Machine *const> Machines)
+      : Paths(Machines.size()) {
+    std::size_t MaxNodes = 0;
+    for (const Machine *M : Machines)
+      MaxNodes += M->CacheLevels.size();
+    Nodes.reserve(MaxNodes);
+    for (std::size_t M = 0; M < Machines.size(); ++M) {
+      std::size_t Parent = NoNode;
+      for (const CacheLevelConfig &Config : Machines[M]->CacheLevels) {
+        std::size_t Node = child(Parent, Config);
+        if (Node == Nodes.size()) {
+          Nodes.emplace_back(Config);
+          Parents.push_back(Parent);
+        }
+        Paths[M].push_back(Node);
+        Parent = Node;
+      }
+    }
+  }
+
+  std::size_t size() const { return Nodes.size(); }
+
+  /// The node of each of machine M's levels, L1 first.
+  const std::vector<std::size_t> &path(std::size_t M) const {
+    return Paths[M];
+  }
+
+  /// The walk order of the nodes \p Live marks, which must include the
+  /// parent of every node it marks.
+  ActiveLevels active(const std::vector<bool> &Live) {
+    ActiveLevels Out;
+    Out.Slot.assign(Nodes.size(), 0);
+    std::vector<std::size_t> Order;
+    appendLive(NoNode, Live, Order);
+    for (std::size_t I = 0; I < Order.size(); ++I) {
+      Out.Slot[Order[I]] = I;
+      Out.Levels.push_back(&Nodes[Order[I]]);
+      std::size_t Next = I + 1;
+      while (Next < Order.size() && within(Order[Next], Order[I]))
+        ++Next;
+      Out.Skip.push_back(Next);
+    }
+    return Out;
+  }
+
+private:
+  /// The parent of an L1.
+  static constexpr std::size_t NoNode = ~std::size_t(0);
+
+  static bool sameGeometry(const CacheLevel &Level,
+                           const CacheLevelConfig &Config) {
+    const CacheLevelConfig &Have = Level.config();
+    return Have.SizeBytes == Config.SizeBytes &&
+           Have.Associativity == Config.Associativity &&
+           Have.LineBytes == Config.LineBytes;
+  }
+
+  /// The child of \p Parent with \p Config's geometry, or size() if
+  /// there is none.
+  std::size_t child(std::size_t Parent, const CacheLevelConfig &Config) const {
+    for (std::size_t Node = 0; Node < Nodes.size(); ++Node)
+      if (Parents[Node] == Parent && sameGeometry(Nodes[Node], Config))
+        return Node;
+    return Nodes.size();
+  }
+
+  /// Appends the live subtrees under \p Parent in preorder, siblings in
+  /// the order their first machine lists them.
+  void appendLive(std::size_t Parent, const std::vector<bool> &Live,
+                  std::vector<std::size_t> &Out) const {
+    for (std::size_t Node = 0; Node < Nodes.size(); ++Node)
+      if (Parents[Node] == Parent && Live[Node]) {
+        Out.push_back(Node);
+        appendLive(Node, Live, Out);
+      }
+  }
+
+  /// True when \p Node lies in the subtree rooted at \p Root.
+  bool within(std::size_t Node, std::size_t Root) const {
+    for (; Node != NoNode; Node = Parents[Node])
+      if (Node == Root)
+        return true;
+    return false;
+  }
+
+  std::vector<CacheLevel> Nodes;
+  std::vector<std::size_t> Parents;
+  std::vector<std::vector<std::size_t>> Paths;
+};
+
+/// Walks \p Iters iterations of every stream through \p Active.  With
+/// \p Count, Hits[J * Levels + I] counts stream J's hits at Levels[I].
+///
+/// This is the simulator's hottest loop, with CacheLevel::access inlined
+/// into it, and its speed depends on where it lands relative to 64-byte
+/// code boundaries: left wherever the preceding code put it, cold
+/// training moved by about 15% when unrelated library code changed
+/// size.  Keeping it out of line and pinning its start fixes the loop's
+/// placement.
+template <bool Count>
+[[gnu::noinline, gnu::aligned(64)]] void
+walk(std::vector<StreamWalker> &Walkers, std::uint64_t Iters,
+     const ActiveLevels &Active, std::uint64_t *Hits) {
+  const std::size_t N = Active.Levels.size();
+  CacheLevel *const *Levels = Active.Levels.data();
+  const std::size_t *Skip = Active.Skip.data();
+  for (std::uint64_t T = 0; T < Iters; ++T)
+    for (std::size_t J = 0; J < Walkers.size(); ++J) {
+      StreamWalker &W = Walkers[J];
+      // Hits is null when nobody counts, so form the row only then.
+      std::uint64_t *Row = nullptr;
+      if constexpr (Count)
+        Row = Hits + J * N;
+      for (std::uint64_t Point : W.points()) {
+        std::uint64_t Addr = Point + W.offset();
+        std::size_t I = 0;
+        while (I < N) {
+          if (Levels[I]->access(Addr)) {
+            if constexpr (Count)
+              ++Row[I];
+            I = Skip[I];
+          } else {
+            ++I;
+          }
+        }
+      }
+      W.advance();
+    }
+}
 
 /// Everything sampleMemoryBehavior reads, flattened into words: each
 /// cache level's geometry, the iteration count, then every stream.  The
@@ -102,156 +299,260 @@ struct SampleKeyHash {
   }
 };
 
-/// The memo clears itself when it reaches this many entries.  One suite
-/// sweep needs a few hundred (NAS: ~200); the bound matters to
-/// long-lived processes that sample suite after suite.
+/// The memo clears itself when a call's new keys would take it past this
+/// many entries.  One suite sweep needs a few hundred (NAS: ~800 over
+/// four machines); the bound matters to long-lived processes that sample
+/// suite after suite.
 constexpr std::size_t MaxMemoEntries = 4096;
 
 } // namespace
+
+std::vector<std::vector<StreamBehavior>>
+fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
+                           std::span<const Machine *const> Machines,
+                           std::uint64_t TotalIterations) {
+  const std::size_t NumMachines = Machines.size();
+  const std::vector<StreamBehavior> Empty(Streams.size());
+  std::vector<std::vector<StreamBehavior>> Out(NumMachines, Empty);
+  if (Streams.empty() || Machines.empty())
+    return Out;
+  FGBS_SCOPED_TIMER("sim.sample.walk");
+
+  // Lay streams out at page-aligned, slightly staggered bases.  Rows
+  // hold 32-bit line numbers, so the layout must end below line
+  // CacheLevel::LineLimit at the smallest line size.
+  std::vector<StreamWalker> Walkers;
+  std::uint64_t NextBase = 1 << 20;
+  std::uint64_t LastAddr = 0;
+  unsigned TouchesPerIter = 0;
+  for (std::size_t J = 0; J < Streams.size(); ++J) {
+    Walkers.emplace_back(Streams[J], NextBase + J * 192);
+    LastAddr = std::max(LastAddr, Walkers.back().lastAddress());
+    NextBase += (Streams[J].FootprintBytes + 4095) / 4096 * 4096 + (1 << 16);
+    TouchesPerIter += Streams[J].PointsPerIter;
+  }
+  assert(TouchesPerIter > 0 && "streams with no touches");
+  std::uint64_t MinLineBytes = ~std::uint64_t(0);
+  for (const Machine *M : Machines)
+    for (const CacheLevelConfig &L : M->CacheLevels)
+      MinLineBytes = std::min<std::uint64_t>(MinLineBytes, L.LineBytes);
+  if (LastAddr / MinLineBytes >= CacheLevel::LineLimit)
+    throw std::length_error("sampled trace reaches line 2^32 - 1");
+
+  LevelTree Tree(Machines);
+  std::vector<Windows> Window;
+  for (const Machine *M : Machines)
+    Window.push_back(windowsFor(Streams, *M, TotalIterations, TouchesPerIter));
+
+  // Served[M][J][L]: stream J's accesses served by machine M's level L
+  // (index numLevels() is DRAM) in M's measure window.
+  std::vector<std::vector<std::vector<std::uint64_t>>> Served(NumMachines);
+  for (std::size_t M = 0; M < NumMachines; ++M) {
+    const std::vector<std::uint64_t> Levels(Tree.path(M).size() + 1, 0);
+    Served[M].assign(Streams.size(), Levels);
+  }
+
+  // Split the walk at every machine's warm-up and measure edges.  Within
+  // one phase the same machines are running and the same ones counting;
+  // the walkers keep advancing across phases.
+  std::vector<std::uint64_t> Edges = {0};
+  for (const Windows &W : Window) {
+    Edges.push_back(W.Warm);
+    Edges.push_back(W.end());
+  }
+  std::sort(Edges.begin(), Edges.end());
+  Edges.erase(std::unique(Edges.begin(), Edges.end()), Edges.end());
+
+  std::vector<std::uint64_t> Hits;
+  for (std::size_t E = 0; E + 1 < Edges.size(); ++E) {
+    const std::uint64_t Begin = Edges[E], End = Edges[E + 1];
+
+    // A node stays live while any machine using it runs; a machine
+    // counts while the phase lies inside its measure window.
+    std::vector<bool> Live(Tree.size(), false);
+    std::vector<std::size_t> Counting;
+    for (std::size_t M = 0; M < NumMachines; ++M) {
+      if (Window[M].end() < End)
+        continue;
+      for (std::size_t Node : Tree.path(M))
+        Live[Node] = true;
+      if (Window[M].Warm <= Begin)
+        Counting.push_back(M);
+    }
+    const ActiveLevels Active = Tree.active(Live);
+
+    if (Counting.empty()) {
+      walk<false>(Walkers, End - Begin, Active, nullptr);
+      continue;
+    }
+    const std::size_t N = Active.Levels.size();
+    Hits.assign(Streams.size() * N, 0);
+    walk<true>(Walkers, End - Begin, Active, Hits.data());
+    for (std::size_t M : Counting)
+      for (std::size_t J = 0; J < Streams.size(); ++J) {
+        const std::uint64_t *Row = Hits.data() + J * N;
+        const std::vector<std::size_t> &Path = Tree.path(M);
+        std::uint64_t Missed = (End - Begin) * Streams[J].PointsPerIter;
+        for (std::size_t L = 0; L < Path.size(); ++L) {
+          std::uint64_t Here = Row[Active.Slot[Path[L]]];
+          Served[M][J][L] += Here;
+          Missed -= Here;
+        }
+        Served[M][J][Path.size()] += Missed;
+      }
+  }
+
+  for (std::size_t M = 0; M < NumMachines; ++M) {
+    const std::size_t Levels = Tree.path(M).size();
+    for (std::size_t J = 0; J < Streams.size(); ++J) {
+      StreamBehavior &B = Out[M][J];
+      B.ServedFraction.assign(Levels + 1, 0.0);
+      double Total = 0.0;
+      for (std::uint64_t Count : Served[M][J])
+        Total += static_cast<double>(Count);
+      if (Total > 0.0)
+        for (std::size_t L = 0; L <= Levels; ++L)
+          B.ServedFraction[L] = static_cast<double>(Served[M][J][L]) / Total;
+      B.AccessesPerIter = Streams[J].PointsPerIter;
+      B.Prefetchable =
+          std::llabs(Streams[J].StrideBytes) <= PrefetchableStrideBytes;
+      B.IsStore = Streams[J].IsStore;
+      B.ElemBytes = Streams[J].ElemBytes;
+    }
+  }
+  return Out;
+}
 
 std::vector<StreamBehavior>
 fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
                            const Machine &M,
                            std::uint64_t TotalIterations) {
-  std::vector<StreamBehavior> Out(Streams.size());
-  if (Streams.empty())
-    return Out;
+  const Machine *One[] = {&M};
+  return std::move(sampleMemoryBehavior(Streams, One, TotalIterations)[0]);
+}
 
-  CacheHierarchy Hierarchy(M);
-  unsigned Levels = Hierarchy.numLevels();
+/// The memo's entries for \p Machines' keys, each ready or in flight.
+/// The trace simulation is the expensive part of execute(); identical
+/// (streams, cache geometry, iteration-count) triples recur constantly
+/// across contexts and pipeline runs, so memoize them.  The memo is
+/// shared across the parallel measurement fan-out and is single-flight
+/// per key: a call registers an in-flight entry for every key it misses,
+/// under one lock, and samples all of them in one walk outside it;
+/// racing callers of those keys wait on the entries instead of sampling
+/// again.  A call samples everything it registered before it waits on
+/// anyone else's entry, so no cycle of waits can form.  A sampling that
+/// throws erases the entries its call registered, so a later call
+/// retries, and its exception reaches the waiters.
+static std::vector<std::shared_future<std::vector<StreamBehavior>>>
+memoize(const std::vector<MemoryStreamDesc> &Streams,
+        std::span<const Machine *const> Machines,
+        std::uint64_t TotalIterations) {
+  using Result = std::vector<StreamBehavior>;
+  struct Entry {
+    std::shared_future<Result> Future;
+    /// The call that registered the entry; only its failure erases it.
+    std::uint64_t Owner = 0;
+  };
+  static std::mutex MemoMutex;
+  static std::unordered_map<SampleKey, Entry, SampleKeyHash> Memo;
+  static std::uint64_t Calls = 0; // Guarded by MemoMutex.
 
-  // Lay streams out at page-aligned, slightly staggered bases.
-  std::vector<StreamWalker> Walkers;
-  std::uint64_t NextBase = 1 << 20;
-  unsigned TouchesPerIter = 0;
-  for (std::size_t J = 0; J < Streams.size(); ++J) {
-    Walkers.emplace_back(Streams[J], NextBase + J * 192);
-    NextBase += (Streams[J].FootprintBytes + 4095) / 4096 * 4096 + (1 << 16);
-    TouchesPerIter += Streams[J].PointsPerIter;
-  }
-  assert(TouchesPerIter > 0 && "streams with no touches");
+  const std::size_t N = Machines.size();
+  std::vector<SampleKey> Keys;
+  Keys.reserve(N);
+  for (const Machine *M : Machines)
+    Keys.push_back(sampleKey(Streams, *M, TotalIterations));
 
-  // Warm until the largest wrapping stream has wrapped once (bounded),
-  // then measure a steady-state window.  Working sets far beyond the
-  // last-level cache can never produce reuse hits at the wrap, so a
-  // short warmup already reaches the streaming steady state.
-  std::uint64_t WrapIters = 1;
-  std::uint64_t TotalFootprint = 0;
-  for (const MemoryStreamDesc &S : Streams) {
-    TotalFootprint += S.FootprintBytes;
-    if (S.StrideBytes == 0)
-      continue;
-    std::uint64_t AbsStride =
-        static_cast<std::uint64_t>(std::llabs(S.StrideBytes));
-    WrapIters = std::max(WrapIters, S.FootprintBytes / AbsStride + 1);
-  }
-  if (TotalFootprint > 4 * M.lastLevelCacheBytes())
-    WrapIters = std::min<std::uint64_t>(WrapIters, 30000);
-  std::uint64_t WarmIters =
-      std::min(WrapIters + 1024, MaxWarmupAccesses / TouchesPerIter);
-  std::uint64_t MeasureIters =
-      std::max<std::uint64_t>(1, MaxMeasureAccesses / TouchesPerIter);
-  // Short-running codelets never reach the asymptote; shrink the windows
-  // so per-invocation behaviour stays representative.
-  if (TotalIterations < WarmIters + MeasureIters) {
-    WarmIters = TotalIterations / 2;
-    MeasureIters = std::max<std::uint64_t>(1, TotalIterations - WarmIters);
-  }
-
-  // The measure window continues the warm-up's iteration count, so the
-  // walkers simply keep advancing.
-  for (std::uint64_t T = 0; T < WarmIters; ++T)
-    for (StreamWalker &W : Walkers) {
-      for (std::uint64_t Point : W.points())
-        Hierarchy.access(Point + W.offset());
-      W.advance();
+  std::vector<std::shared_future<Result>> Pending(N);
+  std::vector<std::size_t> Mine; // Indices of the keys this call samples.
+  std::vector<std::promise<Result>> Promises;
+  std::uint64_t Call = 0;
+  {
+    std::lock_guard<std::mutex> Lock(MemoMutex);
+    Call = ++Calls;
+    std::size_t Absent = 0;
+    for (std::size_t I = 0; I < N; ++I) {
+      auto It = Memo.find(Keys[I]);
+      if (It == Memo.end()) {
+        ++Absent;
+        continue;
+      }
+      Pending[I] = It->second.Future;
+      if (Pending[I].wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready)
+        FGBS_COUNTER_ADD("sim.sample.hits", 1);
+      else
+        FGBS_COUNTER_ADD("sim.sample.waits", 1);
     }
-
-  // Measure window: count the level that serves each stream's accesses.
-  std::vector<std::vector<std::uint64_t>> Served(
-      Streams.size(), std::vector<std::uint64_t>(Levels + 1, 0));
-  for (std::uint64_t T = 0; T < MeasureIters; ++T)
-    for (std::size_t J = 0; J < Walkers.size(); ++J) {
-      StreamWalker &W = Walkers[J];
-      for (std::uint64_t Point : W.points())
-        ++Served[J][Hierarchy.access(Point + W.offset())];
-      W.advance();
+    if (Absent > 0 && Memo.size() + Absent > MaxMemoEntries) {
+      FGBS_COUNTER_ADD("sim.sample.evictions", Memo.size());
+      Memo.clear();
     }
-
-  for (std::size_t J = 0; J < Streams.size(); ++J) {
-    StreamBehavior &B = Out[J];
-    B.ServedFraction.assign(Levels + 1, 0.0);
-    double Total = 0.0;
-    for (std::uint64_t Count : Served[J])
-      Total += static_cast<double>(Count);
-    if (Total > 0.0)
-      for (unsigned L = 0; L <= Levels; ++L)
-        B.ServedFraction[L] = static_cast<double>(Served[J][L]) / Total;
-    B.AccessesPerIter = Streams[J].PointsPerIter;
-    B.Prefetchable =
-        std::llabs(Streams[J].StrideBytes) <= PrefetchableStrideBytes;
-    B.IsStore = Streams[J].IsStore;
-    B.ElemBytes = Streams[J].ElemBytes;
+    Promises.reserve(Absent);
+    for (std::size_t I = 0; I < N; ++I) {
+      if (Pending[I].valid())
+        continue;
+      auto [It, Inserted] = Memo.try_emplace(Keys[I]);
+      if (Inserted) {
+        Promises.emplace_back();
+        It->second = {Promises.back().get_future().share(), Call};
+        Mine.push_back(I);
+        FGBS_COUNTER_ADD("sim.sample.misses", 1);
+      } else {
+        FGBS_COUNTER_ADD("sim.sample.waits", 1); // A repeat of a key above.
+      }
+      Pending[I] = It->second.Future;
+    }
   }
-  return Out;
+  if (Mine.empty())
+    return Pending;
+
+  std::vector<const Machine *> ToSample;
+  for (std::size_t I : Mine)
+    ToSample.push_back(Machines[I]);
+  try {
+    auto Sampled = sampleMemoryBehavior(Streams, ToSample, TotalIterations);
+    for (std::size_t K = 0; K < Mine.size(); ++K)
+      Promises[K].set_value(std::move(Sampled[K]));
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> Lock(MemoMutex);
+      for (std::size_t I : Mine) {
+        auto It = Memo.find(Keys[I]);
+        if (It != Memo.end() && It->second.Owner == Call)
+          Memo.erase(It);
+      }
+    }
+    for (std::promise<Result> &P : Promises)
+      P.set_exception(std::current_exception());
+    throw;
+  }
+  return Pending;
 }
 
 std::vector<StreamBehavior>
 fgbs::sampleMemoryBehaviorCached(const std::vector<MemoryStreamDesc> &Streams,
                                  const Machine &M,
                                  std::uint64_t TotalIterations) {
-  // The trace simulation is the expensive part of execute(); identical
-  // (streams, cache geometry, iteration-count) triples recur constantly
-  // across contexts and pipeline runs, so memoize them.  The memo is
-  // shared across the parallel measurement fan-out and is single-flight:
-  // the first caller to miss publishes an in-flight entry and samples
-  // outside the lock, and racing callers of the same key wait on that
-  // entry instead of sampling again.  A sampling that throws is erased,
-  // so a later call retries, and its exception reaches the waiters.
-  static std::mutex MemoMutex;
-  static std::unordered_map<SampleKey,
-                            std::shared_future<std::vector<StreamBehavior>>,
-                            SampleKeyHash>
-      Memo;
+  const Machine *One[] = {&M};
+  // Rethrows a failed sampling's exception.
+  return memoize(Streams, One, TotalIterations)[0].get();
+}
 
-  SampleKey Key = sampleKey(Streams, M, TotalIterations);
-  std::shared_future<std::vector<StreamBehavior>> Published;
-  std::promise<std::vector<StreamBehavior>> Promise;
-  {
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    auto It = Memo.find(Key);
-    if (It != Memo.end()) {
-      Published = It->second;
-      if (Published.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready)
-        FGBS_COUNTER_ADD("sim.sample.hits", 1);
-      else
-        FGBS_COUNTER_ADD("sim.sample.waits", 1);
-    } else {
-      if (Memo.size() >= MaxMemoEntries) {
-        FGBS_COUNTER_ADD("sim.sample.evictions", Memo.size());
-        Memo.clear();
-      }
-      Memo.emplace(Key, Promise.get_future().share());
-      FGBS_COUNTER_ADD("sim.sample.misses", 1);
-    }
-  }
-  if (Published.valid())
-    return Published.get(); // Rethrows a failed sampling's exception.
+void fgbs::primeMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
+                               std::span<const Machine *const> Machines,
+                               std::uint64_t TotalIterations) {
+  for (const auto &F : memoize(Streams, Machines, TotalIterations))
+    F.get(); // Waits; rethrows a failed sampling's exception.
+}
 
-  try {
-    std::vector<StreamBehavior> Result =
-        sampleMemoryBehavior(Streams, M, TotalIterations);
-    Promise.set_value(Result);
-    return Result;
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> Lock(MemoMutex);
-      Memo.erase(Key);
-    }
-    Promise.set_exception(std::current_exception());
-    throw;
-  }
+MemoryTrace fgbs::memoryTrace(const Codelet &C, double Scale) {
+  MemoryTrace Trace;
+  Trace.Streams = collectStreams(C, Scale);
+  auto TotalIters = static_cast<std::uint64_t>(
+      std::llround(static_cast<double>(C.Nest.totalIterations()) * Scale));
+  Trace.TotalIterations = std::max<std::uint64_t>(TotalIters, 1);
+  return Trace;
 }
 
 /// Latency-hiding factor (memory-level parallelism) for a stream.
@@ -287,13 +588,10 @@ Measurement fgbs::execute(const Codelet &C, const Machine &M,
   Result.Compute = computeBound(Loop, M);
 
   double Scale = R.DatasetScale;
-  auto TotalIters = static_cast<std::uint64_t>(
-      std::llround(static_cast<double>(C.Nest.totalIterations()) * Scale));
-  TotalIters = std::max<std::uint64_t>(TotalIters, 1);
-
-  std::vector<MemoryStreamDesc> Streams = collectStreams(C, Scale);
+  const MemoryTrace Trace = memoryTrace(C, Scale);
+  const std::uint64_t TotalIters = Trace.TotalIterations;
   std::vector<StreamBehavior> Behavior =
-      sampleMemoryBehaviorCached(Streams, M, TotalIters);
+      sampleMemoryBehaviorCached(Trace.Streams, M, TotalIters);
 
   unsigned Levels = static_cast<unsigned>(M.CacheLevels.size());
 

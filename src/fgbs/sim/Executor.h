@@ -29,6 +29,7 @@
 #include "fgbs/sim/Pipeline.h"
 
 #include <cstdint>
+#include <span>
 
 namespace fgbs {
 
@@ -102,6 +103,18 @@ std::vector<StreamBehavior>
 sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
                      const Machine &M, std::uint64_t TotalIterations);
 
+/// Samples \p Streams on every machine of \p Machines in one walk of the
+/// trace: element I is bit-identical to sampleMemoryBehavior(\p Streams,
+/// *\p Machines[I], \p TotalIterations).  Machines share the simulated
+/// levels whose geometries agree from L1 down, and each counts only its
+/// own measure window.  Throws std::length_error when the trace's
+/// layout reaches line CacheLevel::LineLimit at the smallest line size
+/// (256 GiB at 64-byte lines) or a level cannot be allocated.
+std::vector<std::vector<StreamBehavior>>
+sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
+                     std::span<const Machine *const> Machines,
+                     std::uint64_t TotalIterations);
+
 /// Memoizing wrapper around sampleMemoryBehavior (the executor's hot
 /// path; identical stream/machine/iteration triples recur across
 /// compilation contexts and pipeline runs).  Keyed by content: the
@@ -109,11 +122,34 @@ sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
 /// associativity and line size, never the machine's name.  Thread-safe
 /// and single-flight: concurrent callers of one key sample it once.
 /// Bounded: the process-wide memo clears itself at a fixed entry count.
-/// Each call counts one of sim.sample.{hits,waits,misses}; cleared
-/// entries count as sim.sample.evictions.
+/// Each key looked up counts one of sim.sample.{hits,waits,misses};
+/// cleared entries count as sim.sample.evictions.
 std::vector<StreamBehavior>
 sampleMemoryBehaviorCached(const std::vector<MemoryStreamDesc> &Streams,
                            const Machine &M, std::uint64_t TotalIterations);
+
+/// Fills the memo above for every machine of \p Machines: every key
+/// missing from it is sampled in one walk (counted in the
+/// sim.sample.walk timer), then the call waits for any key another call
+/// has in flight.  Copies no behaviour out; a later one-machine call
+/// hits.  On failure only the entries this call registered are dropped,
+/// and the exception is rethrown, also to the calls waiting on them.
+void primeMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
+                         std::span<const Machine *const> Machines,
+                         std::uint64_t TotalIterations);
+
+/// What the sampler reads of one execution: the memory streams and the
+/// innermost iteration count at one dataset scale.
+struct MemoryTrace {
+  std::vector<MemoryStreamDesc> Streams;
+  std::uint64_t TotalIterations = 1;
+
+  auto operator<=>(const MemoryTrace &) const = default;
+};
+
+/// The trace execute() samples for codelet \p C at dataset scale
+/// \p Scale.
+MemoryTrace memoryTrace(const Codelet &C, double Scale);
 
 /// Executes codelet \p C on machine \p M per request \p R.
 /// Deterministic: identical inputs produce identical measurements.

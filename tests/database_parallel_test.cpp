@@ -5,11 +5,14 @@
 #include "fgbs/analysis/Profiler.h"
 #include "fgbs/extract/Extraction.h"
 #include "fgbs/obs/Metrics.h"
+#include "fgbs/sim/Executor.h"
 #include "fgbs/suites/Synthetic.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <string>
 
 using namespace fgbs;
 
@@ -128,4 +131,51 @@ TEST(DatabaseParallel, DatabaseBuildRecordsCompileHits) {
   EXPECT_LE(Snap.Counters.at("sim.compile.misses"),
             Snap.Counters.at("sim.execute"));
   EXPECT_GT(Snap.Counters.at("sim.execute"), 0u);
+}
+
+TEST(DatabaseParallel, ColdBuildWalksEachTraceOnce) {
+  // A cold build samples each distinct memory trace in one walk for the
+  // reference and all three targets, before the sweep asks for it: four
+  // misses per walk, and no caller ever waits on another's walk.  The
+  // sampling memo is process-wide, so each thread count builds a suite
+  // from its own seed, one no other test uses, to start cold.  The
+  // footprints stay above the generator's 64Ki-element floor and apart
+  // from smallSuite()'s, so no trace repeats one an earlier test in this
+  // process sampled.
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    SyntheticConfig Cfg;
+    Cfg.NumApplications = 2;
+    Cfg.CodeletsPerApp = 3;
+    Cfg.MinFootprintBytes = 5 << 18;
+    Cfg.MaxFootprintBytes = 5 << 19;
+    Cfg.Seed = 0xC01D0 + Threads;
+    Suite S = makeSyntheticSuite(Cfg);
+
+    // The distinct traces the sweep samples: one per codelet and
+    // distinct invocation-group scale.
+    std::set<MemoryTrace> Traces;
+    for (const Codelet *C : S.allCodelets())
+      for (const InvocationGroup &G : C->Invocations)
+        Traces.insert(memoryTrace(*C, G.DatasetScale));
+
+    obs::setEnabled(true);
+    obs::MetricsRegistry::global().reset();
+    DatabaseOptions Options;
+    Options.Threads = Threads;
+    MeasurementDatabase Db(S, makeNehalem(), paperTargets(), {}, Options);
+    obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+    obs::setEnabled(false);
+
+    auto Counter = [&Snap](const char *Name) -> std::uint64_t {
+      auto It = Snap.Counters.find(Name);
+      return It == Snap.Counters.end() ? 0 : It->second;
+    };
+    auto Walk = Snap.Histograms.find("sim.sample.walk");
+    ASSERT_NE(Walk, Snap.Histograms.end());
+    EXPECT_EQ(Walk->second.Count, Traces.size());
+    EXPECT_EQ(Counter("sim.sample.misses"), 4 * Walk->second.Count);
+    EXPECT_EQ(Counter("sim.sample.waits"), 0u);
+    EXPECT_GT(Counter("sim.sample.hits"), 0u);
+  }
 }

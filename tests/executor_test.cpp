@@ -175,6 +175,33 @@ const std::vector<GoldenCase> &goldenCases() {
   return Cases;
 }
 
+/// Seeded random shapes, including zero, negative and footprint-sized
+/// strides, stencils and short runs.
+std::vector<GoldenCase> seededShapes() {
+  std::vector<GoldenCase> Shapes;
+  Rng R(20140215);
+  const std::int64_t Strides[] = {0, 4, 8, -8, 24, 64, -72, 4096, -4160};
+  for (int I = 0; I < 16; ++I) {
+    std::vector<MemoryStreamDesc> Streams;
+    unsigned Count = 1 + static_cast<unsigned>(R.below(3));
+    for (unsigned J = 0; J < Count; ++J) {
+      std::uint64_t Footprint =
+          8 + R.below(std::uint64_t(1) << (10 + R.below(11)));
+      std::int64_t Stride = Strides[R.below(std::size(Strides))];
+      if (R.below(4) == 0) // Past the footprint, either way.
+        Stride = (R.below(2) ? 1 : -1) *
+                 static_cast<std::int64_t>(Footprint + R.below(999));
+      Streams.push_back({Stride, Footprint,
+                         1 + static_cast<unsigned>(R.below(4)),
+                         R.below(2) == 0, 8});
+    }
+    std::uint64_t Iterations =
+        R.below(2) ? 1 + R.below(20000) : std::uint64_t(1) << 20;
+    Shapes.push_back({"seeded", std::move(Streams), Iterations});
+  }
+  return Shapes;
+}
+
 } // namespace
 
 TEST(MemoryBehavior, SmallFootprintStaysInL1) {
@@ -394,28 +421,68 @@ TEST(MemoryBehaviorGolden, ExactServedFractions) {
 TEST(MemoryBehaviorGolden, MatchesClosedFormWalk) {
   // Seeded random shapes, including zero, negative and footprint-sized
   // strides, stencils and short runs, against the closed-form oracle.
-  Rng R(20140215);
-  const std::int64_t Strides[] = {0, 4, 8, -8, 24, 64, -72, 4096, -4160};
-  for (int I = 0; I < 16; ++I) {
-    std::vector<MemoryStreamDesc> Streams;
-    unsigned Count = 1 + static_cast<unsigned>(R.below(3));
-    for (unsigned J = 0; J < Count; ++J) {
-      std::uint64_t Footprint =
-          8 + R.below(std::uint64_t(1) << (10 + R.below(11)));
-      std::int64_t Stride = Strides[R.below(std::size(Strides))];
-      if (R.below(4) == 0) // Past the footprint, either way.
-        Stride = (R.below(2) ? 1 : -1) *
-                 static_cast<std::int64_t>(Footprint + R.below(999));
-      Streams.push_back({Stride, Footprint,
-                         1 + static_cast<unsigned>(R.below(4)),
-                         R.below(2) == 0, 8});
-    }
-    std::uint64_t Iterations =
-        R.below(2) ? 1 + R.below(20000) : std::uint64_t(1) << 20;
+  const std::vector<GoldenCase> Shapes = seededShapes();
+  for (std::size_t I = 0; I < Shapes.size(); ++I) {
+    const std::vector<MemoryStreamDesc> &Streams = Shapes[I].Streams;
+    std::uint64_t Iterations = Shapes[I].TotalIterations;
     for (const Machine &M : paperMachines())
       EXPECT_EQ(servedFractions(sampleMemoryBehavior(Streams, M, Iterations)),
                 closedFormServedFractions(Streams, M, Iterations))
           << "shape " << I << " on " << M.Name;
+  }
+}
+
+TEST(MemoryBehaviorGolden, SharedWalkMatchesEachMachine) {
+  // One walk for many machines must give each machine exactly what the
+  // closed-form walk gives it alone.  Beside the paper machines:
+  //  - Nehalem cut down to its L1, which ends at a node the others
+  //    continue below;
+  //  - Core 2 with a 1 MiB L2, whose warm-up a 20 MiB stream caps where
+  //    Nehalem's and Sandy Bridge's is not, so the windows differ;
+  //  - a duplicate Sandy Bridge, which shares every node;
+  //  - Sandy Bridge with a 4-way L2 of Nehalem's L2 size, which must
+  //    not share Nehalem's 8-way L2.
+  std::vector<Machine> Machines = paperMachines();
+  Machine L1Only = makeNehalem();
+  L1Only.Name = "Nehalem L1 only";
+  L1Only.CacheLevels.resize(1);
+  Machine SmallCore2 = makeCore2();
+  SmallCore2.Name = "Core 2 with a 1 MiB L2";
+  SmallCore2.CacheLevels[1].SizeBytes = 1 << 20;
+  Machine Copy = makeSandyBridge();
+  Copy.Name = "Sandy Bridge copy";
+  Machine FourWayL2 = makeSandyBridge();
+  FourWayL2.Name = "Sandy Bridge with a 4-way L2";
+  FourWayL2.CacheLevels[1].Associativity = 4;
+  for (Machine M : {L1Only, SmallCore2, Copy, FourWayL2})
+    Machines.push_back(M);
+
+  std::vector<GoldenCase> Shapes = goldenCases();
+  for (const GoldenCase &Seeded : seededShapes())
+    Shapes.push_back(Seeded);
+  GoldenCase TwentyMiB = {"TwentyMiB", {stream(8, 20 << 20)}, 1 << 22};
+  TwentyMiB.Streams.push_back({8, 64 << 10, 2, true, 8});
+  Shapes.push_back(TwentyMiB);
+
+  std::vector<const Machine *> Forward;
+  for (const Machine &M : Machines)
+    Forward.push_back(&M);
+  std::vector<const Machine *> Reversed(Forward.rbegin(), Forward.rend());
+  for (std::size_t S = 0; S < Shapes.size(); ++S) {
+    const auto &[Name, Streams, Iterations] = Shapes[S];
+    SCOPED_TRACE("shape " + std::to_string(S) + " (" + Name + ")");
+    std::vector<std::vector<std::vector<double>>> Expected;
+    for (const Machine &M : Machines)
+      Expected.push_back(closedFormServedFractions(Streams, M, Iterations));
+    for (bool Reverse : {false, true}) {
+      const std::vector<const Machine *> &Order = Reverse ? Reversed : Forward;
+      auto Shared = sampleMemoryBehavior(Streams, Order, Iterations);
+      ASSERT_EQ(Shared.size(), Machines.size());
+      for (std::size_t I = 0; I < Order.size(); ++I) {
+        const auto M = static_cast<std::size_t>(Order[I] - Machines.data());
+        EXPECT_EQ(servedFractions(Shared[I]), Expected[M]) << Order[I]->Name;
+      }
+    }
   }
 }
 
@@ -501,6 +568,120 @@ TEST(MemoryBehaviorMemo, FailedSamplingReachesWaitersAndRetries) {
   EXPECT_EQ(Threw.load(), 8u);
   EXPECT_GE(MissesAfterRace, 1u);
   EXPECT_EQ(MissesAfterRetry, MissesAfterRace + 1);
+}
+
+/// Pointers to each of \p Machines, for the multi-machine entry points.
+std::vector<const Machine *> pointersTo(const std::vector<Machine> &Machines) {
+  std::vector<const Machine *> Out;
+  for (const Machine &M : Machines)
+    Out.push_back(&M);
+  return Out;
+}
+
+std::uint64_t walks(const obs::MetricsSnapshot &Snap) {
+  auto It = Snap.Histograms.find("sim.sample.walk");
+  return It == Snap.Histograms.end() ? 0 : It->second.Count;
+}
+
+TEST(MemoryBehaviorMemo, MultiMachineCallSamplesOnlyMissingKeys) {
+  // With Atom's key memoized, priming all four machines finds it and
+  // samples the other three in one walk; each machine's one-machine call
+  // then hits, with the one-machine sampler's answer.
+  std::vector<MemoryStreamDesc> S = {stream(16, 5ull << 20),
+                                     stream(-8, 700 << 10, true)};
+  const std::vector<Machine> Machines = paperMachines();
+  obs::setEnabled(true);
+  obs::MetricsRegistry::global().reset();
+  sampleMemoryBehaviorCached(S, makeAtom(), 424242);
+  obs::MetricsRegistry::global().reset();
+  primeMemoryBehavior(S, pointersTo(Machines), 424242);
+  obs::MetricsSnapshot Primed = obs::MetricsRegistry::global().snapshot();
+  obs::MetricsRegistry::global().reset();
+  std::vector<std::vector<std::vector<double>>> Served;
+  for (const Machine &M : Machines)
+    Served.push_back(servedFractions(sampleMemoryBehaviorCached(S, M, 424242)));
+  obs::MetricsSnapshot Hit = obs::MetricsRegistry::global().snapshot();
+  obs::setEnabled(false);
+
+  EXPECT_EQ(counter(Primed, "sim.sample.misses"), 3u);
+  EXPECT_EQ(counter(Primed, "sim.sample.hits"), 1u);
+  EXPECT_EQ(counter(Primed, "sim.sample.waits"), 0u);
+  EXPECT_EQ(walks(Primed), 1u);
+  EXPECT_EQ(counter(Hit, "sim.sample.hits"), Machines.size());
+  EXPECT_EQ(walks(Hit), 0u);
+  for (std::size_t I = 0; I < Machines.size(); ++I)
+    EXPECT_EQ(Served[I],
+              servedFractions(sampleMemoryBehavior(S, Machines[I], 424242)))
+        << Machines[I].Name;
+}
+
+TEST(MemoryBehaviorMemo, RacingMultiMachineCallsSampleEachKeyOnce) {
+  // Eight threads prime the same four fresh keys at once: each key is
+  // missed exactly once, and the memo holds each machine's answer.
+  std::vector<MemoryStreamDesc> S = {stream(24, 9ull << 20),
+                                     stream(8, 300 << 10, true)};
+  const std::vector<Machine> Machines = paperMachines();
+  const std::vector<const Machine *> All = pointersTo(Machines);
+  obs::setEnabled(true);
+  obs::MetricsRegistry::global().reset();
+  constexpr unsigned kThreads = 8;
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&] { primeMemoryBehavior(S, All, 565656); });
+  for (std::thread &T : Threads)
+    T.join();
+  obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+  obs::setEnabled(false);
+
+  EXPECT_EQ(counter(Snap, "sim.sample.misses"), Machines.size());
+  EXPECT_EQ(counter(Snap, "sim.sample.hits") +
+                counter(Snap, "sim.sample.waits"),
+            (kThreads - 1) * Machines.size());
+  for (const Machine &M : Machines)
+    EXPECT_EQ(servedFractions(sampleMemoryBehaviorCached(S, M, 565656)),
+              servedFractions(sampleMemoryBehavior(S, M, 565656)))
+        << M.Name;
+}
+
+TEST(MemoryBehaviorMemo, MultiMachineFailureMemoizesNothing) {
+  // Sandy Bridge's L3 made too large to allocate fails the whole walk.
+  // Every racing caller must see the exception, and none of the call's
+  // keys may stay memoized: the three healthy machines sample afresh.
+  std::vector<MemoryStreamDesc> S = {stream(8, 3ull << 20),
+                                     stream(72, 1ull << 20, true)};
+  std::vector<Machine> Machines = paperMachines();
+  Machine &M = Machines[3];
+  M.CacheLevels.back() = {"L3", std::uint64_t(1) << 62, 1u << 30, 2, 40.0,
+                          8.0};
+  const std::vector<const Machine *> All = pointersTo(Machines);
+  obs::setEnabled(true);
+  obs::MetricsRegistry::global().reset();
+  std::atomic<unsigned> Threw{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 8; ++T)
+    Threads.emplace_back([&] {
+      try {
+        primeMemoryBehavior(S, All, 1 << 20);
+      } catch (const std::length_error &) {
+        ++Threw;
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Threw.load(), 8u);
+
+  obs::MetricsRegistry::global().reset();
+  const std::vector<const Machine *> Healthy(All.begin(), All.begin() + 3);
+  EXPECT_NO_THROW(primeMemoryBehavior(S, Healthy, 1 << 20));
+  obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+  obs::setEnabled(false);
+  EXPECT_EQ(counter(Snap, "sim.sample.misses"), 3u);
+  EXPECT_EQ(counter(Snap, "sim.sample.hits"), 0u);
+  for (std::size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(
+        servedFractions(sampleMemoryBehaviorCached(S, Machines[I], 1 << 20)),
+        servedFractions(sampleMemoryBehavior(S, Machines[I], 1 << 20)))
+        << Machines[I].Name;
 }
 
 TEST(Executor, Deterministic) {
