@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -245,6 +247,116 @@ TEST(ObsJson, WriteParseRoundTripPreservesNumbers) {
     EXPECT_EQ(Back->find("frac")->number(), 1062017.4432989692);
     EXPECT_EQ(Back->find("tiny")->number(), 0.001);
   }
+}
+
+namespace {
+
+// One document with every number class the writer distinguishes,
+// locked to the bytes the snprintf-based writer produced: integers
+// (the %.0f path, -0 included), 1e15 and its neighbours (where the
+// integer path ends), subnormals, fractions whose shortest form is
+// short or long, the largest double, and non-finite values (null).
+obs::JsonValue numberClassesDocument() {
+  using L = std::numeric_limits<double>;
+  auto Array = [](std::initializer_list<double> Values) {
+    obs::JsonValue A = obs::JsonValue::array();
+    for (double V : Values)
+      A.push(obs::JsonValue(V));
+    return A;
+  };
+  obs::JsonValue Doc = obs::JsonValue::object();
+  Doc.set("integers", Array({0.0, 1.0, -1.0, 42.0, -123456789.0,
+                             562949953421312.0, 999999999999999.0,
+                             -999999999999999.0}));
+  Doc.set("zero", obs::JsonValue(0.0));
+  Doc.set("negative_zero", obs::JsonValue(-0.0));
+  Doc.set("near_1e15", Array({1e15 - 1, 1e15, 1e15 + 1, -1e15, -(1e15 + 1),
+                              9007199254740993.0, 1e21}));
+  Doc.set("subnormal", Array({L::denorm_min(), -L::denorm_min(),
+                              L::min() / 2, L::min(),
+                              2.2250738585072009e-308}));
+  Doc.set("fractions",
+          Array({0.1, -0.1, 0.3, 1.0 / 3.0, 2.0 / 3.0, 0.5, 1.5, 123.456,
+                 1e-7, 1062017.4432989692, 5.551115123125783e-17, 100.25}));
+  Doc.set("large", Array({L::max(), -L::max(), std::ldexp(1.0, 1023),
+                          std::nextafter(std::ldexp(1.0, 60), 0.0), 1e300}));
+  Doc.set("non_finite",
+          Array({L::quiet_NaN(), L::infinity(), -L::infinity()}));
+  return Doc;
+}
+
+} // namespace
+
+TEST(ObsJson, WriterGoldenBytes) {
+  const obs::JsonValue Doc = numberClassesDocument();
+  EXPECT_EQ(
+      obs::writeJson(Doc),
+      R"({"fractions":[0.1,-0.1,0.3,0.3333333333333333,0.6666666666666666,)"
+      R"(0.5,1.5,123.456,1e-07,1062017.4432989692,5.551115123125783e-17,)"
+      R"(100.25],"integers":[0,1,-1,42,-123456789,562949953421312,)"
+      R"(999999999999999,-999999999999999],"large":[1.7976931348623157e+308,)"
+      R"(-1.7976931348623157e+308,8.98846567431158e+307,)"
+      R"(1.1529215046068468e+18,1e+300],"near_1e15":[999999999999999,1e+15,)"
+      R"(1000000000000001,-1e+15,-1000000000000001,9007199254740992,1e+21],)"
+      R"("negative_zero":-0,"non_finite":[null,null,null],"subnormal":)"
+      R"([5e-324,-5e-324,1.1125369292536007e-308,2.2250738585072014e-308,)"
+      R"(2.225073858507201e-308],"zero":0})");
+  EXPECT_EQ(obs::writeJson(Doc, 2), R"({
+  "fractions": [
+    0.1,
+    -0.1,
+    0.3,
+    0.3333333333333333,
+    0.6666666666666666,
+    0.5,
+    1.5,
+    123.456,
+    1e-07,
+    1062017.4432989692,
+    5.551115123125783e-17,
+    100.25
+  ],
+  "integers": [
+    0,
+    1,
+    -1,
+    42,
+    -123456789,
+    562949953421312,
+    999999999999999,
+    -999999999999999
+  ],
+  "large": [
+    1.7976931348623157e+308,
+    -1.7976931348623157e+308,
+    8.98846567431158e+307,
+    1.1529215046068468e+18,
+    1e+300
+  ],
+  "near_1e15": [
+    999999999999999,
+    1e+15,
+    1000000000000001,
+    -1e+15,
+    -1000000000000001,
+    9007199254740992,
+    1e+21
+  ],
+  "negative_zero": -0,
+  "non_finite": [
+    null,
+    null,
+    null
+  ],
+  "subnormal": [
+    5e-324,
+    -5e-324,
+    1.1125369292536007e-308,
+    2.2250738585072014e-308,
+    2.225073858507201e-308
+  ],
+  "zero": 0
+})");
 }
 
 TEST_F(Obs, RunReportRoundTripsThroughSchema) {

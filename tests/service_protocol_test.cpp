@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <string>
 
 using namespace fgbs;
 using namespace fgbs::service;
@@ -226,4 +228,38 @@ TEST_F(ProtocolTest, NonFiniteFeaturesAreRejected) {
   obs::JsonValue R = Engine->handle(Request);
   EXPECT_FALSE(okOf(R));
   EXPECT_EQ(errorOf(R), "bad_request");
+}
+
+//===----------------------------------------------------------------------===//
+// Exact answers: every digit string the protocol prints is locked
+//===----------------------------------------------------------------------===//
+
+// `service_e2e_compare` checks the same replay against
+// service_golden.jsonl at a 1e-9 relative tolerance, which survives
+// last-digit drift across compilers but cannot see a changed digit
+// string.  This test replays the canned queries through handleLine on
+// the NR model `fgbs_train --suite nr` trains and compares each answer
+// byte for byte.  To re-record after explaining every moved byte:
+//   ./build/tools/fgbs_train --suite nr --out nr.fgbs
+//   ./build/tools/fgbs_query nr.fgbs --script tests/data/service_queries.jsonl
+//       --out tests/data/service_answers_exact.jsonl
+TEST(ServiceProtocol, AnswersAreByteExact) {
+  Suite S = makeNumericalRecipes();
+  MeasurementDatabase Db(S, makeNehalem(), paperTargets());
+  SelectionService Svc(buildSnapshot(Db, Pipeline(Db, PipelineConfig()).run()));
+  QueryEngine Engine(Svc);
+
+  std::ifstream Queries(FGBS_TEST_DATA_DIR "/service_queries.jsonl");
+  std::ifstream Answers(FGBS_TEST_DATA_DIR "/service_answers_exact.jsonl");
+  ASSERT_TRUE(Queries && Answers);
+  std::string Query, Expected;
+  unsigned Line = 0;
+  while (std::getline(Queries, Query)) {
+    ++Line;
+    ASSERT_TRUE(std::getline(Answers, Expected)) << "no answer for line "
+                                                 << Line;
+    EXPECT_EQ(Engine.handleLine(Query), Expected) << "line " << Line;
+  }
+  EXPECT_FALSE(std::getline(Answers, Expected)) << "more answers than queries";
+  EXPECT_EQ(Line, 8u);
 }

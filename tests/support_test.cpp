@@ -1,5 +1,7 @@
-//===- tests/support_test.cpp - Rng, statistics, matrix, tables -----------===//
+//===- tests/support_test.cpp - Rng, statistics, matrix, tables, CRC ------===//
 
+#include "fgbs/net/CacheServer.h"
+#include "fgbs/support/Crc32.h"
 #include "fgbs/support/Matrix.h"
 #include "fgbs/support/Rng.h"
 #include "fgbs/support/Statistics.h"
@@ -311,4 +313,45 @@ TEST(ThreadPool, PropagatesExceptions) {
 
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+// Exact CRC-32 values, recorded from the bytewise table loop.  Every
+// checksum in fgbs.meas.v1, fgbs.model.v1, fgbs.ref.v1 and
+// fgbs.cachewire.v1 and the server's on-disk shard choice for names
+// that carry no hash digits ride on them, so none may move.
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+  EXPECT_EQ(crc32(std::string(1 << 20, '\0')), 0xA738EA1Cu);
+
+  Rng R(0xC3C32);
+  std::string Seeded(64 << 10, '\0');
+  for (char &C : Seeded)
+    C = static_cast<char>(R.nextU64() & 0xff);
+  EXPECT_EQ(crc32(Seeded), 0x58AB0074u);
+
+  struct Shard {
+    const char *Name;
+    unsigned Meas, Model;
+  };
+  const Shard Shards[] = {
+      {"", 0u, 0u},
+      {"a", 3u, 3u},
+      {"fgbs-meas-index.v1", 10u, 10u},
+      {"fgbs-meas-g123456789abcdef.v1", 2u, 2u},
+      {"fgbs-meas-00000003.v1", 13u, 13u},
+      {"cachesrv.lock.fgbs-meas-0000000300000000.v1", 1u, 1u},
+      {"model/nr-model/ref/latest", 10u, 10u},
+      {"model/nr-model/sha/xyz", 10u, 10u},
+      {"model/nr-model/sha/1234567", 7u, 7u},
+      {"model/nr-model/sha/0123456g89abcdef", 1u, 1u},
+      {"Numerical Recipes", 11u, 11u},
+  };
+  for (const Shard &S : Shards) {
+    EXPECT_EQ(net::CacheServer::shardForName(S.Name, 16), S.Meas) << S.Name;
+    EXPECT_EQ(net::CacheServer::modelShardForName(S.Name, 16), S.Model)
+        << S.Name;
+  }
 }
