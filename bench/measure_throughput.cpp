@@ -5,8 +5,9 @@
 // headline — on an 8-core host the 8-thread build is expected >= 3x the
 // serial build; this container's baseline was captured on 1 CPU, where
 // the interesting number is that threading costs nothing), plus
-// fgbs.meas.v1 serialize/parse and the whole warm-cache load path that a
-// cached run pays instead of simulation.  Numbers are checked into
+// fgbs.meas.v1 serialize/parse, the whole warm-cache load path that a
+// cached run pays instead of simulation, and the CRC-32 every stored
+// payload carries.  Numbers are checked into
 // BENCH_measure.json for the CI perf gate.
 //
 //===----------------------------------------------------------------------===//
@@ -15,6 +16,8 @@
 #include "fgbs/obs/RunReport.h"
 #include "fgbs/suites/Suites.h"
 #include "fgbs/suites/Synthetic.h"
+#include "fgbs/support/Crc32.h"
+#include "fgbs/support/Rng.h"
 
 #include <benchmark/benchmark.h>
 
@@ -130,6 +133,20 @@ void BM_WarmCacheLoad(benchmark::State &State) {
   std::filesystem::remove_all(Dir);
 }
 BENCHMARK(BM_WarmCacheLoad);
+
+/// CRC-32 over a seeded buffer, Arg = bytes.  Every fgbs.meas.v1,
+/// fgbs.model.v1 and wire payload pays one per write and per verify.
+void BM_Crc32(benchmark::State &State) {
+  Rng R(0xC3C32);
+  std::string Bytes(static_cast<std::size_t>(State.range(0)), '\0');
+  for (char &C : Bytes)
+    C = static_cast<char>(R.nextU64() & 0xff);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(crc32(Bytes));
+  State.SetBytesProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(65536);
 
 /// One uncontended acquire/release of the cross-process writer lock —
 /// the fixed overhead a cold store pays on top of simulation, and the

@@ -1,15 +1,16 @@
 //===- bench/service_throughput.cpp - Query service microbenchmarks -------===//
 //
 // Google-benchmark microbenchmarks of the online service path: snapshot
-// serialize/parse, single classify/predict queries, and batched
-// prediction at 1-8 pool threads (single vs batched is the headline
-// comparison — batching must not cost latency at one thread and must
-// scale with more).  Numbers are checked into BENCH_service.json for the
-// CI perf gate.
+// serialize/parse, single classify/predict queries, whole request lines
+// through the JSON protocol, and batched prediction at 1-8 pool threads
+// (single vs batched is the headline comparison — batching must not
+// cost latency at one thread and must scale with more).  Numbers are
+// checked into BENCH_service.json for the CI perf gate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fgbs/obs/RunReport.h"
+#include "fgbs/service/Protocol.h"
 #include "fgbs/service/SelectionService.h"
 #include "fgbs/service/Snapshot.h"
 #include "fgbs/suites/Suites.h"
@@ -96,6 +97,55 @@ void BM_ServicePredict(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_ServicePredict);
+
+/// Request lines the way a client sends them: classify carries the
+/// features, predict adds ref_seconds, rank sends a batch of four such
+/// entries.
+std::vector<std::string> makeQueryLines(const std::string &Op) {
+  const std::size_t Batch = Op == "rank" ? 4 : 1;
+  std::vector<QueryRequest> Queries = makeQueries(64 * Batch);
+  auto Entry = [&](const QueryRequest &Q) {
+    obs::JsonValue E = obs::JsonValue::object();
+    obs::JsonValue Features = obs::JsonValue::array();
+    for (double V : Q.Features)
+      Features.push(obs::JsonValue(V));
+    E.set("features", std::move(Features));
+    if (Op != "classify")
+      E.set("ref_seconds", obs::JsonValue(Q.ReferenceSeconds));
+    return E;
+  };
+  std::vector<std::string> Lines;
+  for (std::size_t I = 0; I < Queries.size(); I += Batch) {
+    obs::JsonValue Request = obs::JsonValue::object();
+    if (Batch == 1) {
+      Request = Entry(Queries[I]);
+    } else {
+      obs::JsonValue Entries = obs::JsonValue::array();
+      for (std::size_t B = I; B < I + Batch; ++B)
+        Entries.push(Entry(Queries[B]));
+      Request.set("queries", std::move(Entries));
+    }
+    Request.set("op", obs::JsonValue(Op));
+    Lines.push_back(obs::writeJson(Request));
+  }
+  return Lines;
+}
+
+/// One request line through QueryEngine::handleLine end to end: parse,
+/// dispatch, answer, write.
+void BM_QueryLine(benchmark::State &State, const std::string &Op) {
+  const QueryEngine Engine(sharedService());
+  const std::vector<std::string> Lines = makeQueryLines(Op);
+  std::size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Engine.handleLine(Lines[I]));
+    I = (I + 1) % Lines.size();
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK_CAPTURE(BM_QueryLine, classify, std::string("classify"));
+BENCHMARK_CAPTURE(BM_QueryLine, predict, std::string("predict"));
+BENCHMARK_CAPTURE(BM_QueryLine, rank, std::string("rank"));
 
 /// Batched prediction, Arg = pool threads (0 = the serial loop without a
 /// pool, the single-query baseline the batched path competes with).

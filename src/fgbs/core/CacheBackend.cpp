@@ -8,11 +8,13 @@
 #include "fgbs/core/CacheBackend.h"
 
 #include <atomic>
+#include <cerrno>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -71,6 +73,35 @@ bool fgbs::atomicWriteFile(const std::string &Path, std::string_view Bytes) {
   return true;
 }
 
+bool fgbs::readWholeFile(const std::string &Path, std::string &BytesOut) {
+  // O_NONBLOCK: a FIFO in an entry's place must not hang the reader.
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (Fd < 0)
+    return false;
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode);
+  std::string Bytes;
+  if (Ok) {
+    Bytes.resize(static_cast<std::size_t>(St.st_size));
+    std::size_t Done = 0;
+    while (Done < Bytes.size()) {
+      const ssize_t N = ::read(Fd, Bytes.data() + Done, Bytes.size() - Done);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0) {
+        Ok = N == 0; // End of file early: the file shrank.
+        break;
+      }
+      Done += static_cast<std::size_t>(N);
+    }
+    Bytes.resize(Done);
+  }
+  ::close(Fd);
+  if (Ok)
+    BytesOut = std::move(Bytes);
+  return Ok;
+}
+
 LocalDirBackend::LocalDirBackend(std::string Dir) : Dir(std::move(Dir)) {
   // Eager so lock files can be created before the first put(); the
   // error-code overload tolerates concurrent creators.
@@ -105,15 +136,7 @@ bool LocalDirBackend::exists(const std::string &Name) const {
 
 bool LocalDirBackend::get(const std::string &Name,
                           std::string &BytesOut) const {
-  std::ifstream IS(fullPath(Name), std::ios::binary);
-  if (!IS)
-    return false;
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  if (IS.bad())
-    return false;
-  BytesOut = std::move(Bytes);
-  return true;
+  return readWholeFile(fullPath(Name), BytesOut);
 }
 
 bool LocalDirBackend::put(const std::string &Name, std::string_view Bytes) {

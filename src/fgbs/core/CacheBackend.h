@@ -170,6 +170,14 @@ public:
 /// saveMeasurementsFile() wrapper.
 bool atomicWriteFile(const std::string &Path, std::string_view Bytes);
 
+/// Reads the whole regular file at \p Path with one read of its size;
+/// false when it is absent, unreadable or not a regular file (so a
+/// directory or a device where an entry should be is an unreadable
+/// entry, not an exception or a bogus size).  Files that change size
+/// while being read yield what the read returned; every blob this
+/// reads is published by rename and never changes in place.
+bool readWholeFile(const std::string &Path, std::string &BytesOut);
+
 /// atomicWriteFile() temp files older than this are debris from a
 /// crashed writer; LocalDirBackend::scan unlinks them as it goes (and
 /// never reports any temp file as an entry, whatever the scan filters).

@@ -48,7 +48,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -490,14 +489,10 @@ MeasurementLoadResult fgbs::loadMeasurementsFile(const std::string &Path,
                                                  Machine Reference,
                                                  std::vector<Machine> Targets,
                                                  std::uint64_t ExpectedKey) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return failed(MeasurementCacheError::Io, "cannot open '" + Path + "'");
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad())
-    return failed(MeasurementCacheError::Io, "read failure on '" + Path + "'");
-  return parseMeasurements(Buffer.str(), S, std::move(Reference),
+  std::string Bytes;
+  if (!readWholeFile(Path, Bytes))
+    return failed(MeasurementCacheError::Io, "cannot read '" + Path + "'");
+  return parseMeasurements(Bytes, S, std::move(Reference),
                            std::move(Targets), ExpectedKey);
 }
 

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 
 using namespace fgbs;
 using namespace fgbs::binio;
@@ -222,22 +221,6 @@ std::string ModelRegistry::localRefPath(const std::string &Name,
                                         const std::string &Tag) const {
   return (fs::path(LocalCacheDir) / localRefFileName(Name, Tag)).string();
 }
-
-namespace {
-
-bool readWholeFile(const std::string &Path, std::string &BytesOut) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return false;
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  if (IS.bad())
-    return false;
-  BytesOut = std::move(Bytes);
-  return true;
-}
-
-} // namespace
 
 bool ModelRegistry::loadVerifiedLocal(const std::string &Hex,
                                       std::string &BytesOut) {

@@ -2,7 +2,6 @@
 
 #include "fgbs/obs/Json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -26,25 +25,35 @@ void JsonValue::push(JsonValue V) { ArrayValue.push_back(std::move(V)); }
 
 namespace {
 
-/// Recursive-descent parser over a character range.
+/// Recursive-descent parser over a character range.  Each value is
+/// parsed straight into its slot in the parent (a fresh array element,
+/// an object member, the document), so no value is built and then moved
+/// up the tree.
 class Parser {
 public:
   Parser(const char *Begin, const char *End) : Cursor(Begin), End(End) {}
 
-  std::optional<JsonValue> document() {
-    std::optional<JsonValue> V = value();
-    if (!V)
-      return std::nullopt;
+  /// Parses the whole range into \p Out; false on malformed input or
+  /// trailing garbage.
+  bool document(JsonValue &Out) {
+    if (!value(Out))
+      return false;
     skipSpace();
-    if (Cursor != End)
-      return std::nullopt; // Trailing garbage.
-    return V;
+    return Cursor == End;
   }
 
 private:
+  /// Exactly the "C"-locale std::isspace set: JSON's four whitespace
+  /// characters plus \v and \f.
+  static bool isSpace(char C) {
+    return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+           C == '\r';
+  }
+
+  static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
   void skipSpace() {
-    while (Cursor != End &&
-           std::isspace(static_cast<unsigned char>(*Cursor)))
+    while (Cursor != End && isSpace(*Cursor))
       ++Cursor;
   }
 
@@ -63,78 +72,75 @@ private:
     return true;
   }
 
-  std::optional<JsonValue> value() {
+  /// Parses one value into \p Slot, replacing whatever it held (so when
+  /// an object gives a key twice, the last value wins).
+  bool value(JsonValue &Slot) {
     skipSpace();
     if (Cursor == End)
-      return std::nullopt;
+      return false;
     switch (*Cursor) {
     case '{':
-      return object();
+      return object(Slot);
     case '[':
-      return array();
-    case '"':
-      return string();
+      return array(Slot);
+    case '"': {
+      std::string S;
+      if (!string(S))
+        return false;
+      Slot = JsonValue(std::move(S));
+      return true;
+    }
     case 't':
-      return literal("true") ? std::optional<JsonValue>(JsonValue(true))
-                             : std::nullopt;
+      Slot = JsonValue(true);
+      return literal("true");
     case 'f':
-      return literal("false") ? std::optional<JsonValue>(JsonValue(false))
-                              : std::nullopt;
+      Slot = JsonValue(false);
+      return literal("false");
     case 'n':
-      return literal("null") ? std::optional<JsonValue>(JsonValue())
-                             : std::nullopt;
+      Slot = JsonValue();
+      return literal("null");
     default:
-      return number();
+      return number(Slot);
     }
   }
 
-  std::optional<JsonValue> object() {
+  bool object(JsonValue &Slot) {
     ++Cursor; // '{'
-    JsonValue Out = JsonValue::object();
-    skipSpace();
+    Slot = JsonValue::object();
     if (consume('}'))
-      return Out;
+      return true;
+    std::string Key;
     for (;;) {
       skipSpace();
       if (Cursor == End || *Cursor != '"')
-        return std::nullopt;
-      std::optional<JsonValue> Key = string();
-      if (!Key || !consume(':'))
-        return std::nullopt;
-      std::optional<JsonValue> Member = value();
-      if (!Member)
-        return std::nullopt;
-      Out.set(Key->string(), std::move(*Member));
+        return false;
+      if (!string(Key) || !consume(':') || !value(Slot.members()[Key]))
+        return false;
       if (consume(','))
         continue;
-      if (consume('}'))
-        return Out;
-      return std::nullopt;
+      return consume('}');
     }
   }
 
-  std::optional<JsonValue> array() {
+  bool array(JsonValue &Slot) {
     ++Cursor; // '['
-    JsonValue Out = JsonValue::array();
-    skipSpace();
+    Slot = JsonValue::array();
     if (consume(']'))
-      return Out;
+      return true;
+    std::vector<JsonValue> &Elements = Slot.elements();
     for (;;) {
-      std::optional<JsonValue> Element = value();
-      if (!Element)
-        return std::nullopt;
-      Out.push(std::move(*Element));
+      if (!value(Elements.emplace_back()))
+        return false;
       if (consume(','))
         continue;
-      if (consume(']'))
-        return Out;
-      return std::nullopt;
+      return consume(']');
     }
   }
 
-  std::optional<JsonValue> string() {
+  /// Parses a string literal into \p Out (cleared first).
+  bool string(std::string &Out) {
     ++Cursor; // '"'
-    std::string Out;
+    Out.clear();
     while (Cursor != End && *Cursor != '"') {
       char C = *Cursor++;
       if (C != '\\') {
@@ -142,7 +148,7 @@ private:
         continue;
       }
       if (Cursor == End)
-        return std::nullopt;
+        return false;
       char Escape = *Cursor++;
       switch (Escape) {
       case '"':
@@ -169,7 +175,7 @@ private:
         // \uXXXX: decoded only for the ASCII range the telemetry schema
         // emits; anything else is preserved as a '?' placeholder.
         if (End - Cursor < 4)
-          return std::nullopt;
+          return false;
         unsigned Code = 0;
         for (int I = 0; I < 4; ++I) {
           char H = *Cursor++;
@@ -181,40 +187,42 @@ private:
           else if (H >= 'A' && H <= 'F')
             Code |= static_cast<unsigned>(H - 'A' + 10);
           else
-            return std::nullopt;
+            return false;
         }
         Out.push_back(Code < 0x80 ? static_cast<char>(Code) : '?');
         break;
       }
       default:
-        return std::nullopt;
+        return false;
       }
     }
     if (Cursor == End)
-      return std::nullopt; // Unterminated.
-    ++Cursor;              // Closing '"'.
-    return JsonValue(std::move(Out));
+      return false; // Unterminated.
+    ++Cursor;       // Closing '"'.
+    return true;
   }
 
-  std::optional<JsonValue> number() {
+  /// A number is the longest run of digits, '.', 'e', 'E', '-' and '+'
+  /// that std::from_chars consumes whole (so a leading '+' is rejected).
+  bool number(JsonValue &Slot) {
     const char *Start = Cursor;
     if (Cursor != End && (*Cursor == '-' || *Cursor == '+'))
       ++Cursor;
     bool SawDigit = false;
     while (Cursor != End &&
-           (std::isdigit(static_cast<unsigned char>(*Cursor)) ||
-            *Cursor == '.' || *Cursor == 'e' || *Cursor == 'E' ||
-            *Cursor == '-' || *Cursor == '+')) {
-      SawDigit |= std::isdigit(static_cast<unsigned char>(*Cursor));
+           (isDigit(*Cursor) || *Cursor == '.' || *Cursor == 'e' ||
+            *Cursor == 'E' || *Cursor == '-' || *Cursor == '+')) {
+      SawDigit |= isDigit(*Cursor);
       ++Cursor;
     }
     if (!SawDigit)
-      return std::nullopt;
+      return false;
     double Parsed = 0.0;
     auto [Ptr, Ec] = std::from_chars(Start, Cursor, Parsed);
     if (Ec != std::errc() || Ptr != Cursor)
-      return std::nullopt;
-    return JsonValue(Parsed);
+      return false;
+    Slot = JsonValue(Parsed);
+    return true;
   }
 
   const char *Cursor;
@@ -223,110 +231,49 @@ private:
 
 /// Shortest representation that round-trips; integers print as integers
 /// (the schema's counters and nanosecond sums stay grep-able).
+///
+/// The bytes are those of printf: "%.0f" for integers, else the first
+/// "%.Pg" (P = 1..16) that parses back equal, else "%.17g".  std::to_chars
+/// with a precision is specified as printf with that precision, so each
+/// candidate is the same string.  No P below D, the digit count of the
+/// shortest round-trip form, can parse back equal (a shorter round-trip
+/// form would exist), so the search starts at D.
 void writeNumber(std::string &Out, double N) {
+  char Buffer[40];
+  char *const Limit = Buffer + sizeof(Buffer);
   if (std::isfinite(N) && N == std::floor(N) && std::fabs(N) < 1e15) {
-    char Buffer[32];
-    std::snprintf(Buffer, sizeof(Buffer), "%.0f", N);
-    Out += Buffer;
+    Out.append(Buffer,
+               std::to_chars(Buffer, Limit, N, std::chars_format::fixed, 0)
+                   .ptr);
     return;
   }
   if (!std::isfinite(N)) { // JSON has no inf/nan.
     Out += "null";
     return;
   }
-  char Buffer[40];
-  std::snprintf(Buffer, sizeof(Buffer), "%.17g", N);
-  // Trim to the shortest form that still parses back equal.
-  for (int Precision = 1; Precision < 17; ++Precision) {
-    char Short[40];
-    std::snprintf(Short, sizeof(Short), "%.*g", Precision, N);
+  const char *ShortEnd =
+      std::to_chars(Buffer, Limit, N, std::chars_format::scientific).ptr;
+  int Digits = 0;
+  for (const char *C = Buffer; C != ShortEnd && *C != 'e'; ++C)
+    Digits += *C >= '0' && *C <= '9';
+  for (int Precision = Digits; Precision < 17; ++Precision) {
+    char *End =
+        std::to_chars(Buffer, Limit, N, std::chars_format::general, Precision)
+            .ptr;
     double Back = 0.0;
-    std::from_chars(Short, Short + std::char_traits<char>::length(Short),
-                    Back);
+    std::from_chars(Buffer, End, Back);
     if (Back == N) {
-      Out += Short;
+      Out.append(Buffer, End);
       return;
     }
   }
-  Out += Buffer;
+  Out.append(Buffer,
+             std::to_chars(Buffer, Limit, N, std::chars_format::general, 17)
+                 .ptr);
 }
 
-void writeValue(std::string &Out, const JsonValue &V, unsigned Indent,
-                unsigned Level) {
-  auto Newline = [&](unsigned AtLevel) {
-    if (Indent == 0)
-      return;
-    Out.push_back('\n');
-    Out.append(static_cast<std::size_t>(Indent) * AtLevel, ' ');
-  };
-
-  switch (V.kind()) {
-  case JsonValue::Kind::Null:
-    Out += "null";
-    return;
-  case JsonValue::Kind::Bool:
-    Out += V.boolean() ? "true" : "false";
-    return;
-  case JsonValue::Kind::Number:
-    writeNumber(Out, V.number());
-    return;
-  case JsonValue::Kind::String:
-    Out.push_back('"');
-    Out += escapeJsonString(V.string());
-    Out.push_back('"');
-    return;
-  case JsonValue::Kind::Array: {
-    Out.push_back('[');
-    bool First = true;
-    for (const JsonValue &E : V.elements()) {
-      if (!First)
-        Out.push_back(',');
-      First = false;
-      Newline(Level + 1);
-      writeValue(Out, E, Indent, Level + 1);
-    }
-    if (!First)
-      Newline(Level);
-    Out.push_back(']');
-    return;
-  }
-  case JsonValue::Kind::Object: {
-    Out.push_back('{');
-    bool First = true;
-    for (const auto &[Key, Member] : V.members()) {
-      if (!First)
-        Out.push_back(',');
-      First = false;
-      Newline(Level + 1);
-      Out.push_back('"');
-      Out += escapeJsonString(Key);
-      Out += Indent ? "\": " : "\":";
-      writeValue(Out, Member, Indent, Level + 1);
-    }
-    if (!First)
-      Newline(Level);
-    Out.push_back('}');
-    return;
-  }
-  }
-}
-
-} // namespace
-
-std::optional<JsonValue> obs::parseJson(const std::string &Text) {
-  Parser P(Text.data(), Text.data() + Text.size());
-  return P.document();
-}
-
-std::string obs::writeJson(const JsonValue &V, unsigned Indent) {
-  std::string Out;
-  writeValue(Out, V, Indent, 0);
-  return Out;
-}
-
-std::string obs::escapeJsonString(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
+/// Appends \p S escaped for a JSON string literal (no quotes).
+void appendEscaped(std::string &Out, const std::string &S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -356,5 +303,87 @@ std::string obs::escapeJsonString(const std::string &S) {
       break;
     }
   }
+}
+
+void writeValue(std::string &Out, const JsonValue &V, unsigned Indent,
+                unsigned Level) {
+  auto Newline = [&](unsigned AtLevel) {
+    if (Indent == 0)
+      return;
+    Out.push_back('\n');
+    Out.append(static_cast<std::size_t>(Indent) * AtLevel, ' ');
+  };
+
+  switch (V.kind()) {
+  case JsonValue::Kind::Null:
+    Out += "null";
+    return;
+  case JsonValue::Kind::Bool:
+    Out += V.boolean() ? "true" : "false";
+    return;
+  case JsonValue::Kind::Number:
+    writeNumber(Out, V.number());
+    return;
+  case JsonValue::Kind::String:
+    Out.push_back('"');
+    appendEscaped(Out, V.string());
+    Out.push_back('"');
+    return;
+  case JsonValue::Kind::Array: {
+    Out.push_back('[');
+    bool First = true;
+    for (const JsonValue &E : V.elements()) {
+      if (!First)
+        Out.push_back(',');
+      First = false;
+      Newline(Level + 1);
+      writeValue(Out, E, Indent, Level + 1);
+    }
+    if (!First)
+      Newline(Level);
+    Out.push_back(']');
+    return;
+  }
+  case JsonValue::Kind::Object: {
+    Out.push_back('{');
+    bool First = true;
+    for (const auto &[Key, Member] : V.members()) {
+      if (!First)
+        Out.push_back(',');
+      First = false;
+      Newline(Level + 1);
+      Out.push_back('"');
+      appendEscaped(Out, Key);
+      Out += Indent ? "\": " : "\":";
+      writeValue(Out, Member, Indent, Level + 1);
+    }
+    if (!First)
+      Newline(Level);
+    Out.push_back('}');
+    return;
+  }
+  }
+}
+
+} // namespace
+
+std::optional<JsonValue> obs::parseJson(const std::string &Text) {
+  std::optional<JsonValue> Out(std::in_place);
+  Parser P(Text.data(), Text.data() + Text.size());
+  if (!P.document(*Out))
+    return std::nullopt;
+  return Out;
+}
+
+std::string obs::writeJson(const JsonValue &V, unsigned Indent) {
+  std::string Out;
+  writeValue(Out, V, Indent, 0);
+  return Out;
+}
+
+std::string obs::escapeJsonString(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }

@@ -24,6 +24,7 @@
 
 #include "fgbs/service/Snapshot.h"
 
+#include "fgbs/core/CacheBackend.h"
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Crc32.h"
 #include "fgbs/support/Sha256.h"
@@ -433,10 +434,10 @@ SnapshotLoadResult service::loadSnapshot(std::istream &IS) {
 }
 
 SnapshotLoadResult service::loadSnapshotFile(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
-    return failed(SnapshotError::Io, "cannot open '" + Path + "'");
-  return loadSnapshot(IS);
+  std::string Bytes;
+  if (!readWholeFile(Path, Bytes))
+    return failed(SnapshotError::Io, "cannot read '" + Path + "'");
+  return parseSnapshot(Bytes);
 }
 
 std::string service::snapshotSha256Hex(std::string_view SnapshotBytes) {

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The standard CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used
-/// to checksum model-snapshot payloads.  Table-driven, incremental: feed
+/// to checksum model-snapshot payloads.  Slice-by-8 table-driven (eight
+/// bytes per step, any alignment and byte order), incremental: feed
 /// chunks through crc32Update() starting from crc32Init().
 ///
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,8 @@
 #include <fstream>
 #include <string>
 
+#include <sys/stat.h>
+
 using namespace fgbs;
 
 namespace {
@@ -384,6 +386,38 @@ TEST_F(MeasurementCacheTest, MissingFileIsIo) {
       "/nonexistent/fgbs/cache.v1", *TheSuite, makeNehalem(), Targets, Key);
   EXPECT_FALSE(R);
   EXPECT_EQ(R.Error, MeasurementCacheError::Io);
+}
+
+// A directory where an entry's file should be is an unreadable entry:
+// the backend's get() fails, without throwing, and every load reports Io.
+TEST_F(MeasurementCacheTest, DirectoryInPlaceOfAnEntryIsIo) {
+  TempDir Dir("directory_entry");
+  const std::string Name = measurementCacheFileName(Key);
+  std::filesystem::create_directory(Dir.Path / Name);
+
+  LocalDirBackend Backend(Dir.Path.string());
+  std::string Bytes = "untouched";
+  EXPECT_FALSE(Backend.get(Name, Bytes));
+  EXPECT_EQ(Bytes, "untouched");
+
+  MeasurementCache Cache(Dir.Path.string());
+  MeasurementLoadResult R = Cache.load(*TheSuite, makeNehalem(), Targets, Key);
+  EXPECT_FALSE(R);
+  EXPECT_EQ(R.Error, MeasurementCacheError::Io);
+
+  R = loadMeasurementsFile((Dir.Path / Name).string(), *TheSuite,
+                           makeNehalem(), Targets, Key);
+  EXPECT_FALSE(R);
+  EXPECT_EQ(R.Error, MeasurementCacheError::Io);
+
+  // Nor is a FIFO an entry (and opening one must not block).
+  ASSERT_EQ(::mkfifo((Dir.Path / "fifo").c_str(), 0600), 0);
+  EXPECT_FALSE(Backend.get("fifo", Bytes));
+
+  // An empty regular file still reads (as zero bytes).
+  std::ofstream(Dir.Path / "empty").flush();
+  EXPECT_TRUE(Backend.get("empty", Bytes));
+  EXPECT_TRUE(Bytes.empty());
 }
 
 TEST_F(MeasurementCacheTest, EveryErrorHasAStableName) {

@@ -5,13 +5,18 @@
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/obs/RunReport.h"
 #include "fgbs/obs/Trace.h"
+#include "fgbs/support/Rng.h"
 #include "fgbs/support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -357,6 +362,129 @@ TEST(ObsJson, WriterGoldenBytes) {
   ],
   "zero": 0
 })");
+}
+
+namespace {
+
+/// The snprintf loop writeNumber ran before it used std::to_chars, kept
+/// as the oracle for every byte the writer prints.
+std::string referenceNumber(double N) {
+  if (std::isfinite(N) && N == std::floor(N) && std::fabs(N) < 1e15) {
+    char Buffer[32];
+    std::snprintf(Buffer, sizeof(Buffer), "%.0f", N);
+    return Buffer;
+  }
+  if (!std::isfinite(N))
+    return "null";
+  char Buffer[40];
+  std::snprintf(Buffer, sizeof(Buffer), "%.17g", N);
+  for (int Precision = 1; Precision < 17; ++Precision) {
+    char Short[40];
+    std::snprintf(Short, sizeof(Short), "%.*g", Precision, N);
+    double Back = 0.0;
+    std::from_chars(Short, Short + std::strlen(Short), Back);
+    if (Back == N)
+      return Short;
+  }
+  return Buffer;
+}
+
+} // namespace
+
+TEST(ObsJson, NumberWriterMatchesPrintfOracle) {
+  Rng R(0x70C4A25);
+  std::vector<double> Values;
+  // Random bit patterns: every exponent, NaN and infinity included.
+  for (int I = 0; I < 30000; ++I)
+    Values.push_back(std::bit_cast<double>(R.nextU64()));
+  // Short decimals scaled over 1e-20 to 1e20, where a short %.Pg form
+  // round-trips and the search ends early.
+  for (int I = 0; I < 30000; ++I) {
+    const double Decimal = static_cast<double>(R.below(1000000)) /
+                           std::pow(10.0, static_cast<double>(R.below(7)));
+    const double Scaled =
+        Decimal * std::pow(10.0, static_cast<double>(R.below(41)) - 20.0);
+    Values.push_back(I % 2 ? Scaled : -Scaled);
+  }
+  // Powers of two and their neighbours: asymmetric rounding intervals.
+  for (int Exponent = -1074; Exponent <= 1023; ++Exponent) {
+    const double Power = std::ldexp(1.0, Exponent);
+    Values.push_back(Power);
+    Values.push_back(std::nextafter(Power, 0.0));
+    Values.push_back(std::nextafter(Power, HUGE_VAL));
+  }
+  // Subnormals.
+  for (int I = 0; I < 10000; ++I)
+    Values.push_back(std::bit_cast<double>(R.below(std::uint64_t(1) << 52)));
+  // Integers and halves around +-1e15, where the integer path ends.
+  for (int Delta = -5000; Delta <= 5000; ++Delta) {
+    Values.push_back(1e15 + Delta);
+    Values.push_back(-1e15 + Delta);
+    Values.push_back(1e15 + Delta + 0.5);
+  }
+  ASSERT_GE(Values.size(), 100000u);
+  for (double V : Values)
+    ASSERT_EQ(obs::writeJson(obs::JsonValue(V)), referenceNumber(V))
+        << std::hexfloat << V;
+}
+
+TEST(ObsJson, LastDuplicateKeyWins) {
+  std::optional<obs::JsonValue> V =
+      obs::parseJson(R"({"a": {"x": 1}, "b": 2, "a": [3]})");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->members().size(), 2u);
+  const obs::JsonValue *A = V->find("a");
+  ASSERT_NE(A, nullptr);
+  ASSERT_EQ(A->kind(), obs::JsonValue::Kind::Array);
+  ASSERT_EQ(A->elements().size(), 1u);
+  EXPECT_EQ(A->elements()[0].number(), 3.0);
+  EXPECT_TRUE(A->members().empty());
+
+  V = obs::parseJson(R"({"a": [1, 2], "a": {"y": "z"}})");
+  ASSERT_TRUE(V.has_value());
+  A = V->find("a");
+  ASSERT_NE(A, nullptr);
+  ASSERT_TRUE(A->isObject());
+  EXPECT_TRUE(A->elements().empty());
+  EXPECT_EQ(A->find("y")->string(), "z");
+}
+
+TEST(ObsJson, WhitespaceIsTheCLocaleSet) {
+  // JSON's four whitespace characters plus \v and \f, as std::isspace
+  // reads them in the "C" locale.
+  std::optional<obs::JsonValue> V =
+      obs::parseJson("\v\f[\v1,\f2 ,\r\n\t3]\f\v");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->elements().size(), 3u);
+  EXPECT_FALSE(obs::parseJson("\x1c[1]").has_value());
+  EXPECT_FALSE(obs::parseJson("[1]\x1f").has_value());
+  EXPECT_FALSE(obs::parseJson("[\x01" "1]").has_value());
+}
+
+TEST(ObsJson, LeadingPlusIsRejected) {
+  EXPECT_FALSE(obs::parseJson("+1").has_value());
+  EXPECT_FALSE(obs::parseJson("[+1]").has_value());
+  EXPECT_FALSE(obs::parseJson(R"({"a": +1})").has_value());
+  EXPECT_EQ(obs::parseJson("-1")->number(), -1.0);
+  EXPECT_EQ(obs::parseJson("1e+2")->number(), 100.0);
+}
+
+TEST(ObsJson, ThousandNumberArrayRoundTrips) {
+  Rng R(0xA22A1);
+  obs::JsonValue Array = obs::JsonValue::array();
+  for (int I = 0; I < 1000; ++I)
+    Array.push(obs::JsonValue(I % 3 == 0 ? static_cast<double>(R.below(1 << 20))
+                                         : (R.uniform() - 0.5) * 1e6));
+  for (unsigned Indent : {0u, 2u}) {
+    const std::string Text = obs::writeJson(Array, Indent);
+    std::optional<obs::JsonValue> Back = obs::parseJson(Text);
+    ASSERT_TRUE(Back.has_value());
+    ASSERT_EQ(Back->elements().size(), 1000u);
+    for (std::size_t I = 0; I < 1000; ++I)
+      EXPECT_EQ(Back->elements()[I].number(), Array.elements()[I].number())
+          << "element " << I;
+    EXPECT_EQ(obs::writeJson(*Back, Indent), Text);
+  }
 }
 
 TEST_F(Obs, RunReportRoundTripsThroughSchema) {

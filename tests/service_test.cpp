@@ -129,6 +129,13 @@ TEST(SnapshotLoad, MissingFileIsIoError) {
   EXPECT_EQ(R.Error, SnapshotError::Io);
 }
 
+// A directory is not a snapshot file: an I/O error, not a damaged file.
+TEST(SnapshotLoad, DirectoryIsIoError) {
+  SnapshotLoadResult R = loadSnapshotFile(::testing::TempDir());
+  EXPECT_FALSE(R);
+  EXPECT_EQ(R.Error, SnapshotError::Io);
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption classes: every damage pattern yields the right typed error
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 using namespace fgbs;
 
@@ -353,5 +356,59 @@ TEST(Crc32, KnownAnswers) {
     EXPECT_EQ(net::CacheServer::shardForName(S.Name, 16), S.Meas) << S.Name;
     EXPECT_EQ(net::CacheServer::modelShardForName(S.Name, 16), S.Model)
         << S.Name;
+  }
+}
+
+namespace {
+
+/// The bytewise table loop crc32Update ran before slice-by-8, kept as
+/// the oracle.
+std::uint32_t referenceCrc32(const unsigned char *Bytes, std::size_t Size) {
+  std::uint32_t Table[256];
+  for (std::uint32_t I = 0; I < 256; ++I) {
+    std::uint32_t C = I;
+    for (int Bit = 0; Bit < 8; ++Bit)
+      C = (C >> 1) ^ ((C & 1u) ? 0xedb88320u : 0u);
+    Table[I] = C;
+  }
+  std::uint32_t Crc = 0xffffffffu;
+  for (std::size_t I = 0; I < Size; ++I)
+    Crc = Table[(Crc ^ Bytes[I]) & 0xffu] ^ (Crc >> 8);
+  return Crc ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> seededBytes(std::size_t Size, std::uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<unsigned char> Bytes(Size);
+  for (unsigned char &B : Bytes)
+    B = static_cast<unsigned char>(R.nextU64() & 0xff);
+  return Bytes;
+}
+
+std::string_view view(const unsigned char *Bytes, std::size_t Size) {
+  return {reinterpret_cast<const char *>(Bytes), Size};
+}
+
+} // namespace
+
+// Every tail length and every head of the eight-byte steps, at every
+// alignment: the slice-by-8 loop must agree with the bytewise oracle.
+TEST(Crc32, MatchesBytewiseOracleAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> Bytes = seededBytes(300 + 8, 0x511CE8);
+  for (std::size_t Offset = 0; Offset < 8; ++Offset)
+    for (std::size_t Size = 0; Size <= 300; ++Size)
+      ASSERT_EQ(crc32(view(Bytes.data() + Offset, Size)),
+                referenceCrc32(Bytes.data() + Offset, Size))
+          << "offset " << Offset << ", size " << Size;
+}
+
+TEST(Crc32, ChainedUpdatesEqualTheOneShotValue) {
+  const std::vector<unsigned char> Bytes = seededBytes(1024, 0xC4A1);
+  const std::uint32_t Whole = crc32(view(Bytes.data(), Bytes.size()));
+  ASSERT_EQ(Whole, referenceCrc32(Bytes.data(), Bytes.size()));
+  for (std::size_t Split = 0; Split <= Bytes.size(); ++Split) {
+    std::uint32_t Crc = crc32Update(crc32Init(), Bytes.data(), Split);
+    Crc = crc32Update(Crc, Bytes.data() + Split, Bytes.size() - Split);
+    ASSERT_EQ(crc32Final(Crc), Whole) << "split at " << Split;
   }
 }
