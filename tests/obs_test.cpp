@@ -487,6 +487,105 @@ TEST(ObsJson, ThousandNumberArrayRoundTrips) {
   }
 }
 
+TEST(ObsJson, CopiesAreDeepAndIndependent) {
+  obs::JsonValue Source = obs::JsonValue::object();
+  obs::JsonValue List = obs::JsonValue::array();
+  List.push(obs::JsonValue(1.0));
+  List.push(obs::JsonValue("two"));
+  Source.set("list", List);
+  Source.set("name", obs::JsonValue("source"));
+  const std::string Before = obs::writeJson(Source);
+  ASSERT_EQ(Before, R"({"list":[1,"two"],"name":"source"})");
+
+  obs::JsonValue Copy(Source);
+  Copy.members()["list"].push(obs::JsonValue(3.0));
+  Copy.members()["list"].elements()[1] = obs::JsonValue(false);
+  Copy.set("name", obs::JsonValue("copy"));
+  EXPECT_EQ(obs::writeJson(Source), Before);
+  EXPECT_EQ(obs::writeJson(Copy), R"({"list":[1,false,3],"name":"copy"})");
+
+  // Copy assignment over a value of another kind, then the source dies.
+  obs::JsonValue Assigned(2.5);
+  {
+    obs::JsonValue Temporary = Source;
+    Assigned = Temporary;
+    Temporary.members().clear();
+  }
+  Assigned.members()["list"].elements().clear();
+  EXPECT_EQ(obs::writeJson(Assigned), R"({"list":[],"name":"source"})");
+  EXPECT_EQ(obs::writeJson(Source), Before);
+  EXPECT_EQ(obs::writeJson(List), R"([1,"two"])");
+
+  obs::JsonValue Text("text");
+  obs::JsonValue TextCopy = Text;
+  TextCopy = obs::JsonValue("other");
+  EXPECT_EQ(Text.string(), "text");
+}
+
+TEST(ObsJson, SelfAssignmentIsSafe) {
+  std::optional<obs::JsonValue> Doc =
+      obs::parseJson(R"({"a":[1,{"b":"c"}],"d":"e","f":null})");
+  ASSERT_TRUE(Doc.has_value());
+  const std::string Text = obs::writeJson(*Doc);
+  obs::JsonValue &Alias = *Doc;
+  *Doc = Alias;
+  EXPECT_EQ(obs::writeJson(*Doc), Text);
+  obs::JsonValue &Member = Doc->members()["a"];
+  obs::JsonValue &MemberAlias = Member;
+  Member = MemberAlias;
+  EXPECT_EQ(obs::writeJson(*Doc), Text);
+  obs::JsonValue S("s");
+  obs::JsonValue &SAlias = S;
+  S = SAlias;
+  EXPECT_EQ(S.string(), "s");
+}
+
+TEST(ObsJson, WrongKindConstAccessorsReturnDefaults) {
+  obs::JsonValue Array = obs::JsonValue::array();
+  Array.push(obs::JsonValue(1.0));
+  obs::JsonValue Object = obs::JsonValue::object();
+  Object.set("k", obs::JsonValue(2.0));
+  const obs::JsonValue Values[] = {obs::JsonValue(), obs::JsonValue(true),
+                                   obs::JsonValue(2.5), obs::JsonValue("s"),
+                                   Array, Object};
+  using Kind = obs::JsonValue::Kind;
+  for (const obs::JsonValue &V : Values) {
+    SCOPED_TRACE(obs::writeJson(V));
+    EXPECT_EQ(V.number(), V.kind() == Kind::Number ? 2.5 : 0.0);
+    EXPECT_EQ(V.boolean(), V.kind() == Kind::Bool);
+    EXPECT_EQ(V.string(), V.kind() == Kind::String ? "s" : "");
+    EXPECT_EQ(V.elements().size(), V.kind() == Kind::Array ? 1u : 0u);
+    EXPECT_EQ(V.members().size(), V.kind() == Kind::Object ? 1u : 0u);
+    EXPECT_EQ(V.find("k") != nullptr, V.kind() == Kind::Object);
+    EXPECT_EQ(V.isNull(), V.kind() == Kind::Null);
+    EXPECT_EQ(V.isNumber(), V.kind() == Kind::Number);
+    EXPECT_EQ(V.isObject(), V.kind() == Kind::Object);
+  }
+  EXPECT_FALSE(obs::JsonValue(false).boolean());
+  EXPECT_TRUE(std::signbit(obs::JsonValue(-0.0).number()));
+}
+
+TEST(ObsJson, DuplicateKeyOfAnotherKindKeepsTheLaterValue) {
+  std::optional<obs::JsonValue> V = obs::parseJson(R"({"a":[1,2],"a":3})");
+  ASSERT_TRUE(V.has_value());
+  const obs::JsonValue *A = V->find("a");
+  ASSERT_NE(A, nullptr);
+  EXPECT_TRUE(A->isNumber());
+  EXPECT_EQ(A->number(), 3.0);
+  EXPECT_TRUE(A->elements().empty());
+  EXPECT_EQ(obs::writeJson(*V), R"({"a":3})");
+
+  for (const char *Text :
+       {R"({"a":"x","a":{"b":[true]}})", R"({"a":{"b":1},"a":null})",
+        R"({"a":3,"a":"x"})", R"({"a":[[1],{"c":2}],"a":false})"}) {
+    V = obs::parseJson(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    std::string Later(Text);
+    Later = "{" + Later.substr(Later.rfind("\"a\":"));
+    EXPECT_EQ(obs::writeJson(*V), Later) << Text;
+  }
+}
+
 TEST_F(Obs, RunReportRoundTripsThroughSchema) {
   FGBS_COUNTER_ADD("t.report_counter", 42);
   FGBS_GAUGE_SET("t.report_gauge", 3.5);

@@ -6,10 +6,14 @@
 // digests were recorded before Pipeline::run was made allocation-light;
 // any change to the masked table, the normalization, the clustering, the
 // selection, the model or the per-target evaluation moves one.
+// SerializedGolden pins the measurement-cache and snapshot bytes of NR
+// and NAS by size and SHA-256.
 //
 //===----------------------------------------------------------------------===//
 
+#include "fgbs/core/MeasurementCache.h"
 #include "fgbs/core/Pipeline.h"
+#include "fgbs/service/Snapshot.h"
 
 #include "fgbs/suites/Suites.h"
 #include "fgbs/suites/Synthetic.h"
@@ -256,4 +260,51 @@ TEST(PipelineGolden, AppAggregationOnSynthetic) {
   ASSERT_EQ(Digests.size(), std::size(Expected));
   for (std::size_t I = 0; I < Digests.size(); ++I)
     EXPECT_EQ(Digests[I], Expected[I]) << "run " << I;
+}
+
+// The fgbs.meas.v1 bytes of the NR and NAS databases (the measurement
+// cache entries `fgbs_train --cache` stores) and the fgbs.model.v1 bytes
+// of their default-config snapshots (`fgbs_train --out`), recorded from
+// the bytewise encoder: every value, every count and every name, in
+// their order and encoding.
+namespace {
+
+struct SerializedBytes {
+  std::size_t Size;
+  const char *Sha;
+};
+
+void expectSerializedBytes(const Suite &S, SerializedBytes Measurements,
+                           SerializedBytes Snapshot) {
+  const std::vector<Machine> Targets = paperTargets();
+  MeasurementDatabase Db(S, makeNehalem(), Targets);
+  const std::string Meas = serializeMeasurements(
+      Db, measurementKey(S, makeNehalem(), Targets));
+  EXPECT_EQ(Meas.size(), Measurements.Size);
+  EXPECT_EQ(sha256Hex(Meas), Measurements.Sha);
+
+  const std::string Model = service::serializeSnapshot(
+      service::buildSnapshot(Db, Pipeline(Db, PipelineConfig()).run()));
+  EXPECT_EQ(Model.size(), Snapshot.Size);
+  EXPECT_EQ(sha256Hex(Model), Snapshot.Sha);
+}
+
+} // namespace
+
+TEST(SerializedGolden, NrMeasurementsAndSnapshot) {
+  expectSerializedBytes(
+      makeNumericalRecipes(),
+      {44494,
+       "fee7c74b6f96ecfc84ec86f458307f8471579d2bdae9736497c17ff579f7df3a"},
+      {5562,
+       "1575ef0df947772e3d34d36818354b389835d844a254040e11effb42b78be512"});
+}
+
+TEST(SerializedGolden, NasMeasurementsAndSnapshot) {
+  expectSerializedBytes(
+      makeNasSer(),
+      {106883,
+       "2697b86271e5361d9da54b3d5c97c037fbcbb61acba669a3049ab2d8602936df"},
+      {6792,
+       "b28f1265686a14406ee2bec5bd4e21eba272f52cd4ce5ee82a92f6e2982f0b05"});
 }

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Rng, statistics, matrix, tables, CRC ------===//
 
 #include "fgbs/net/CacheServer.h"
+#include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Crc32.h"
 #include "fgbs/support/Matrix.h"
 #include "fgbs/support/Rng.h"
@@ -11,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -411,4 +415,210 @@ TEST(Crc32, ChainedUpdatesEqualTheOneShotValue) {
     Crc = crc32Update(Crc, Bytes.data() + Split, Bytes.size() - Split);
     ASSERT_EQ(crc32Final(Crc), Whole) << "split at " << Split;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// BinaryIo: the little-endian primitives under every binary format
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string hexOf(std::string_view Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (char C : Bytes) {
+    const unsigned char B = static_cast<unsigned char>(C);
+    Out.push_back(Digits[B >> 4]);
+    Out.push_back(Digits[B & 0xf]);
+  }
+  return Out;
+}
+
+std::uint64_t bitsOf(double V) { return std::bit_cast<std::uint64_t>(V); }
+
+/// Little-endian value of \p Size bytes at \p P, assembled bytewise.
+std::uint64_t bytewiseLe(const unsigned char *P, std::size_t Size) {
+  std::uint64_t V = 0;
+  for (std::size_t B = 0; B < Size; ++B)
+    V |= static_cast<std::uint64_t>(P[B]) << (8 * B);
+  return V;
+}
+
+} // namespace
+
+// The exact bytes every fgbs.meas.v1, fgbs.model.v1 and fgbs.ref.v1
+// blob and every wire frame are made of.
+TEST(BinaryIo, WriterGoldenBytes) {
+  auto U32 = [](std::uint32_t V) {
+    std::string Out;
+    binio::putU32(Out, V);
+    return hexOf(Out);
+  };
+  auto U64 = [](std::uint64_t V) {
+    std::string Out;
+    binio::putU64(Out, V);
+    return hexOf(Out);
+  };
+  auto F64 = [](double V) {
+    std::string Out;
+    binio::putF64(Out, V);
+    return hexOf(Out);
+  };
+  auto Str = [](const std::string &S) {
+    std::string Out;
+    binio::putStr(Out, S);
+    return hexOf(Out);
+  };
+  EXPECT_EQ(U32(0), "00000000");
+  EXPECT_EQ(U32(0x01020304u), "04030201");
+  EXPECT_EQ(U32(0xdeadbeefu), "efbeadde");
+  EXPECT_EQ(U32(0xffffffffu), "ffffffff");
+  EXPECT_EQ(U64(0), "0000000000000000");
+  EXPECT_EQ(U64(0x0102030405060708ull), "0807060504030201");
+  EXPECT_EQ(U64(0x8000000000000001ull), "0100000000000080");
+  EXPECT_EQ(U64(~0ull), "ffffffffffffffff");
+  EXPECT_EQ(F64(0.0), "0000000000000000");
+  EXPECT_EQ(F64(-0.0), "0000000000000080");
+  EXPECT_EQ(F64(1.0), "000000000000f03f");
+  EXPECT_EQ(F64(-1.5), "000000000000f8bf");
+  EXPECT_EQ(F64(0.1), "9a9999999999b93f");
+  EXPECT_EQ(F64(std::bit_cast<double>(0x7ff8000000000123ull)),
+            "230100000000f87f");
+  EXPECT_EQ(F64(std::bit_cast<double>(0xfff4000000abcdefull)),
+            "efcdab000000f4ff");
+  EXPECT_EQ(F64(std::numeric_limits<double>::denorm_min()),
+            "0100000000000000");
+  EXPECT_EQ(F64(std::bit_cast<double>(0x000fffffffffffffull)),
+            "ffffffffffff0f00");
+  EXPECT_EQ(F64(std::numeric_limits<double>::infinity()),
+            "000000000000f07f");
+  EXPECT_EQ(Str(""), "00000000");
+  EXPECT_EQ(Str("abc"), "03000000616263");
+  EXPECT_EQ(Str(std::string("a\0b", 3)), "03000000610062");
+  EXPECT_EQ(Str(std::string(300, 'z')).substr(0, 12), "2c0100007a7a");
+
+  // Appends go after what the string already holds.
+  std::string Out = "xy";
+  binio::putU32(Out, 7);
+  binio::putF64(Out, -0.0);
+  binio::putU64(Out, 0x1122334455667788ull);
+  binio::putStr(Out, "q");
+  EXPECT_EQ(hexOf(Out),
+            "7879" "07000000" "0000000000000080" "8877665544332211"
+            "01000000" "71");
+}
+
+// Every reader at every alignment of its first byte, against values
+// assembled bytewise from the same bytes.
+TEST(BinaryIo, ReadersAgreeWithBytewiseDecodingAtEveryOffset) {
+  const std::vector<unsigned char> Seeded = seededBytes(8 + 64, 0xB1A10);
+  for (std::size_t Offset = 0; Offset < 8; ++Offset) {
+    SCOPED_TRACE("offset " + std::to_string(Offset));
+    const unsigned char *P = Seeded.data() + Offset;
+    binio::ByteReader In(view(P, 64));
+    EXPECT_EQ(In.u8(), P[0]);
+    EXPECT_EQ(In.u32(), bytewiseLe(P + 1, 4));
+    EXPECT_EQ(In.u64(), bytewiseLe(P + 5, 8));
+    EXPECT_EQ(bitsOf(In.f64()), bytewiseLe(P + 13, 8));
+    const std::vector<double> Block = In.f64Vector(5);
+    ASSERT_EQ(Block.size(), 5u);
+    for (std::size_t I = 0; I < Block.size(); ++I)
+      EXPECT_EQ(bitsOf(Block[I]), bytewiseLe(P + 21 + 8 * I, 8)) << I;
+    EXPECT_EQ(In.remaining(), 64u - 61u);
+    EXPECT_FALSE(In.overrun());
+
+    // A written payload read back from a misaligned copy.
+    std::string Payload(Offset, '#');
+    binio::putU32(Payload, 0x89abcdefu);
+    binio::putU64(Payload, 0x0123456789abcdefull);
+    binio::putF64(Payload, -0.0);
+    binio::putF64(Payload, std::bit_cast<double>(0x7ff8000000000123ull));
+    binio::putStr(Payload, "codelet");
+    for (double V : {1.0, std::numeric_limits<double>::denorm_min(), -2.5})
+      binio::putF64(Payload, V);
+    binio::ByteReader Back(std::string_view(Payload).substr(Offset));
+    EXPECT_EQ(Back.u32(), 0x89abcdefu);
+    EXPECT_EQ(Back.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(bitsOf(Back.f64()), bitsOf(-0.0));
+    EXPECT_EQ(bitsOf(Back.f64()), 0x7ff8000000000123ull);
+    EXPECT_EQ(Back.str(), "codelet");
+    const std::vector<double> Tail = Back.f64Vector(3);
+    ASSERT_EQ(Tail.size(), 3u);
+    EXPECT_EQ(Tail[0], 1.0);
+    EXPECT_EQ(bitsOf(Tail[1]), 1u);
+    EXPECT_EQ(Tail[2], -2.5);
+    EXPECT_TRUE(Back.atEnd());
+    EXPECT_FALSE(Back.overrun());
+  }
+}
+
+TEST(BinaryIo, ShortReadReturnsZeroAndTheOverrunFlagStays) {
+  const std::string Bytes = "\x01\x02\x03";
+  binio::ByteReader In(Bytes);
+  EXPECT_EQ(In.u32(), 0u);
+  EXPECT_TRUE(In.overrun());
+  EXPECT_EQ(In.remaining(), 3u) << "a failed read consumes nothing";
+  // Later reads that would fit fail too: the flag is sticky.
+  EXPECT_EQ(In.u8(), 0u);
+  EXPECT_EQ(In.u64(), 0u);
+  EXPECT_EQ(bitsOf(In.f64()), 0u);
+  EXPECT_EQ(In.str(), "");
+  EXPECT_TRUE(In.overrun());
+  EXPECT_EQ(In.remaining(), 3u);
+
+  binio::ByteReader Short(std::string_view("\x01\x02\x03\x04\x05\x06\x07", 7));
+  EXPECT_EQ(Short.u64(), 0u);
+  EXPECT_TRUE(Short.overrun());
+  binio::ByteReader Double(std::string_view("\x00\x00\x00\x00\x00\x00\xf0", 7));
+  EXPECT_EQ(bitsOf(Double.f64()), 0u);
+  EXPECT_TRUE(Double.overrun());
+
+  // A string whose length prefix runs past the end.
+  std::string Prefixed;
+  binio::putU32(Prefixed, 10);
+  Prefixed += "ab";
+  binio::ByteReader Str(Prefixed);
+  EXPECT_EQ(Str.str(), "");
+  EXPECT_TRUE(Str.overrun());
+  EXPECT_EQ(Str.u8(), 0u);
+
+  // Exactly enough bytes is not a short read.
+  binio::ByteReader Exact(std::string_view("\x2a\x00\x00\x00", 4));
+  EXPECT_EQ(Exact.u32(), 42u);
+  EXPECT_FALSE(Exact.overrun());
+  EXPECT_TRUE(Exact.atEnd());
+  EXPECT_EQ(Exact.u8(), 0u);
+  EXPECT_TRUE(Exact.overrun());
+}
+
+TEST(BinaryIo, F64VectorRejectsACountPastTheBytesBeforeAllocating) {
+  std::string Bytes;
+  for (double V : {1.0, 2.0})
+    binio::putF64(Bytes, V);
+  Bytes += "pad!";
+  ASSERT_EQ(Bytes.size(), 20u);
+
+  binio::ByteReader TooMany(Bytes);
+  EXPECT_TRUE(TooMany.f64Vector(3).empty());
+  EXPECT_TRUE(TooMany.overrun());
+  EXPECT_EQ(TooMany.remaining(), 20u);
+
+  // A count no allocation could satisfy is refused, not attempted.
+  for (std::size_t Count : {std::numeric_limits<std::size_t>::max(),
+                            std::numeric_limits<std::size_t>::max() / 8 + 1,
+                            std::size_t(1) << 40}) {
+    binio::ByteReader Absurd(Bytes);
+    std::vector<double> V;
+    EXPECT_NO_THROW(V = Absurd.f64Vector(Count)) << Count;
+    EXPECT_TRUE(V.empty());
+    EXPECT_TRUE(Absurd.overrun());
+  }
+
+  binio::ByteReader Fits(Bytes);
+  EXPECT_EQ(Fits.f64Vector(2), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(Fits.remaining(), 4u);
+  EXPECT_TRUE(Fits.f64Vector(0).empty());
+  EXPECT_FALSE(Fits.overrun());
+  EXPECT_TRUE(Fits.f64Vector(1).empty());
+  EXPECT_TRUE(Fits.overrun());
 }
