@@ -42,6 +42,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -238,6 +239,27 @@ void putStandalone(std::string &Out, const StandaloneMeasurement &S) {
   putF64(Out, S.TotalBenchmarkSeconds);
 }
 
+/// The bytes putMeasurement and putStandalone write.
+constexpr std::size_t kMeasurementBytes = 8 * (3 + 11 + NumPorts + 6);
+constexpr std::size_t kStandaloneBytes = 8 * 4;
+
+/// The exact payload size serializeMeasurements writes for \p Db, so the
+/// blob is allocated once.
+std::size_t measurementPayloadBytes(const MeasurementDatabase &Db) {
+  const std::size_t N = Db.numCodelets();
+  const std::size_t T = Db.targets().size();
+  std::size_t Bytes = 8 + 4 + Db.suite().Name.size() + 4 +
+                      Db.reference().Name.size() + 4 + 4 + 4;
+  for (const Machine &M : Db.targets())
+    Bytes += 4 + M.Name.size();
+  for (std::size_t I = 0; I < N; ++I) {
+    const CodeletProfile &P = Db.profile(I);
+    Bytes += 4 + P.C->Name.size() + 1 + kMeasurementBytes + 4 +
+             8 * P.Features.size();
+  }
+  return Bytes + N * (T + 1) * kStandaloneBytes + N * T * kMeasurementBytes;
+}
+
 /// The readers return false on a non-finite or non-positive value;
 /// truncation is reported through the reader's overrun flag.
 bool readMeasurement(ByteReader &In, Measurement &M) {
@@ -290,44 +312,48 @@ MeasurementLoadResult failed(MeasurementCacheError E, std::string Message) {
 
 std::string fgbs::serializeMeasurements(const MeasurementDatabase &Db,
                                         std::uint64_t Key) {
-  std::string Payload;
-  putU64(Payload, Key);
-  putStr(Payload, Db.suite().Name);
-  putStr(Payload, Db.reference().Name);
+  // The payload is written after a header-sized gap that is filled in
+  // once the payload's size and CRC are known.
+  const std::size_t PayloadBytes = measurementPayloadBytes(Db);
+  std::string Out;
+  Out.reserve(kMeasurementHeaderBytes + PayloadBytes);
+  Out.resize(kMeasurementHeaderBytes);
+  putU64(Out, Key);
+  putStr(Out, Db.suite().Name);
+  putStr(Out, Db.reference().Name);
 
-  putU32(Payload, static_cast<std::uint32_t>(Db.targets().size()));
+  putU32(Out, static_cast<std::uint32_t>(Db.targets().size()));
   for (const Machine &M : Db.targets())
-    putStr(Payload, M.Name);
+    putStr(Out, M.Name);
 
-  putU32(Payload, NumPorts);
+  putU32(Out, NumPorts);
   const std::size_t N = Db.numCodelets();
-  putU32(Payload, static_cast<std::uint32_t>(N));
+  putU32(Out, static_cast<std::uint32_t>(N));
   for (std::size_t I = 0; I < N; ++I) {
     const CodeletProfile &P = Db.profile(I);
-    putStr(Payload, P.C->Name);
-    Payload.push_back(P.Discarded ? 1 : 0);
-    putMeasurement(Payload, P.InApp);
-    putU32(Payload, static_cast<std::uint32_t>(P.Features.size()));
+    putStr(Out, P.C->Name);
+    Out.push_back(P.Discarded ? 1 : 0);
+    putMeasurement(Out, P.InApp);
+    putU32(Out, static_cast<std::uint32_t>(P.Features.size()));
     for (double V : P.Features)
-      putF64(Payload, V);
+      putF64(Out, V);
   }
   for (std::size_t I = 0; I < N; ++I)
-    putStandalone(Payload, Db.standaloneRef(I));
+    putStandalone(Out, Db.standaloneRef(I));
   for (std::size_t T = 0; T < Db.targets().size(); ++T)
     for (std::size_t I = 0; I < N; ++I)
-      putMeasurement(Payload, Db.realTargetMeasurement(I, T));
+      putMeasurement(Out, Db.realTargetMeasurement(I, T));
   for (std::size_t T = 0; T < Db.targets().size(); ++T)
     for (std::size_t I = 0; I < N; ++I)
-      putStandalone(Payload, Db.standaloneTarget(I, T));
+      putStandalone(Out, Db.standaloneTarget(I, T));
+  assert(Out.size() == kMeasurementHeaderBytes + PayloadBytes);
 
-  std::string Out;
-  Out.reserve(kMeasurementHeaderBytes + Payload.size());
-  Out.append(kMeasurementMagic, sizeof(kMeasurementMagic));
-  putU32(Out, kMeasurementVersionMajor);
-  putU32(Out, kMeasurementVersionMinor);
-  putU64(Out, Payload.size());
-  putU32(Out, crc32(Payload));
-  Out.append(Payload);
+  std::string Header(kMeasurementMagic, sizeof(kMeasurementMagic));
+  putU32(Header, kMeasurementVersionMajor);
+  putU32(Header, kMeasurementVersionMinor);
+  putU64(Header, PayloadBytes);
+  putU32(Header, crc32(std::string_view(Out).substr(kMeasurementHeaderBytes)));
+  Out.replace(0, kMeasurementHeaderBytes, Header);
   return Out;
 }
 

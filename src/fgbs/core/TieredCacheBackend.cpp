@@ -77,8 +77,7 @@ bool TieredCacheBackend::replicated(const std::string &Name) {
 TieredCacheBackend::TieredCacheBackend(
     std::unique_ptr<CacheBackend> Local,
     std::unique_ptr<RemoteCacheBackend> Remote)
-    : Local(std::move(Local)), Remote(std::move(Remote)),
-      Writer([this] { writeBackLoop(); }) {}
+    : Local(std::move(Local)), Remote(std::move(Remote)) {}
 
 TieredCacheBackend::~TieredCacheBackend() {
   {
@@ -121,6 +120,9 @@ void TieredCacheBackend::enqueueWriteBack(const std::string &Name,
     if (Stopping)
       return;
     Queue.push_back({Name, std::move(Bytes)});
+    // A backend that only reads never pays for the thread.
+    if (!Writer.joinable())
+      Writer = std::thread([this] { writeBackLoop(); });
   }
   QueueCv.notify_one();
 }

@@ -13,7 +13,8 @@
 /// Puts land locally (the run's own durability) and are replicated to
 /// the remote asynchronously on a single write-back thread, so
 /// publishing a measurement never blocks a training run on a slow or
-/// dead network.
+/// dead network.  The thread starts with the first queued write-back,
+/// so a backend that only reads never starts one.
 ///
 /// Scope rules keeping the tiers honest:
 ///  - The manifest (fgbs.meas.index.v1) is never replicated: access
@@ -107,7 +108,7 @@ private:
   std::deque<WriteBack> Queue;
   std::size_t InFlight = 0;
   bool Stopping = false;
-  std::thread Writer;
+  std::thread Writer; ///< Started by the first enqueueWriteBack.
 };
 
 } // namespace fgbs

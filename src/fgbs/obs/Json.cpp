@@ -9,19 +9,100 @@
 using namespace fgbs;
 using namespace fgbs::obs;
 
+JsonValue::JsonValue(const JsonValue &Other)
+    : TheKind(Other.TheKind), Payload(Other.Payload) {
+  switch (TheKind) {
+  case Kind::String:
+    Payload.String = new std::string(*Other.Payload.String);
+    break;
+  case Kind::Array:
+    Payload.Elements = new std::vector<JsonValue>(*Other.Payload.Elements);
+    break;
+  case Kind::Object:
+    Payload.Members =
+        new std::map<std::string, JsonValue>(*Other.Payload.Members);
+    break;
+  default:
+    break;
+  }
+}
+
+void JsonValue::releaseHeap() {
+  switch (TheKind) {
+  case Kind::String:
+    delete Payload.String;
+    break;
+  case Kind::Array:
+    delete Payload.Elements;
+    break;
+  case Kind::Object:
+    delete Payload.Members;
+    break;
+  default:
+    break;
+  }
+}
+
+JsonValue JsonValue::array() {
+  JsonValue V;
+  V.Payload.Elements = new std::vector<JsonValue>();
+  V.TheKind = Kind::Array;
+  return V;
+}
+
+JsonValue JsonValue::object() {
+  JsonValue V;
+  V.Payload.Members = new std::map<std::string, JsonValue>();
+  V.TheKind = Kind::Object;
+  return V;
+}
+
+const std::string &JsonValue::noString() {
+  static const std::string Empty;
+  return Empty;
+}
+
+const std::vector<JsonValue> &JsonValue::noElements() {
+  static const std::vector<JsonValue> Empty;
+  return Empty;
+}
+
+const std::map<std::string, JsonValue> &JsonValue::noMembers() {
+  static const std::map<std::string, JsonValue> Empty;
+  return Empty;
+}
+
+std::vector<JsonValue> &JsonValue::discardedElements() {
+  thread_local std::vector<JsonValue> Discarded;
+  Discarded.clear();
+  return Discarded;
+}
+
+std::map<std::string, JsonValue> &JsonValue::discardedMembers() {
+  thread_local std::map<std::string, JsonValue> Discarded;
+  Discarded.clear();
+  return Discarded;
+}
+
 const JsonValue *JsonValue::find(const std::string &Key) const {
   if (TheKind != Kind::Object)
     return nullptr;
-  auto It = ObjectValue.find(Key);
-  return It == ObjectValue.end() ? nullptr : &It->second;
+  auto It = Payload.Members->find(Key);
+  return It == Payload.Members->end() ? nullptr : &It->second;
 }
 
 JsonValue &JsonValue::set(const std::string &Key, JsonValue V) {
-  ObjectValue[Key] = std::move(V);
+  assert(TheKind == Kind::Object && "set() on a non-object");
+  if (TheKind == Kind::Object)
+    Payload.Members->insert_or_assign(Key, std::move(V));
   return *this;
 }
 
-void JsonValue::push(JsonValue V) { ArrayValue.push_back(std::move(V)); }
+void JsonValue::push(JsonValue V) {
+  assert(TheKind == Kind::Array && "push() on a non-array");
+  if (TheKind == Kind::Array)
+    Payload.Elements->push_back(std::move(V));
+}
 
 namespace {
 
@@ -204,23 +285,20 @@ private:
 
   /// A number is the longest run of digits, '.', 'e', 'E', '-' and '+'
   /// that std::from_chars consumes whole (so a leading '+' is rejected).
+  /// std::from_chars reads the longest prefix that matches its pattern,
+  /// and a digit or '.' after the optional '-' keeps inf and nan out.
+  /// Where that prefix stops short of the run, the next character is a
+  /// number character, which nothing after a value accepts, so the
+  /// document is rejected just the same.  The characters are read once.
   bool number(JsonValue &Slot) {
-    const char *Start = Cursor;
-    if (Cursor != End && (*Cursor == '-' || *Cursor == '+'))
-      ++Cursor;
-    bool SawDigit = false;
-    while (Cursor != End &&
-           (isDigit(*Cursor) || *Cursor == '.' || *Cursor == 'e' ||
-            *Cursor == 'E' || *Cursor == '-' || *Cursor == '+')) {
-      SawDigit |= isDigit(*Cursor);
-      ++Cursor;
-    }
-    if (!SawDigit)
+    const char *First = Cursor != End && *Cursor == '-' ? Cursor + 1 : Cursor;
+    if (First == End || !(isDigit(*First) || *First == '.'))
       return false;
     double Parsed = 0.0;
-    auto [Ptr, Ec] = std::from_chars(Start, Cursor, Parsed);
-    if (Ec != std::errc() || Ptr != Cursor)
+    auto [Ptr, Ec] = std::from_chars(Cursor, End, Parsed);
+    if (Ec != std::errc())
       return false;
+    Cursor = Ptr;
     Slot = JsonValue(Parsed);
     return true;
   }

@@ -245,53 +245,80 @@ SnapshotError service::validateSnapshot(const ModelSnapshot &S,
 // Serialization
 //===----------------------------------------------------------------------===//
 
-std::string service::serializeSnapshot(const ModelSnapshot &S) {
-  std::string Payload;
-  putStr(Payload, S.SuiteName);
-  putStr(Payload, S.ReferenceName);
+namespace {
 
-  putU32(Payload, static_cast<std::uint32_t>(S.FeatureNames.size()));
+/// The exact payload size serializeSnapshot writes for \p S, so the blob
+/// is allocated once.
+std::size_t snapshotPayloadBytes(const ModelSnapshot &S) {
+  std::size_t Bytes = 4 + S.SuiteName.size() + 4 + S.ReferenceName.size() +
+                      4 + S.Mask.size() + 4 +
+                      8 * (S.Norm.Mean.size() + S.Norm.Std.size()) + 4 + 4 +
+                      4 * (S.Assignment.size() + S.Representatives.size()) +
+                      8 * S.ReferenceSeconds.size() + 4;
   for (const std::string &Name : S.FeatureNames)
-    putStr(Payload, Name);
+    Bytes += 4 + Name.size();
+  for (const std::vector<double> &C : S.Centroids)
+    Bytes += 8 * C.size();
+  for (const std::string &Name : S.CodeletNames)
+    Bytes += 4 + Name.size();
+  for (const SnapshotTarget &T : S.Targets)
+    Bytes += 4 + T.MachineName.size() + 8 * T.RepresentativeSeconds.size();
+  return Bytes;
+}
+
+} // namespace
+
+std::string service::serializeSnapshot(const ModelSnapshot &S) {
+  // The payload is written after a header-sized gap that is filled in
+  // once the payload's size and CRC are known.
+  const std::size_t PayloadBytes = snapshotPayloadBytes(S);
+  std::string Out;
+  Out.reserve(kSnapshotHeaderBytes + PayloadBytes);
+  Out.resize(kSnapshotHeaderBytes);
+  putStr(Out, S.SuiteName);
+  putStr(Out, S.ReferenceName);
+
+  putU32(Out, static_cast<std::uint32_t>(S.FeatureNames.size()));
+  for (const std::string &Name : S.FeatureNames)
+    putStr(Out, Name);
   for (bool Bit : S.Mask)
-    Payload.push_back(Bit ? 1 : 0);
+    Out.push_back(Bit ? 1 : 0);
 
-  putU32(Payload, static_cast<std::uint32_t>(S.Norm.Mean.size()));
+  putU32(Out, static_cast<std::uint32_t>(S.Norm.Mean.size()));
   for (double V : S.Norm.Mean)
-    putF64(Payload, V);
+    putF64(Out, V);
   for (double V : S.Norm.Std)
-    putF64(Payload, V);
+    putF64(Out, V);
 
-  putU32(Payload, static_cast<std::uint32_t>(S.Centroids.size()));
+  putU32(Out, static_cast<std::uint32_t>(S.Centroids.size()));
   for (const std::vector<double> &C : S.Centroids)
     for (double V : C)
-      putF64(Payload, V);
+      putF64(Out, V);
 
-  putU32(Payload, static_cast<std::uint32_t>(S.Assignment.size()));
+  putU32(Out, static_cast<std::uint32_t>(S.Assignment.size()));
   for (int A : S.Assignment)
-    putU32(Payload, static_cast<std::uint32_t>(A));
+    putU32(Out, static_cast<std::uint32_t>(A));
   for (std::uint32_t Rep : S.Representatives)
-    putU32(Payload, Rep);
+    putU32(Out, Rep);
   for (const std::string &Name : S.CodeletNames)
-    putStr(Payload, Name);
+    putStr(Out, Name);
   for (double V : S.ReferenceSeconds)
-    putF64(Payload, V);
+    putF64(Out, V);
 
-  putU32(Payload, static_cast<std::uint32_t>(S.Targets.size()));
+  putU32(Out, static_cast<std::uint32_t>(S.Targets.size()));
   for (const SnapshotTarget &T : S.Targets) {
-    putStr(Payload, T.MachineName);
+    putStr(Out, T.MachineName);
     for (double V : T.RepresentativeSeconds)
-      putF64(Payload, V);
+      putF64(Out, V);
   }
+  assert(Out.size() == kSnapshotHeaderBytes + PayloadBytes);
 
-  std::string Out;
-  Out.reserve(kSnapshotHeaderBytes + Payload.size());
-  Out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  putU32(Out, kSnapshotVersionMajor);
-  putU32(Out, kSnapshotVersionMinor);
-  putU64(Out, Payload.size());
-  putU32(Out, crc32(Payload));
-  Out.append(Payload);
+  std::string Header(kSnapshotMagic, sizeof(kSnapshotMagic));
+  putU32(Header, kSnapshotVersionMajor);
+  putU32(Header, kSnapshotVersionMinor);
+  putU64(Header, PayloadBytes);
+  putU32(Header, crc32(std::string_view(Out).substr(kSnapshotHeaderBytes)));
+  Out.replace(0, kSnapshotHeaderBytes, Header);
   return Out;
 }
 

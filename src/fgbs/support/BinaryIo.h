@@ -8,8 +8,9 @@
 /// \file
 /// Little-endian primitive encoding shared by every versioned binary
 /// format in the tree (fgbs.model.v1 snapshots, fgbs.meas.v1 measurement
-/// caches): appenders onto a std::string payload and a bounds-checked
-/// decoder over a byte view.
+/// caches, fgbs.ref.v1 refs, wire frames): appenders onto a std::string
+/// payload and a bounds-checked decoder over a byte view.  Every u32,
+/// u64 and f64 is read and written a whole word at a time.
 ///
 /// ByteReader follows the "check once per structural unit" discipline:
 /// every read either succeeds or sets the overrun flag and returns a
@@ -23,6 +24,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,14 +32,44 @@
 namespace fgbs {
 namespace binio {
 
+/// On a little-endian host a value's bytes are already its encoding, so
+/// each word is one memcpy; any other host assembles it bytewise.  The
+/// choice is made at compile time.
+inline constexpr bool kNativeLittleEndian =
+    std::endian::native == std::endian::little;
+
+namespace detail {
+
+template <typename T> void putWord(std::string &Out, T V) {
+  if constexpr (kNativeLittleEndian) {
+    char Bytes[sizeof(T)];
+    std::memcpy(Bytes, &V, sizeof(T));
+    Out.append(Bytes, sizeof(T));
+  } else {
+    for (unsigned Shift = 0; Shift < 8 * sizeof(T); Shift += 8)
+      Out.push_back(static_cast<char>((V >> Shift) & 0xffu));
+  }
+}
+
+template <typename T> T loadWord(const char *P) {
+  T V = 0;
+  if constexpr (kNativeLittleEndian) {
+    std::memcpy(&V, P, sizeof(T));
+  } else {
+    for (unsigned B = 0; B < sizeof(T); ++B)
+      V |= static_cast<T>(static_cast<unsigned char>(P[B])) << (8 * B);
+  }
+  return V;
+}
+
+} // namespace detail
+
 inline void putU32(std::string &Out, std::uint32_t V) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<char>((V >> Shift) & 0xffu));
+  detail::putWord(Out, V);
 }
 
 inline void putU64(std::string &Out, std::uint64_t V) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<char>((V >> Shift) & 0xffu));
+  detail::putWord(Out, V);
 }
 
 inline void putF64(std::string &Out, double V) {
@@ -64,27 +96,9 @@ public:
     return static_cast<std::uint8_t>(Bytes[Cursor - 1]);
   }
 
-  std::uint32_t u32() {
-    if (!take(4))
-      return 0;
-    std::uint32_t V = 0;
-    for (int B = 0; B < 4; ++B)
-      V |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(Bytes[Cursor - 4 + B]))
-           << (8 * B);
-    return V;
-  }
+  std::uint32_t u32() { return word<std::uint32_t>(); }
 
-  std::uint64_t u64() {
-    if (!take(8))
-      return 0;
-    std::uint64_t V = 0;
-    for (int B = 0; B < 8; ++B)
-      V |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(Bytes[Cursor - 8 + B]))
-           << (8 * B);
-    return V;
-  }
+  std::uint64_t u64() { return word<std::uint64_t>(); }
 
   double f64() { return std::bit_cast<double>(u64()); }
 
@@ -103,12 +117,26 @@ public:
       return {};
     }
     std::vector<double> V(Count);
-    for (double &X : V)
-      X = f64();
+    if (Count == 0 || !take(8 * Count))
+      return V;
+    const char *Block = Bytes.data() + Cursor - 8 * Count;
+    if constexpr (kNativeLittleEndian) {
+      std::memcpy(V.data(), Block, 8 * Count);
+    } else {
+      for (std::size_t I = 0; I < Count; ++I)
+        V[I] = std::bit_cast<double>(
+            detail::loadWord<std::uint64_t>(Block + 8 * I));
+    }
     return V;
   }
 
 private:
+  template <typename T> T word() {
+    if (!take(sizeof(T)))
+      return 0;
+    return detail::loadWord<T>(Bytes.data() + Cursor - sizeof(T));
+  }
+
   bool take(std::size_t N) {
     if (Overrun || N > remaining()) {
       Overrun = true;

@@ -20,6 +20,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 using namespace fgbs;
 
@@ -469,6 +470,84 @@ TEST(ObsJson, LeadingPlusIsRejected) {
   EXPECT_EQ(obs::parseJson("1e+2")->number(), 100.0);
 }
 
+namespace {
+
+/// The number rule the parser used to apply by scanning first: the
+/// longest run of digits, '.', 'e', 'E', '-' and '+' (after an optional
+/// sign), with a digit in it, that std::from_chars consumes whole.  The
+/// oracle accepts only when that run is all of \p Text.
+std::optional<double> runRuleNumber(const std::string &Text) {
+  const char *Start = Text.data();
+  const char *End = Start + Text.size();
+  const char *Cursor = Start;
+  if (Cursor != End && (*Cursor == '-' || *Cursor == '+'))
+    ++Cursor;
+  bool SawDigit = false;
+  while (Cursor != End &&
+         ((*Cursor >= '0' && *Cursor <= '9') || *Cursor == '.' ||
+          *Cursor == 'e' || *Cursor == 'E' || *Cursor == '-' ||
+          *Cursor == '+')) {
+    SawDigit |= *Cursor >= '0' && *Cursor <= '9';
+    ++Cursor;
+  }
+  double Parsed = 0.0;
+  if (!SawDigit || Cursor != End)
+    return std::nullopt;
+  auto [Ptr, Ec] = std::from_chars(Start, Cursor, Parsed);
+  if (Ec != std::errc() || Ptr != Cursor)
+    return std::nullopt;
+  return Parsed;
+}
+
+} // namespace
+
+// The parser lets std::from_chars find the end of a number; it must
+// accept exactly what the scan-then-convert rule accepted, with the same
+// bits, as a document, an array element and an object member.
+TEST(ObsJson, NumbersMatchTheRunRuleOracle) {
+  std::vector<std::string> Texts = {
+      "0", "-0", "1", "-1", "1.5", ".5", "-.5", "5.", "1e5", "1E+5", "1e-5",
+      "1e", "1e+", "1.e3", "1..2", "1e5e5", "--1", "-", ".", "+", "+1",
+      "inf", "-inf", "infinity", "-Infinity", "INF", "nan", "-nan",
+      "nan(12)", "0x10", "0x1p3", "00", "007", "1e400", "-1e400", "1e-400",
+      "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+      "123456789012345678901234567890", "1-2", "1+2", "e5", "-e5", "1.5e",
+      "9.", "1.2.3", "0.1e-2", "-0.0", "1e0001", "1ee5", "1e+-5", "-."};
+  Rng R(0x4E0B);
+  const std::string Head = "0123456789.-+eEi";
+  const std::string Tail = "0123456789.eE-+xinfa";
+  for (int I = 0; I < 20000; ++I) {
+    std::string T(1, Head[R.below(Head.size())]);
+    const std::size_t Length = R.below(10);
+    for (std::size_t J = 0; J < Length; ++J)
+      T.push_back(Tail[R.below(Tail.size())]);
+    Texts.push_back(T);
+  }
+  std::size_t Accepted = 0;
+  for (const std::string &T : Texts) {
+    const std::optional<double> Want = runRuleNumber(T);
+    Accepted += Want.has_value();
+    const std::optional<obs::JsonValue> Document = obs::parseJson(T);
+    const std::optional<obs::JsonValue> InArray = obs::parseJson("[" + T + "]");
+    const std::optional<obs::JsonValue> InObject =
+        obs::parseJson("{\"a\":" + T + "}");
+    ASSERT_EQ(Document.has_value(), Want.has_value()) << T;
+    ASSERT_EQ(InArray.has_value(), Want.has_value()) << T;
+    ASSERT_EQ(InObject.has_value(), Want.has_value()) << T;
+    if (!Want)
+      continue;
+    const std::uint64_t Bits = std::bit_cast<std::uint64_t>(*Want);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Document->number()), Bits) << T;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(InArray->elements()[0].number()),
+              Bits)
+        << T;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(InObject->find("a")->number()),
+              Bits)
+        << T;
+  }
+  EXPECT_GT(Accepted, 2000u) << "the random texts must exercise acceptance";
+}
+
 TEST(ObsJson, ThousandNumberArrayRoundTrips) {
   Rng R(0xA22A1);
   obs::JsonValue Array = obs::JsonValue::array();
@@ -538,6 +617,71 @@ TEST(ObsJson, SelfAssignmentIsSafe) {
   obs::JsonValue &SAlias = S;
   S = SAlias;
   EXPECT_EQ(S.string(), "s");
+}
+
+TEST(ObsJson, MovedFromValueIsNull) {
+  obs::JsonValue Array = obs::JsonValue::array();
+  Array.push(obs::JsonValue("x"));
+  obs::JsonValue Object = obs::JsonValue::object();
+  Object.set("k", Array);
+  std::vector<obs::JsonValue> Values = {obs::JsonValue(true),
+                                        obs::JsonValue(-2.5),
+                                        obs::JsonValue("text"), Array, Object};
+  for (obs::JsonValue &Source : Values) {
+    const std::string Text = obs::writeJson(Source);
+    SCOPED_TRACE(Text);
+    obs::JsonValue Constructed(std::move(Source));
+    EXPECT_TRUE(Source.isNull());
+    EXPECT_EQ(obs::writeJson(Source), "null");
+    EXPECT_EQ(obs::writeJson(Constructed), Text);
+
+    obs::JsonValue Assigned("to be replaced");
+    Assigned = std::move(Constructed);
+    EXPECT_TRUE(Constructed.isNull());
+    EXPECT_EQ(obs::writeJson(Assigned), Text);
+
+    // A moved-from value is an ordinary null that can be reassigned,
+    // and a self-move leaves a value as it was.
+    Source = obs::JsonValue(7.0);
+    EXPECT_EQ(Source.number(), 7.0);
+    obs::JsonValue &Alias = Assigned;
+    Assigned = std::move(Alias);
+    EXPECT_EQ(obs::writeJson(Assigned), Text);
+  }
+}
+
+// set() and push() on a value of another kind used to write into
+// members writeJson never printed; now they assert in debug builds and
+// change nothing in release builds, like the non-const accessors.
+TEST(ObsJson, MutatorsOfAnotherKindAssertOrChangeNothing) {
+  obs::JsonValue Array = obs::JsonValue::array();
+  Array.push(obs::JsonValue(1.0));
+  obs::JsonValue Object = obs::JsonValue::object();
+  Object.set("k", obs::JsonValue(2.0));
+  std::vector<obs::JsonValue> Values = {obs::JsonValue(), obs::JsonValue(true),
+                                        obs::JsonValue(3.0),
+                                        obs::JsonValue("s"), Array, Object};
+  using Kind = obs::JsonValue::Kind;
+  for (obs::JsonValue &V : Values) {
+    const std::string Text = obs::writeJson(V);
+    SCOPED_TRACE(Text);
+    if (V.kind() != Kind::Object) {
+      EXPECT_DEBUG_DEATH(V.set("a", obs::JsonValue(4.0)),
+                         "set\\(\\) on a non-object");
+      EXPECT_DEBUG_DEATH(V.members()["a"] = obs::JsonValue(4.0),
+                         "members\\(\\) of a non-object");
+      EXPECT_TRUE(std::as_const(V).members().empty());
+      EXPECT_EQ(V.find("a"), nullptr);
+    }
+    if (V.kind() != Kind::Array) {
+      EXPECT_DEBUG_DEATH(V.push(obs::JsonValue(4.0)),
+                         "push\\(\\) on a non-array");
+      EXPECT_DEBUG_DEATH(V.elements().push_back(obs::JsonValue(4.0)),
+                         "elements\\(\\) of a non-array");
+      EXPECT_TRUE(std::as_const(V).elements().empty());
+    }
+    EXPECT_EQ(obs::writeJson(V), Text);
+  }
 }
 
 TEST(ObsJson, WrongKindConstAccessorsReturnDefaults) {

@@ -524,6 +524,86 @@ TEST(Tiered, ManifestNeverCrossesTheNetwork) {
   EXPECT_FALSE(Checker.exists(kMeasurementIndexName));
 }
 
+namespace {
+
+/// The threads of this process, from /proc/self/task.
+std::size_t threadCount() {
+  std::size_t N = 0;
+  for ([[maybe_unused]] const fs::directory_entry &E :
+       fs::directory_iterator("/proc/self/task"))
+    ++N;
+  return N;
+}
+
+} // namespace
+
+// Every fresh-host load builds a tiered backend that only reads; it must
+// not pay for a write-back thread.
+// No server: its own threads would start while this test counts.
+TEST(Tiered, ReadOnlyBackendStartsNoThread) {
+  TempDir Dir("readonly");
+  const std::string LocalDir = (Dir.Path / "local").string();
+  const std::string Name = "fgbs-meas-00000000000000e2.v1";
+  ASSERT_TRUE(LocalDirBackend(LocalDir).put(Name, "local bytes"));
+
+  const std::size_t Before = threadCount();
+  {
+    TieredCacheBackend Tiered(
+        std::make_unique<LocalDirBackend>(LocalDir),
+        std::make_unique<RemoteCacheBackend>(deadServerConfig()));
+    std::string Bytes;
+    ASSERT_TRUE(Tiered.get(Name, Bytes));
+    EXPECT_EQ(Bytes, "local bytes");
+    EXPECT_TRUE(Tiered.exists(Name));
+    EXPECT_EQ(Tiered.scan("fgbs-meas-", ".v1").size(), 1u);
+    Tiered.flushWriteBacks();
+    EXPECT_EQ(threadCount(), Before);
+
+    // The manifest is never replicated, so its put queues nothing.
+    ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "manifest"));
+    EXPECT_EQ(threadCount(), Before);
+
+    ASSERT_TRUE(Tiered.put("fgbs-meas-00000000000000e3.v1", "queued"));
+    EXPECT_GE(threadCount(), Before + 1) << "a queued put starts the writer";
+  }
+  // A joined thread can stay listed for a moment after join returns.
+  for (int Poll = 0; Poll < 100 && threadCount() != Before; ++Poll)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(threadCount(), Before);
+}
+
+TEST(Tiered, QueuedPutReachesServerAfterRemoveAndDestruction) {
+  TempDir Dir("drain");
+  net::CacheServer Server(loopbackConfig(Dir, 2));
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Checker(clientConfig(Server));
+  const std::string Kept = "fgbs-meas-00000000000000e4.v1";
+  const std::string Removed = "fgbs-meas-00000000000000e5.v1";
+  const std::string Last = "fgbs-meas-00000000000000e6.v1";
+  {
+    TieredCacheBackend Tiered(
+        std::make_unique<LocalDirBackend>((Dir.Path / "local").string()),
+        std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
+    ASSERT_TRUE(Tiered.put(Kept, "kept"));
+    ASSERT_TRUE(Tiered.put(Removed, "removed"));
+    // remove() drains the queue first: the other entry is published and
+    // the removed one is not republished after the remove.
+    EXPECT_TRUE(Tiered.remove(Removed));
+    std::string Bytes;
+    ASSERT_TRUE(Checker.get(Kept, Bytes));
+    EXPECT_EQ(Bytes, "kept");
+    EXPECT_FALSE(Checker.exists(Removed));
+
+    // Queued and never flushed: the destructor drains it.
+    ASSERT_TRUE(Tiered.put(Last, "last"));
+  }
+  std::string Bytes;
+  ASSERT_TRUE(Checker.get(Last, Bytes));
+  EXPECT_EQ(Bytes, "last");
+  EXPECT_FALSE(Checker.exists(Removed));
+}
+
 //===----------------------------------------------------------------------===//
 // End to end through buildMeasurementDatabase
 //===----------------------------------------------------------------------===//
