@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -239,27 +238,6 @@ void putStandalone(std::string &Out, const StandaloneMeasurement &S) {
   putF64(Out, S.TotalBenchmarkSeconds);
 }
 
-/// The bytes putMeasurement and putStandalone write.
-constexpr std::size_t kMeasurementBytes = 8 * (3 + 11 + NumPorts + 6);
-constexpr std::size_t kStandaloneBytes = 8 * 4;
-
-/// The exact payload size serializeMeasurements writes for \p Db, so the
-/// blob is allocated once.
-std::size_t measurementPayloadBytes(const MeasurementDatabase &Db) {
-  const std::size_t N = Db.numCodelets();
-  const std::size_t T = Db.targets().size();
-  std::size_t Bytes = 8 + 4 + Db.suite().Name.size() + 4 +
-                      Db.reference().Name.size() + 4 + 4 + 4;
-  for (const Machine &M : Db.targets())
-    Bytes += 4 + M.Name.size();
-  for (std::size_t I = 0; I < N; ++I) {
-    const CodeletProfile &P = Db.profile(I);
-    Bytes += 4 + P.C->Name.size() + 1 + kMeasurementBytes + 4 +
-             8 * P.Features.size();
-  }
-  return Bytes + N * (T + 1) * kStandaloneBytes + N * T * kMeasurementBytes;
-}
-
 /// The readers return false on a non-finite or non-positive value;
 /// truncation is reported through the reader's overrun flag.
 bool readMeasurement(ByteReader &In, Measurement &M) {
@@ -314,10 +292,7 @@ std::string fgbs::serializeMeasurements(const MeasurementDatabase &Db,
                                         std::uint64_t Key) {
   // The payload is written after a header-sized gap that is filled in
   // once the payload's size and CRC are known.
-  const std::size_t PayloadBytes = measurementPayloadBytes(Db);
-  std::string Out;
-  Out.reserve(kMeasurementHeaderBytes + PayloadBytes);
-  Out.resize(kMeasurementHeaderBytes);
+  std::string Out(kMeasurementHeaderBytes, '\0');
   putU64(Out, Key);
   putStr(Out, Db.suite().Name);
   putStr(Out, Db.reference().Name);
@@ -346,13 +321,14 @@ std::string fgbs::serializeMeasurements(const MeasurementDatabase &Db,
   for (std::size_t T = 0; T < Db.targets().size(); ++T)
     for (std::size_t I = 0; I < N; ++I)
       putStandalone(Out, Db.standaloneTarget(I, T));
-  assert(Out.size() == kMeasurementHeaderBytes + PayloadBytes);
 
+  const std::string_view Payload =
+      std::string_view(Out).substr(kMeasurementHeaderBytes);
   std::string Header(kMeasurementMagic, sizeof(kMeasurementMagic));
   putU32(Header, kMeasurementVersionMajor);
   putU32(Header, kMeasurementVersionMinor);
-  putU64(Header, PayloadBytes);
-  putU32(Header, crc32(std::string_view(Out).substr(kMeasurementHeaderBytes)));
+  putU64(Header, Payload.size());
+  putU32(Header, crc32(Payload));
   Out.replace(0, kMeasurementHeaderBytes, Header);
   return Out;
 }

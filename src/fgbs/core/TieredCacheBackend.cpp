@@ -119,10 +119,12 @@ void TieredCacheBackend::enqueueWriteBack(const std::string &Name,
     std::lock_guard<std::mutex> Guard(QueueMutex);
     if (Stopping)
       return;
-    Queue.push_back({Name, std::move(Bytes)});
-    // A backend that only reads never pays for the thread.
+    // A backend that only reads never pays for the thread.  It starts
+    // before the job is queued, so a failed start (std::system_error)
+    // leaves no job that no thread will ever take.
     if (!Writer.joinable())
       Writer = std::thread([this] { writeBackLoop(); });
+    Queue.push_back({Name, std::move(Bytes)});
   }
   QueueCv.notify_one();
 }

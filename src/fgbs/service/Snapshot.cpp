@@ -245,36 +245,10 @@ SnapshotError service::validateSnapshot(const ModelSnapshot &S,
 // Serialization
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The exact payload size serializeSnapshot writes for \p S, so the blob
-/// is allocated once.
-std::size_t snapshotPayloadBytes(const ModelSnapshot &S) {
-  std::size_t Bytes = 4 + S.SuiteName.size() + 4 + S.ReferenceName.size() +
-                      4 + S.Mask.size() + 4 +
-                      8 * (S.Norm.Mean.size() + S.Norm.Std.size()) + 4 + 4 +
-                      4 * (S.Assignment.size() + S.Representatives.size()) +
-                      8 * S.ReferenceSeconds.size() + 4;
-  for (const std::string &Name : S.FeatureNames)
-    Bytes += 4 + Name.size();
-  for (const std::vector<double> &C : S.Centroids)
-    Bytes += 8 * C.size();
-  for (const std::string &Name : S.CodeletNames)
-    Bytes += 4 + Name.size();
-  for (const SnapshotTarget &T : S.Targets)
-    Bytes += 4 + T.MachineName.size() + 8 * T.RepresentativeSeconds.size();
-  return Bytes;
-}
-
-} // namespace
-
 std::string service::serializeSnapshot(const ModelSnapshot &S) {
   // The payload is written after a header-sized gap that is filled in
   // once the payload's size and CRC are known.
-  const std::size_t PayloadBytes = snapshotPayloadBytes(S);
-  std::string Out;
-  Out.reserve(kSnapshotHeaderBytes + PayloadBytes);
-  Out.resize(kSnapshotHeaderBytes);
+  std::string Out(kSnapshotHeaderBytes, '\0');
   putStr(Out, S.SuiteName);
   putStr(Out, S.ReferenceName);
 
@@ -311,13 +285,14 @@ std::string service::serializeSnapshot(const ModelSnapshot &S) {
     for (double V : T.RepresentativeSeconds)
       putF64(Out, V);
   }
-  assert(Out.size() == kSnapshotHeaderBytes + PayloadBytes);
 
+  const std::string_view Payload =
+      std::string_view(Out).substr(kSnapshotHeaderBytes);
   std::string Header(kSnapshotMagic, sizeof(kSnapshotMagic));
   putU32(Header, kSnapshotVersionMajor);
   putU32(Header, kSnapshotVersionMinor);
-  putU64(Header, PayloadBytes);
-  putU32(Header, crc32(std::string_view(Out).substr(kSnapshotHeaderBytes)));
+  putU64(Header, Payload.size());
+  putU32(Header, crc32(Payload));
   Out.replace(0, kSnapshotHeaderBytes, Header);
   return Out;
 }

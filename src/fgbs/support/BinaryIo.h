@@ -9,8 +9,10 @@
 /// Little-endian primitive encoding shared by every versioned binary
 /// format in the tree (fgbs.model.v1 snapshots, fgbs.meas.v1 measurement
 /// caches, fgbs.ref.v1 refs, wire frames): appenders onto a std::string
-/// payload and a bounds-checked decoder over a byte view.  Every u32,
-/// u64 and f64 is read and written a whole word at a time.
+/// payload and a bounds-checked decoder over a byte view.  Each u32, u64
+/// and f64 is assembled from its bytes with shifts, so the encoding does
+/// not depend on the host's byte order or alignment; compilers fold the
+/// shifts into one load or store per word.
 ///
 /// ByteReader follows the "check once per structural unit" discipline:
 /// every read either succeeds or sets the overrun flag and returns a
@@ -24,7 +26,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,44 +33,45 @@
 namespace fgbs {
 namespace binio {
 
-/// On a little-endian host a value's bytes are already its encoding, so
-/// each word is one memcpy; any other host assembles it bytewise.  The
-/// choice is made at compile time.
-inline constexpr bool kNativeLittleEndian =
-    std::endian::native == std::endian::little;
-
 namespace detail {
 
-template <typename T> void putWord(std::string &Out, T V) {
-  if constexpr (kNativeLittleEndian) {
-    char Bytes[sizeof(T)];
-    std::memcpy(Bytes, &V, sizeof(T));
-    Out.append(Bytes, sizeof(T));
-  } else {
-    for (unsigned Shift = 0; Shift < 8 * sizeof(T); Shift += 8)
-      Out.push_back(static_cast<char>((V >> Shift) & 0xffu));
-  }
+/// Stores \p V at \p P least significant byte first (compilers merge the
+/// four byte stores into one store on little-endian targets).
+inline void storeLe32(char *P, std::uint32_t V) {
+  P[0] = static_cast<char>(V);
+  P[1] = static_cast<char>(V >> 8);
+  P[2] = static_cast<char>(V >> 16);
+  P[3] = static_cast<char>(V >> 24);
 }
 
-template <typename T> T loadWord(const char *P) {
-  T V = 0;
-  if constexpr (kNativeLittleEndian) {
-    std::memcpy(&V, P, sizeof(T));
-  } else {
-    for (unsigned B = 0; B < sizeof(T); ++B)
-      V |= static_cast<T>(static_cast<unsigned char>(P[B])) << (8 * B);
-  }
-  return V;
+/// The little-endian word at \p P, assembled byte by byte so the result
+/// depends on neither the host's byte order nor the alignment (compilers
+/// fold it into one load on little-endian targets).
+inline std::uint32_t loadLe32(const char *P) {
+  const auto *U = reinterpret_cast<const unsigned char *>(P);
+  return static_cast<std::uint32_t>(U[0]) |
+         static_cast<std::uint32_t>(U[1]) << 8 |
+         static_cast<std::uint32_t>(U[2]) << 16 |
+         static_cast<std::uint32_t>(U[3]) << 24;
+}
+
+inline std::uint64_t loadLe64(const char *P) {
+  return loadLe32(P) | static_cast<std::uint64_t>(loadLe32(P + 4)) << 32;
 }
 
 } // namespace detail
 
 inline void putU32(std::string &Out, std::uint32_t V) {
-  detail::putWord(Out, V);
+  char Bytes[4];
+  detail::storeLe32(Bytes, V);
+  Out.append(Bytes, 4);
 }
 
 inline void putU64(std::string &Out, std::uint64_t V) {
-  detail::putWord(Out, V);
+  char Bytes[8];
+  detail::storeLe32(Bytes, static_cast<std::uint32_t>(V));
+  detail::storeLe32(Bytes + 4, static_cast<std::uint32_t>(V >> 32));
+  Out.append(Bytes, 8);
 }
 
 inline void putF64(std::string &Out, double V) {
@@ -96,9 +98,9 @@ public:
     return static_cast<std::uint8_t>(Bytes[Cursor - 1]);
   }
 
-  std::uint32_t u32() { return word<std::uint32_t>(); }
+  std::uint32_t u32() { return take(4) ? detail::loadLe32(last(4)) : 0; }
 
-  std::uint64_t u64() { return word<std::uint64_t>(); }
+  std::uint64_t u64() { return take(8) ? detail::loadLe64(last(8)) : 0; }
 
   double f64() { return std::bit_cast<double>(u64()); }
 
@@ -117,25 +119,17 @@ public:
       return {};
     }
     std::vector<double> V(Count);
-    if (Count == 0 || !take(8 * Count))
+    if (!take(8 * Count))
       return V;
-    const char *Block = Bytes.data() + Cursor - 8 * Count;
-    if constexpr (kNativeLittleEndian) {
-      std::memcpy(V.data(), Block, 8 * Count);
-    } else {
-      for (std::size_t I = 0; I < Count; ++I)
-        V[I] = std::bit_cast<double>(
-            detail::loadWord<std::uint64_t>(Block + 8 * I));
-    }
+    const char *Block = last(8 * Count);
+    for (std::size_t I = 0; I < Count; ++I)
+      V[I] = std::bit_cast<double>(detail::loadLe64(Block + 8 * I));
     return V;
   }
 
 private:
-  template <typename T> T word() {
-    if (!take(sizeof(T)))
-      return 0;
-    return detail::loadWord<T>(Bytes.data() + Cursor - sizeof(T));
-  }
+  /// The \p N bytes the last successful take() stepped over.
+  const char *last(std::size_t N) const { return Bytes.data() + Cursor - N; }
 
   bool take(std::size_t N) {
     if (Overrun || N > remaining()) {
