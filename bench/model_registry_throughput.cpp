@@ -1,11 +1,11 @@
 //===- bench/model_registry_throughput.cpp - Model registry benchmarks ----===//
 //
 // Google-benchmark microbenchmarks of the model-distribution path: the
-// SHA-256 verify every pull pays, publish (hash + blob put + ref lease
-// cycle) against an in-process loopback fgbs_cached, cold pulls that
-// move the payload over the wire, warm pulls that must stay a local
-// verified read (by hash: zero network; by tag: one ref round trip),
-// and scan-by-prefix enumeration across published models.  Numbers are
+// SHA-256 verify every pull pays, publish (hash + blob put + ref put)
+// against an in-process loopback fgbs_cached, cold pulls that move the
+// payload over the wire, warm pulls that must stay a local verified
+// read (by hash: zero network; by tag: one ref round trip), and
+// scan-by-prefix enumeration across published models.  Numbers are
 // checked into BENCH_model_registry.json for the CI perf gate; the
 // load-bearing ratio is warm-pull vs cold-pull — if the warm path
 // stops being several times cheaper, read-through memoization has
@@ -107,7 +107,7 @@ void BM_Sha256Snapshot(benchmark::State &State) {
 }
 BENCHMARK(BM_Sha256Snapshot)->Unit(benchmark::kMicrosecond);
 
-/// Publish of fresh bytes: hash + snapshot put + ref lease cycle + ref
+/// Publish of fresh bytes: hash + existence check + snapshot put + ref
 /// put.  Every iteration is a new content address (distinct bytes), so
 /// the idempotent already-present fast path never triggers.
 void BM_RegistryPublish(benchmark::State &State) {

@@ -2,11 +2,10 @@
 //
 // Google-benchmark microbenchmarks of the remote measurement-cache
 // tier: put/get round trips against an in-process loopback fgbs_cached
-// server at 1-8 client threads, the writer-lease cycle every cold store
-// pays, and the tiered backend's warm local hit (the steady state of a
-// fleet run — it must stay a filesystem read, never a network round
-// trip).  Numbers are checked into BENCH_remote_cache.json for the CI
-// perf gate.
+// server at 1-8 client threads, and the tiered backend's warm local hit
+// (the steady state of a fleet run — it must stay a filesystem read,
+// never a network round trip).  Numbers are checked into
+// BENCH_remote_cache.json for the CI perf gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -138,24 +137,6 @@ void BM_RemoteWarmGet(benchmark::State &State) {
                           static_cast<std::int64_t>(Blob.size()));
 }
 BENCHMARK(BM_RemoteWarmGet)->ThreadRange(1, 8)->Unit(benchmark::kMicrosecond);
-
-/// The writer-lease acquire/release round trips a cold store pays on
-/// top of its put — the wire twin of BM_FileLockCycle.
-void BM_RemoteLeaseCycle(benchmark::State &State) {
-  RemoteCacheBackend Client(clientConfig());
-  const std::string Name = uniqueName("lease", 1);
-  FileLock::Options O;
-  O.TimeoutMs = 10000;
-  for (auto _ : State) {
-    std::unique_ptr<WriterLock> Lock = Client.writerLock(Name);
-    WriterLock::Result R = Lock->acquire(O);
-    if (!R)
-      State.SkipWithError("lease denied");
-    Lock->release();
-  }
-  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()));
-}
-BENCHMARK(BM_RemoteLeaseCycle)->Unit(benchmark::kMicrosecond);
 
 /// The tiered steady state: the entry is already in the local tier, so
 /// a get must cost a local file read and touch the network not at all.

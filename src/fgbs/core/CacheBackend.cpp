@@ -22,19 +22,9 @@ using namespace fgbs;
 
 namespace fs = std::filesystem;
 
-WriterLock::Result FileWriterLock::acquire(const FileLock::Options &O) {
-  FileLock::AcquireResult R = Lock.acquire(O);
-  Result Out;
-  Out.Acquired = static_cast<bool>(R);
-  Out.TimedOut = R.St == FileLock::Status::Timeout;
-  Out.WaitedMs = R.WaitedMs;
-  Out.Message = std::move(R.Message);
-  return Out;
-}
-
 std::unique_ptr<WriterLock>
 CacheBackend::writerLock(const std::string &Name) {
-  return std::make_unique<FileWriterLock>(lockPath(Name));
+  return std::make_unique<FileLock>(lockPath(Name));
 }
 
 ScanPrefixResult CacheBackend::scanPrefix(const std::string &Prefix) const {

@@ -67,55 +67,11 @@ struct ScanPrefixResult {
   explicit operator bool() const { return Outcome == ScanPrefixOutcome::Ok; }
 };
 
-/// Writer election for one named entry — the abstraction over "who gets
-/// to simulate and publish".  LocalDirBackend hands out FileLock-backed
-/// locks (per-host, crash-released by the kernel); RemoteCacheBackend
-/// hands out server leases (fleet-wide, TTL-expired); the tiered
-/// backend composes both.  A backend with no coordination needs hands
-/// out a no-op lock that always acquires.
-class WriterLock {
-public:
-  struct Result {
-    bool Acquired = false;
-    /// True when the deadline passed with the lock held elsewhere (as
-    /// opposed to the lock machinery itself failing).
-    bool TimedOut = false;
-    /// Wall time spent waiting.
-    std::uint64_t WaitedMs = 0;
-    std::string Message;
-
-    explicit operator bool() const { return Acquired; }
-  };
-
-  virtual ~WriterLock() = default;
-
-  /// Blocks (poll + backoff) until held, the deadline passes, or the
-  /// lock errors.  FileLock::Options carries the shared knobs (timeout,
-  /// backoff, staleness); implementations ignore fields that do not
-  /// apply to their protocol.
-  virtual Result acquire(const FileLock::Options &O) = 0;
-
-  /// Tells waiters this holder is still alive (file mtime refresh or
-  /// lease renewal).  No-op unless held.
-  virtual void heartbeat() {}
-
-  /// Releases if held (implementations also release on destruction).
-  virtual void release() = 0;
-};
-
-/// The default WriterLock: a FileLock on a filesystem path.  An empty
-/// path is the no-op lock that always acquires instantly.
-class FileWriterLock final : public WriterLock {
-public:
-  explicit FileWriterLock(std::string Path) : Lock(std::move(Path)) {}
-
-  Result acquire(const FileLock::Options &O) override;
-  void heartbeat() override { Lock.heartbeat(); }
-  void release() override { Lock.release(); }
-
-private:
-  FileLock Lock;
-};
+/// Writer election for one named entry: a FileLock on the backend's
+/// lockPath() (per host, released by the kernel when the holder dies).
+/// A backend that needs no coordination returns an empty lockPath(),
+/// which makes the lock a no-op that always acquires.
+using WriterLock = FileLock;
 
 /// Named-blob storage under the measurement cache.
 class CacheBackend {
@@ -158,10 +114,8 @@ public:
   /// live — e.g. by the remote server's own prune).
   virtual std::string lockPath(const std::string &Name) const = 0;
 
-  /// The writer election for \p Name.  Default: a FileWriterLock on
-  /// lockPath(Name) — which is the always-acquires no-op lock when that
-  /// path is empty.  Remote backends override this with a server lease
-  /// so a whole fleet elects one writer.
+  /// The writer election for \p Name: a FileLock on lockPath(Name),
+  /// the always-acquires no-op lock when that path is empty.
   virtual std::unique_ptr<WriterLock> writerLock(const std::string &Name);
 };
 

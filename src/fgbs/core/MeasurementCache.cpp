@@ -581,18 +581,12 @@ FileLock::AcquireResult acquireCounted(FileLock &Lock,
   return R;
 }
 
-/// The same counters for the backend-provided writer election (file
-/// lock, remote lease, or the tiered pair).
-WriterLock::Result acquireCounted(WriterLock &Lock,
-                                  const FileLock::Options &O) {
-  WriterLock::Result R = Lock.acquire(O);
-  if (R.WaitedMs > 0)
-    FGBS_COUNTER_ADD("db.cache.lock.waited_ms", R.WaitedMs);
-  if (R)
-    FGBS_COUNTER_ADD("db.cache.lock.acquired", 1);
-  else if (R.TimedOut)
-    FGBS_COUNTER_ADD("db.cache.lock.timeouts", 1);
-  return R;
+/// How a failed lock acquisition surfaces: a deadline that passed with
+/// the lock held elsewhere is LockTimeout; a lock file that cannot be
+/// opened or flocked is Io.
+MeasurementCacheError lockError(const FileLock::AcquireResult &R) {
+  return R.St == FileLock::Status::Timeout ? MeasurementCacheError::LockTimeout
+                                           : MeasurementCacheError::Io;
 }
 
 /// Manifest updates are quick bookkeeping: give them a short slice of
@@ -690,16 +684,14 @@ MeasurementCacheError MeasurementCache::store(const MeasurementDatabase &Db,
                                               bool EntryLockHeld,
                                               std::string *Message) {
   const std::string Name = measurementCacheFileName(Key);
-  // The backend chooses the election protocol: FileLock for a local
-  // directory, a fleet-wide server lease for a remote backend, both for
-  // the tiered composition.
-  std::unique_ptr<WriterLock> Lock = BackendPtr->writerLock(Name);
+  std::unique_ptr<WriterLock> Lock;
   if (!EntryLockHeld) {
-    WriterLock::Result R = acquireCounted(*Lock, LockOptions);
+    Lock = BackendPtr->writerLock(Name);
+    FileLock::AcquireResult R = acquireCounted(*Lock, LockOptions);
     if (!R) {
       if (Message)
         *Message = R.Message;
-      return MeasurementCacheError::LockTimeout;
+      return lockError(R);
     }
   }
   std::string Bytes = serializeMeasurements(Db, Key);
@@ -864,34 +856,33 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
     return Db;
   FGBS_COUNTER_ADD("db.cache.misses", 1);
 
-  // Cold path: exactly one concurrent run simulates while the rest
-  // block on the entry's writer election and then load what it
-  // published.  The backend chooses the protocol — a same-host FileLock
-  // for a local directory, a fleet-wide server lease for the remote
-  // tier, both for the tiered cache; a backend with no coordination
-  // needs hands out a lock that acquires instantly.
+  // Cold path: exactly one concurrent run on this host simulates while
+  // the rest block on the entry's file lock and then load what it
+  // published.  A backend with no lock path (remote-only) hands out a
+  // lock that acquires instantly; runs on other hosts may simulate the
+  // same key too and publish identical bytes.
   std::unique_ptr<WriterLock> Lock =
       Cache.backend().writerLock(measurementCacheFileName(Key));
   bool LockHeld = false;
   {
-    WriterLock::Result R = acquireCounted(*Lock, Cache.LockOptions);
+    FileLock::AcquireResult R = acquireCounted(*Lock, Cache.LockOptions);
     if (R) {
       LockHeld = true;
       // The previous holder may have published our key while we waited.
       if (auto Db = TryLoad(/*Quiet=*/true))
         return Db;
     } else {
-      // Typed, visible fallback: simulate but do NOT store — whichever
-      // live writer holds the lock will publish the identical bytes.
+      // Typed, visible fallback: simulate but do NOT store.  On a
+      // timeout the live holder will publish the identical bytes; on a
+      // lock error (io) the entry stays cold.
       std::cerr << "fgbs: measurement cache '" << Options.CacheDir << "' ("
-                << measurementCacheErrorName(MeasurementCacheError::LockTimeout)
-                << ": " << R.Message << "); simulating without storing\n";
+                << measurementCacheErrorName(lockError(R)) << ": " << R.Message
+                << "); simulating without storing\n";
     }
   }
 
   auto Db = Simulate();
   if (LockHeld) {
-    Lock->heartbeat();
     std::string Message;
     MeasurementCacheError E = Cache.store(*Db, Key, /*EntryLockHeld=*/true,
                                           &Message);
@@ -919,9 +910,6 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
                 << measurementCacheErrorName(E) << ": " << Message << ")\n";
     }
   }
-  // The lock releases here — for a tiered cache that flushes the remote
-  // write-back first, so the next fleet grantee's double-checked load
-  // sees the entry.
   Lock->release();
   return Db;
 }

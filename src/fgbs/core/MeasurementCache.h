@@ -85,7 +85,8 @@ enum class MeasurementCacheError {
   KeyMismatch,        ///< Stored content key differs from the live inputs.
   Malformed,          ///< Structural damage: dimension or range mismatch.
   InvalidValue,       ///< Non-finite number where a finite one is required.
-  LockTimeout,        ///< Writer coordination lock could not be acquired.
+  LockTimeout,        ///< The entry's writer lock stayed held past the
+                      ///< deadline (a lock that errors is Io).
 };
 
 /// Stable identifier for an error (warnings and tests key on it).
@@ -157,8 +158,8 @@ struct CachePruneStats {
 /// either nothing or a complete file.  Manifest bookkeeping and prune()
 /// are skipped for backends whose manifest lock path is empty — those
 /// manage their own lifecycle where the blobs live (the server prunes
-/// its shards).  Writer coordination goes through the backend's
-/// writerLock(), so a remote backend elects one writer fleet-wide.
+/// its shards).  Writers on one host coordinate through the backend's
+/// writerLock(), a FileLock on its lockPath().
 class MeasurementCache {
 public:
   /// A cache over \p Dir via LocalDirBackend (created when missing).
@@ -179,8 +180,9 @@ public:
   /// Serializes and atomically publishes \p Db under \p Key, updating
   /// the manifest.  Unless \p EntryLockHeld says the caller already
   /// holds the entry's writer lock, one is acquired here — and a lock
-  /// that cannot be had within LockOptions.TimeoutMs is the typed
-  /// LockTimeout error (nothing is written), never a silent fallback.
+  /// still held elsewhere after LockOptions.TimeoutMs is the typed
+  /// LockTimeout error, a lock file that cannot be opened or flocked is
+  /// Io (nothing is written either way), never a silent fallback.
   MeasurementCacheError store(const MeasurementDatabase &Db, std::uint64_t Key,
                               bool EntryLockHeld = false,
                               std::string *Message = nullptr);
@@ -255,8 +257,8 @@ struct DatabaseBuildOptions {
 /// load the freshly published entry instead of re-simulating.  A run
 /// whose lock wait times out warns with the typed lock_timeout error,
 /// simulates, and skips the store (the live holder will publish the
-/// identical bytes).  When a byte/age budget is configured the cache is
-/// LRU-pruned after a store.
+/// identical bytes); a lock that errors warns io the same way.  When a
+/// byte/age budget is configured the cache is LRU-pruned after a store.
 ///
 /// Counters (when telemetry is on): db.cache.{hits,misses,stores,
 /// errors,evictions} and db.cache.lock.{acquired,waited_ms,timeouts}.

@@ -192,8 +192,6 @@ const char *fgbs::registryErrorName(RegistryError E) {
     return "publish_failed";
   case RegistryError::RefPublishFailed:
     return "ref_publish_failed";
-  case RegistryError::LeaseTimeout:
-    return "lease_timeout";
   case RegistryError::LocalWriteFailed:
     return "local_write_failed";
   }
@@ -288,26 +286,15 @@ PublishResult ModelRegistry::publish(const std::string &Name,
     return Out;
   }
 
-  // Then the ref, under the backend's writer election for the ref key,
-  // so two racing publishers serialize into whole-ref last-writer-wins.
-  std::unique_ptr<WriterLock> Lease = Remote->writerLock(RefKey);
-  FileLock::Options LeaseOpts;
-  LeaseOpts.TimeoutMs = 30000;
-  WriterLock::Result Held = Lease->acquire(LeaseOpts);
-  if (!Held) {
-    Out.Error = RegistryError::LeaseTimeout;
-    Out.Message = "writer lease for " + RefKey + " unavailable: " +
-                  Held.Message;
-    return Out;
-  }
+  // Then the ref.  It is written whole, never read and modified, and
+  // the backend's put is atomic, so racing publishers end as whole-ref
+  // last-writer-wins.
   ModelRef Ref;
   Ref.Sha256Hex = Out.Sha256Hex;
   Ref.SnapshotBytes = SnapshotBytes.size();
   Ref.PublishedUnixSeconds =
       static_cast<std::uint64_t>(std::time(nullptr));
-  const bool RefStored = Remote->put(RefKey, serializeModelRef(Ref));
-  Lease->release();
-  if (!RefStored) {
+  if (!Remote->put(RefKey, serializeModelRef(Ref))) {
     Out.Error = RegistryError::RefPublishFailed;
     Out.Message = "cannot publish ref " + RefKey;
     return Out;

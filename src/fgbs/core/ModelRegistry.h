@@ -19,7 +19,7 @@
 ///                            bytes are one blob)
 ///   model/<name>/ref/<tag>   a small fgbs.ref.v1 blob naming the hash
 ///                            a tag (e.g. "latest") points at, replaced
-///                            atomically under a writer lease
+///                            whole by one atomic put
 ///
 /// Ref blob layout (fgbs.ref.v1, all integers little-endian):
 ///
@@ -34,10 +34,10 @@
 /// Publish ordering is snapshot-then-ref: the blob is fully published
 /// (and verified present) before any tag names it, so a publisher that
 /// crashes mid-way leaves at worst an unreferenced blob — never a tag
-/// pointing at bytes that do not exist.  Ref replacement happens under
-/// the backend's writer lease for the ref key; concurrent publishers
-/// serialize and the last writer wins whole-ref (readers see the old
-/// ref or the new one, never a splice).
+/// pointing at bytes that do not exist.  A publish writes a fresh ref
+/// rather than modifying the old one, and the backend's put is atomic,
+/// so concurrent publishers end as whole-ref last-writer-wins (readers
+/// see the old ref or the new one, never a splice).
 ///
 /// Pulls are read-through: a resolved snapshot is stored in a local
 /// cache directory and re-verified against its hash on EVERY load, so
@@ -133,8 +133,6 @@ enum class RegistryError {
                     ///< never returned to the caller.
   PublishFailed,    ///< Snapshot blob could not be stored remotely.
   RefPublishFailed, ///< Ref blob could not be stored remotely.
-  LeaseTimeout,     ///< Another publisher held the ref lease past the
-                    ///< acquire deadline.
   LocalWriteFailed, ///< Local read-through cache dir is unwritable.
 };
 

@@ -32,96 +32,16 @@ std::uint64_t steadyMs() {
           .count());
 }
 
-/// A fleet-unique lease owner token: pid in the high bits (debuggable in
-/// a server dump), randomness below so two processes recycling one pid
-/// across hosts still cannot collide.  Never zero — zero is the wire
-/// protocol's "no owner".
-std::uint64_t makeLeaseToken() {
+/// A per-backend retry-jitter seed: pid in the high bits, randomness
+/// below, so clients on different hosts (or recycling one pid) draw
+/// different schedules.
+std::uint64_t makeBackoffSeed() {
   static thread_local std::mt19937_64 Rng(
       std::random_device{}() ^
       (static_cast<std::uint64_t>(::getpid()) << 32) ^ steadyMs());
-  std::uint64_t Token = (static_cast<std::uint64_t>(::getpid()) << 32) ^
-                        (Rng() & 0xffffffffu);
-  return Token ? Token : 1;
+  return (static_cast<std::uint64_t>(::getpid()) << 32) ^
+         (Rng() & 0xffffffffu);
 }
-
-/// The server lease as a WriterLock: acquire polls LockAcquire with the
-/// FileLock backoff schedule, heartbeat re-acquires (renewal: same
-/// token always re-grants and pushes the expiry out one TTL), release
-/// sends LockRelease.  When the server is unreachable the lock acquires
-/// anyway — the remote tier degrades, it never blocks a run — and
-/// release then has nothing to undo.
-class RemoteWriterLock final : public WriterLock {
-public:
-  RemoteWriterLock(RemoteCacheBackend &Backend, std::string Name)
-      : Backend(Backend), Name(std::move(Name)), Token(makeLeaseToken()) {}
-
-  ~RemoteWriterLock() override { release(); }
-
-  Result acquire(const FileLock::Options &O) override {
-    const std::uint64_t Start = steadyMs();
-    const std::uint64_t Deadline = Start + O.TimeoutMs;
-    unsigned Attempt = 0;
-    Result Out;
-    while (true) {
-      bool Granted = false;
-      if (!Backend.lockAcquire(Name, Token, Granted)) {
-        // Server unreachable: the writer election degrades to whatever
-        // the local tier provides.  Granting here (rather than failing)
-        // keeps a dead server from stalling every training run; the
-        // cost is a possible duplicate simulation, which the cache
-        // absorbs (puts are idempotent for content-addressed entries).
-        Out.Acquired = true;
-        Out.Message = "remote lease unavailable; proceeding unleased";
-        Out.WaitedMs = steadyMs() - Start;
-        Held = false;
-        return Out;
-      }
-      if (Granted) {
-        Out.Acquired = true;
-        Out.WaitedMs = steadyMs() - Start;
-        Held = true;
-        return Out;
-      }
-      const std::uint64_t Now = steadyMs();
-      if (Now >= Deadline) {
-        Out.TimedOut = true;
-        Out.WaitedMs = Now - Start;
-        Out.Message = "timed out waiting for remote writer lease '" + Name +
-                      "' from " + Backend.address();
-        return Out;
-      }
-      // Jittered (keyed on the lease token) so contending writers do
-      // not re-poll the server in phase.
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::min(retryBackoffMs(Attempt++, O.InitialBackoffMs,
-                                  O.MaxBackoffMs ? O.MaxBackoffMs
-                                                 : O.InitialBackoffMs,
-                                  Token),
-                   Deadline - Now)));
-    }
-  }
-
-  void heartbeat() override {
-    if (!Held)
-      return;
-    bool Granted = false;
-    Backend.lockAcquire(Name, Token, Granted);
-  }
-
-  void release() override {
-    if (!Held)
-      return;
-    Held = false;
-    Backend.lockRelease(Name, Token);
-  }
-
-private:
-  RemoteCacheBackend &Backend;
-  std::string Name;
-  std::uint64_t Token;
-  bool Held = false;
-};
 
 } // namespace
 
@@ -151,7 +71,7 @@ bool fgbs::parseRemoteCacheAddress(const std::string &Spec,
 }
 
 RemoteCacheBackend::RemoteCacheBackend(RemoteCacheConfig Config)
-    : Config(std::move(Config)), BackoffSeed(makeLeaseToken()) {
+    : Config(std::move(Config)), BackoffSeed(makeBackoffSeed()) {
   if (this->Config.MaxAttempts == 0)
     this->Config.MaxAttempts = 1;
 }
@@ -330,41 +250,10 @@ RemoteCacheBackend::scanPrefix(const std::string &Prefix) const {
 
 std::string RemoteCacheBackend::lockPath(const std::string &) const {
   // The server owns atomicity and lifecycle; there is no local lock
-  // file to point at.  Writer election goes through writerLock().
+  // file to point at, so writerLock() is the no-op lock.
   return {};
 }
 
-std::unique_ptr<WriterLock>
-RemoteCacheBackend::writerLock(const std::string &Name) {
-  return std::make_unique<RemoteWriterLock>(*this, Name);
-}
-
-bool RemoteCacheBackend::pruneRemote(std::uint64_t MaxBytes,
-                                     std::uint64_t MaxAgeSeconds,
-                                     std::uint64_t ModelMaxBytes,
-                                     std::uint64_t ModelMaxAgeSeconds,
-                                     std::uint64_t *EntriesOut,
-                                     std::uint64_t *RemovedOut) {
-  std::string Payload;
-  putU64(Payload, MaxBytes);
-  putU64(Payload, MaxAgeSeconds);
-  putU64(Payload, ModelMaxBytes);
-  putU64(Payload, ModelMaxAgeSeconds);
-  Frame Response;
-  if (!request(Opcode::Prune, Payload, Response) || Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  std::uint64_t Entries = In.u64();
-  std::uint64_t Removed = In.u64();
-  if (In.overrun())
-    return false;
-  if (EntriesOut)
-    *EntriesOut = Entries;
-  if (RemovedOut)
-    *RemovedOut = Removed;
-  return true;
-}
-
 bool RemoteCacheBackend::pruneRemote(std::uint64_t MaxBytes,
                                      std::uint64_t MaxAgeSeconds,
                                      std::uint64_t *EntriesOut,
@@ -385,31 +274,6 @@ bool RemoteCacheBackend::pruneRemote(std::uint64_t MaxBytes,
   if (RemovedOut)
     *RemovedOut = Removed;
   return true;
-}
-
-bool RemoteCacheBackend::lockAcquire(const std::string &Name,
-                                     std::uint64_t Token, bool &GrantedOut) {
-  std::string Payload;
-  putStr(Payload, Name);
-  putU64(Payload, Token);
-  putU64(Payload, Config.LeaseTtlMs ? Config.LeaseTtlMs : 1);
-  Frame Response;
-  if (!request(Opcode::LockAcquire, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  GrantedOut = In.u8() != 0;
-  return !In.overrun();
-}
-
-bool RemoteCacheBackend::lockRelease(const std::string &Name,
-                                     std::uint64_t Token) {
-  std::string Payload;
-  putStr(Payload, Name);
-  putU64(Payload, Token);
-  Frame Response;
-  return request(Opcode::LockRelease, Payload, Response) &&
-         Response.Op == Opcode::Ok;
 }
 
 bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
@@ -428,8 +292,6 @@ bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
   }
   S.Hits = In.u64();
   S.Misses = In.u64();
-  S.LeasesGranted = In.u64();
-  S.LeasesDenied = In.u64();
   if (In.overrun() || S.Shards.size() != Shards)
     return false;
   // Namespace extension: present iff bytes remain (a pre-namespace
@@ -483,11 +345,6 @@ std::string fgbs::renderStatsJson(const RemoteCacheStats &S) {
   Meas.set("hits", JsonValue(static_cast<double>(S.Hits)));
   Meas.set("misses", JsonValue(static_cast<double>(S.Misses)));
   Doc.set("meas", std::move(Meas));
-
-  JsonValue Leases = JsonValue::object();
-  Leases.set("granted", JsonValue(static_cast<double>(S.LeasesGranted)));
-  Leases.set("denied", JsonValue(static_cast<double>(S.LeasesDenied)));
-  Doc.set("leases", std::move(Leases));
 
   // "model": null from a pre-namespace server — dashboards can tell
   // "server cannot say" from "zero models".

@@ -26,11 +26,10 @@
 /// that answers with an Error frame is not retried (it will answer the
 /// same way again).
 ///
-/// lockPath() is empty — the server provides atomicity (each shard is a
-/// LocalDirBackend with atomic rename publish) — and writerLock()
-/// returns a server lease instead, so the whole fleet elects exactly
-/// one simulating writer per entry (the CI fleet-contention gate pays
-/// for exactly one sim.execute across N machines).
+/// lockPath() is empty, so writerLock() is the no-op lock: the server
+/// provides atomicity (each shard is a LocalDirBackend with atomic
+/// rename publish).  Hosts racing on one cold key may each simulate it
+/// and publish identical bytes; readers see one whole entry or none.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +69,6 @@ struct RemoteCacheStats {
   std::vector<RemoteShardStats> Shards;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
-  std::uint64_t LeasesGranted = 0;
-  std::uint64_t LeasesDenied = 0;
   /// Namespace extension (servers that speak the model/ namespace
   /// append it; HasModelStats distinguishes "old server" from "all
   /// zeros").
@@ -101,9 +98,6 @@ struct RemoteCacheConfig {
   /// First retry backoff; doubles per failure up to MaxBackoffMs.
   std::uint64_t InitialBackoffMs = 50;
   std::uint64_t MaxBackoffMs = 1000;
-  /// Writer-lease time-to-live granted by LockAcquire; heartbeat()
-  /// renews it.  Matches FileLock's sentinel staleness default.
-  std::uint64_t LeaseTtlMs = 900000;
 };
 
 /// Parses "host:port" into a config (timeouts keep their defaults).
@@ -141,27 +135,12 @@ public:
   /// authoritative, or is the server down" probe.
   bool healthy() const override { return ping(); }
   std::string lockPath(const std::string &Name) const override;
-  std::unique_ptr<WriterLock> writerLock(const std::string &Name) override;
 
   /// Asks the server to prune every shard to the given budgets.  True
   /// on a round trip; fills totals across shards.
   bool pruneRemote(std::uint64_t MaxBytes, std::uint64_t MaxAgeSeconds,
                    std::uint64_t *EntriesOut = nullptr,
                    std::uint64_t *RemovedOut = nullptr);
-
-  /// Prune with a second, model/-scoped budget pair (sent as the Prune
-  /// opcode's extension payload; old servers reject it as damaged, so
-  /// only call this against namespace-aware servers or on explicit
-  /// operator request).
-  bool pruneRemote(std::uint64_t MaxBytes, std::uint64_t MaxAgeSeconds,
-                   std::uint64_t ModelMaxBytes,
-                   std::uint64_t ModelMaxAgeSeconds,
-                   std::uint64_t *EntriesOut, std::uint64_t *RemovedOut);
-
-  /// Lease primitives behind writerLock() (exposed for tests).
-  bool lockAcquire(const std::string &Name, std::uint64_t Token,
-                   bool &GrantedOut);
-  bool lockRelease(const std::string &Name, std::uint64_t Token);
 
   /// One Stats round trip; false on a network failure or a damaged
   /// reply.

@@ -12,64 +12,6 @@
 
 using namespace fgbs;
 
-namespace {
-
-/// Both tiers' writer elections as one lock.  Acquire order is local
-/// (cheap, same-host, kernel-released on crash) then remote (fleet
-/// lease); release order is the reverse, with the write-back queue
-/// flushed before the remote lease goes so the next grantee sees the
-/// published entry.
-class TieredWriterLock final : public WriterLock {
-public:
-  TieredWriterLock(TieredCacheBackend &Tiered,
-                   std::unique_ptr<WriterLock> LocalLock,
-                   std::unique_ptr<WriterLock> RemoteLock)
-      : Tiered(Tiered), LocalLock(std::move(LocalLock)),
-        RemoteLock(std::move(RemoteLock)) {}
-
-  ~TieredWriterLock() override { release(); }
-
-  Result acquire(const FileLock::Options &O) override {
-    Result LocalResult = LocalLock->acquire(O);
-    if (!LocalResult)
-      return LocalResult;
-    Result RemoteResult = RemoteLock->acquire(O);
-    if (!RemoteResult) {
-      LocalLock->release();
-      return RemoteResult;
-    }
-    Held = true;
-    Result Out;
-    Out.Acquired = true;
-    Out.WaitedMs = LocalResult.WaitedMs + RemoteResult.WaitedMs;
-    return Out;
-  }
-
-  void heartbeat() override {
-    LocalLock->heartbeat();
-    RemoteLock->heartbeat();
-  }
-
-  void release() override {
-    if (!Held)
-      return;
-    Held = false;
-    // Publish-before-unlock: the fleet's next grantee double-checks the
-    // remote cache before simulating, so the entry must be there first.
-    Tiered.flushWriteBacks();
-    RemoteLock->release();
-    LocalLock->release();
-  }
-
-private:
-  TieredCacheBackend &Tiered;
-  std::unique_ptr<WriterLock> LocalLock;
-  std::unique_ptr<WriterLock> RemoteLock;
-  bool Held = false;
-};
-
-} // namespace
-
 bool TieredCacheBackend::replicated(const std::string &Name) {
   return Name != kMeasurementIndexName;
 }
@@ -181,12 +123,4 @@ TieredCacheBackend::scan(const std::string &Prefix,
 
 std::string TieredCacheBackend::lockPath(const std::string &Name) const {
   return Local->lockPath(Name);
-}
-
-std::unique_ptr<WriterLock>
-TieredCacheBackend::writerLock(const std::string &Name) {
-  if (!replicated(Name))
-    return Local->writerLock(Name);
-  return std::make_unique<TieredWriterLock>(*this, Local->writerLock(Name),
-                                            Remote->writerLock(Name));
 }

@@ -24,13 +24,9 @@
 ///    status displays; fleet-wide enumeration goes through the remote
 ///    backend directly.
 ///  - lockPath() delegates to the local tier, so same-host writer
-///    coordination keeps its kernel-backed FileLock guarantees.
-///
-/// Writer election spans both tiers: writerLock() acquires the local
-/// FileLock first (cheap, same-host) and then the remote lease
-/// (fleet-wide).  Release flushes the write-back queue BEFORE letting
-/// the remote lease go, so the next fleet-wide grantee's double-checked
-/// load observes the published entry instead of re-simulating.
+///    coordination keeps its kernel-backed FileLock guarantees.  Hosts
+///    racing on one cold key may each simulate it; they publish
+///    identical bytes, and every server put is an atomic rename.
 ///
 /// Counters: db.cache.tier.{local_hits,remote_hits,writebacks,
 /// writeback_failures}.
@@ -80,11 +76,10 @@ public:
   /// when the remote is down (reads degrade, they do not fail).
   bool healthy() const override { return Local->healthy(); }
   std::string lockPath(const std::string &Name) const override;
-  std::unique_ptr<WriterLock> writerLock(const std::string &Name) override;
 
   /// Blocks until every queued remote write-back has been attempted
-  /// (success or typed degradation).  Run before releasing a fleet
-  /// writer lease and by the destructor.
+  /// (success or typed degradation).  remove() runs it first; the
+  /// destructor drains the queue the same way.
   void flushWriteBacks();
 
   /// Whether \p Name crosses the network at all.  The manifest stays

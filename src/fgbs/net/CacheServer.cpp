@@ -34,10 +34,6 @@ std::uint64_t steadyMs() {
 /// Stop-flag poll interval for accept and idle-connection waits.
 constexpr std::uint64_t kPollSliceMs = 250;
 
-/// Ceiling on client-requested lease TTLs: a buggy client asking for a
-/// day still cannot wedge the fleet for more than this.
-constexpr std::uint64_t kMaxLeaseTtlMs = 2ull * 60 * 60 * 1000;
-
 bool isHexDigit(char C) {
   return (C >= '0' && C <= '9') || (C >= 'a' && C <= 'f') ||
          (C >= 'A' && C <= 'F');
@@ -359,28 +355,6 @@ CachePruneCounters CacheServer::pruneModelShard(unsigned Shard,
   return Out;
 }
 
-bool CacheServer::leaseAcquire(const std::string &Name, std::uint64_t Token,
-                               std::uint64_t TtlMs) {
-  TtlMs = std::min(TtlMs, kMaxLeaseTtlMs);
-  const std::uint64_t Now = steadyMs();
-  std::lock_guard<std::mutex> Guard(LeaseMutex);
-  auto It = Leases.find(Name);
-  if (It != Leases.end() && It->second.ExpiresAtMs > Now &&
-      It->second.Token != Token)
-    return false;
-  Leases[Name] = {Token, Now + TtlMs};
-  return true;
-}
-
-bool CacheServer::leaseRelease(const std::string &Name, std::uint64_t Token) {
-  std::lock_guard<std::mutex> Guard(LeaseMutex);
-  auto It = Leases.find(Name);
-  if (It == Leases.end() || It->second.Token != Token)
-    return false;
-  Leases.erase(It);
-  return true;
-}
-
 bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   ByteReader In(Request.Payload);
   switch (Request.Op) {
@@ -571,42 +545,6 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     return respond(Conn, Opcode::Ok, Out);
   }
 
-  case Opcode::LockAcquire: {
-    std::string Name = In.str();
-    std::uint64_t Token = In.u64();
-    std::uint64_t TtlMs = In.u64();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage) || Token == 0 ||
-        TtlMs == 0)
-      return respondError(Conn, "lock_acquire: bad lease request");
-    // Leases key on the storage name so an entry's alias spellings
-    // (`x` and `meas/x`) elect one writer, not two.
-    bool Granted = leaseAcquire(Storage, Token, TtlMs);
-    if (Granted) {
-      FGBS_COUNTER_ADD("cachesrv.lock.granted", 1);
-      StatLeasesGranted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      FGBS_COUNTER_ADD("cachesrv.lock.denied", 1);
-      StatLeasesDenied.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::string Out;
-    Out.push_back(Granted ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::LockRelease: {
-    std::string Name = In.str();
-    std::uint64_t Token = In.u64();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage) || Token == 0)
-      return respondError(Conn, "lock_release: bad lease request");
-    std::string Out;
-    Out.push_back(leaseRelease(Storage, Token) ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
   case Opcode::Stats: {
     if (!Request.Payload.empty())
       return respondError(Conn, "stats: unexpected payload");
@@ -623,8 +561,6 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     }
     putU64(Out, StatHits.load(std::memory_order_relaxed));
     putU64(Out, StatMisses.load(std::memory_order_relaxed));
-    putU64(Out, StatLeasesGranted.load(std::memory_order_relaxed));
-    putU64(Out, StatLeasesDenied.load(std::memory_order_relaxed));
     // Namespace extension: appended after the pre-namespace layout so
     // old clients (which stop reading here) still parse the response.
     putU32(Out, shards());

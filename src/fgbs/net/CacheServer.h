@@ -30,22 +30,17 @@
 /// ref means "the snapshot aged out", a condition the registry client
 /// reports distinctly.
 ///
-/// Writer coordination across the fleet uses token leases, not file
-/// locks: LockAcquire(name, token, ttl) grants when the name is free or
-/// already owned by that token (renewal), and a lease silently expires
-/// TTL milliseconds after its last grant — a crashed client can delay
-/// the fleet by at most one TTL, and no connection needs to stay open
-/// while a lease holder simulates.  This is the flock story of
-/// support/FileLock translated to a stateless wire: the token plays the
-/// pid, the TTL plays StaleAfterMs, renewal plays heartbeat().
+/// The server elects no writers: every Put is a LocalDirBackend put
+/// (temp file, then rename), so clients racing on one name publish
+/// whole entries and the last one wins.
 ///
 /// Concurrency model: Threads workers (support/ThreadPool) each loop
 /// accept -> serve-connection-to-idle -> accept.  Connections are
-/// cheap, short-lived, and never pinned by leases, so a small pool
-/// serves a large fleet; the kernel backlog absorbs bursts.
+/// cheap and short-lived, so a small pool serves a large fleet; the
+/// kernel backlog absorbs bursts.
 ///
 /// Telemetry: cachesrv.{requests,bytes_in,bytes_out,errors,connections}
-/// plus cachesrv.get.{hits,misses} and cachesrv.lock.{granted,denied}.
+/// plus cachesrv.get.{hits,misses}.
 /// The Stats opcode reports from server-local atomics (always on,
 /// independent of FGBS_TELEMETRY) plus live shard scans.
 ///
@@ -61,9 +56,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,7 +87,7 @@ struct CacheServerConfig {
   std::uint64_t ModelMaxBytes = 0;
   std::uint64_t ModelMaxAgeSeconds = 0;
   /// A connection with no complete frame for this long is closed (it
-  /// can simply reconnect; leases survive, they are TTL-based).
+  /// can simply reconnect).
   std::uint64_t IdleTimeoutMs = 30000;
   /// Deadline for each single frame send/receive once started.
   std::uint64_t IoTimeoutMs = 10000;
@@ -178,24 +171,10 @@ private:
   std::atomic<bool> StopFlag{false};
   std::atomic<bool> Running{false};
 
-  /// The fleet-wide writer leases (name -> owner token + expiry).
-  struct Lease {
-    std::uint64_t Token = 0;
-    std::uint64_t ExpiresAtMs = 0; ///< steady-clock milliseconds.
-  };
-  std::mutex LeaseMutex;
-  std::map<std::string, Lease> Leases;
-
-  bool leaseAcquire(const std::string &Name, std::uint64_t Token,
-                    std::uint64_t TtlMs);
-  bool leaseRelease(const std::string &Name, std::uint64_t Token);
-
   /// Always-on request counters served by the Stats opcode (the obs
   /// counters mirror these but vanish when FGBS_TELEMETRY is off).
   std::atomic<std::uint64_t> StatHits{0};
   std::atomic<std::uint64_t> StatMisses{0};
-  std::atomic<std::uint64_t> StatLeasesGranted{0};
-  std::atomic<std::uint64_t> StatLeasesDenied{0};
   std::atomic<std::uint64_t> StatModelGets{0};
   std::atomic<std::uint64_t> StatModelPuts{0};
   std::atomic<std::uint64_t> StatModelRefPuts{0};

@@ -31,10 +31,6 @@ const char *fgbs::net::opcodeName(Opcode Op) {
     return "scan";
   case Opcode::Prune:
     return "prune";
-  case Opcode::LockAcquire:
-    return "lock_acquire";
-  case Opcode::LockRelease:
-    return "lock_release";
   case Opcode::Stats:
     return "stats";
   case Opcode::ScanPrefix:

@@ -35,8 +35,6 @@
 ///               (the optional pair scopes a second budget to the
 ///               model/ namespace; absent means "measurement budget
 ///               only", which is what pre-namespace clients send)
-///   LockAcquire str name, u64 owner token, u64 ttl-ms
-///   LockRelease str name, u64 owner token
 ///   ScanPrefix  str prefix
 ///               -> Ok u32 count, count x { str name, u64 size-bytes,
 ///                  u64 atime-unix-seconds } — names only, never
@@ -47,16 +45,17 @@
 ///                  empty prefix walks both.
 ///   Stats       (empty)
 ///               -> Ok u32 shards, shards x { u64 entries, u64 bytes },
-///                  u64 hits, u64 misses, u64 leases-granted,
-///                  u64 leases-denied
+///                  u64 hits, u64 misses
 ///                  [, u32 model-shards, model-shards x { u64 entries,
 ///                  u64 bytes }, u64 model-gets, u64 model-puts,
 ///                  u64 model-ref-puts, u64 scan-prefixes]
 ///                  (appended by namespace-aware servers; clients
-///                  parse it only when bytes remain, so either side
-///                  may predate the other)
+///                  parse it only when bytes remain.  Builds that
+///                  still served opcodes 7 and 8 sent two more u64
+///                  counters after misses, so Stats needs a client and
+///                  a server from the same side of that change)
 ///
-/// Opcodes 9-13 are unassigned: a request carrying one is answered
+/// Opcodes 7-13 are unassigned: a request carrying one is answered
 /// with Error ("unsupported opcode") like any other unknown value.
 ///
 /// Response opcodes: Ok (payload per request), NotFound (Get of an
@@ -99,9 +98,7 @@ enum class Opcode : std::uint32_t {
   Remove = 4,
   Scan = 5,
   Prune = 6,
-  LockAcquire = 7,
-  LockRelease = 8,
-  // 9-13 are unassigned.
+  // 7-13 are unassigned.
   Stats = 14,
   ScanPrefix = 15,
   Ok = 100,

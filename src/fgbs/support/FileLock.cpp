@@ -7,16 +7,14 @@
 
 #include "fgbs/support/FileLock.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace fgbs;
@@ -30,129 +28,35 @@ std::uint64_t steadyMs() {
           .count());
 }
 
-std::int64_t wallMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Reads the owner pid out of a sentinel lock file ("pid N\n").
-/// Returns -1 when the content is missing or not of that shape.
-long readOwnerPid(const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "r");
-  if (!F)
-    return -1;
-  long Pid = -1;
-  if (std::fscanf(F, "pid %ld", &Pid) != 1)
-    Pid = -1;
-  std::fclose(F);
-  return Pid > 0 ? Pid : -1;
-}
-
 } // namespace
 
 FileLock::FileLock(std::string Path) : LockPath(std::move(Path)) {}
 
 FileLock::~FileLock() { release(); }
 
-void FileLock::writeOwner() {
-  if (Fd < 0)
-    return;
-  char Buf[32];
-  int Len = std::snprintf(Buf, sizeof(Buf), "pid %ld\n",
-                          static_cast<long>(::getpid()));
-  if (::ftruncate(Fd, 0) == 0 && ::lseek(Fd, 0, SEEK_SET) == 0) {
-    ssize_t Ignored = ::write(Fd, Buf, static_cast<std::size_t>(Len));
-    (void)Ignored; // The pid is diagnostic; the lock works without it.
-  }
-}
-
-bool FileLock::isStale(const Options &O) const {
-  struct stat St;
-  if (::stat(LockPath.c_str(), &St) != 0)
-    return false; // Vanished; the next create attempt settles it.
-  long Pid = readOwnerPid(LockPath);
-  if (Pid > 0) {
-    if (Pid == static_cast<long>(::getpid()))
-      return false; // Another thread of this process holds it.
-    if (::kill(static_cast<pid_t>(Pid), 0) == 0 || errno == EPERM)
-      return false; // Owner is alive.
-    return true;    // ESRCH: the owner died without releasing.
-  }
-  // Owner unknown (empty or damaged content, e.g. a writer that died
-  // between create and write): abandoned once the heartbeat lapses.
-  std::int64_t MtimeMs = static_cast<std::int64_t>(St.st_mtim.tv_sec) * 1000 +
-                         St.st_mtim.tv_nsec / 1000000;
-  return wallMs() - MtimeMs > static_cast<std::int64_t>(O.StaleAfterMs);
-}
-
-bool FileLock::tryAcquireOnce(const Options &O, bool &BrokeStale,
-                              std::string &Error) {
+bool FileLock::tryAcquireOnce(std::string &Error) {
   if (Held)
     return true;
   if (LockPath.empty()) {
     Held = true; // No-op lock: the backend needs no coordination.
     return true;
   }
-
-  if (O.LockMode != Mode::Exclusive) {
-    int NewFd = ::open(LockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (NewFd >= 0) {
-      if (::flock(NewFd, LOCK_EX | LOCK_NB) == 0) {
-        Fd = NewFd;
-        Held = true;
-        Sentinel = false;
-        writeOwner();
-        return true;
-      }
-      int E = errno;
-      ::close(NewFd);
-      if (E == EWOULDBLOCK || E == EAGAIN || E == EINTR)
-        return false; // Held elsewhere; poll again later.
-      if (O.LockMode == Mode::Flock) {
-        Error = "flock('" + LockPath + "'): " + std::strerror(E);
-        return false;
-      }
-      // flock unsupported here (ENOLCK/ENOTSUP/...): sentinel fallback.
-    } else if (O.LockMode == Mode::Flock) {
-      Error = "open('" + LockPath + "'): " + std::strerror(errno);
-      return false;
-    }
-  }
-
-  // O_EXCL sentinel protocol: existence is the lock.  At most one stale
-  // break per attempt; racing breakers are fine (one re-create wins).
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    int NewFd =
-        ::open(LockPath.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
-    if (NewFd >= 0) {
-      Fd = NewFd;
-      Held = true;
-      Sentinel = true;
-      writeOwner();
-      return true;
-    }
-    if (errno != EEXIST) {
-      Error = "open('" + LockPath + "'): " + std::strerror(errno);
-      return false;
-    }
-    if (Attempt == 0 && isStale(O)) {
-      ::unlink(LockPath.c_str());
-      BrokeStale = true;
-      continue;
-    }
+  int NewFd = ::open(LockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (NewFd < 0) {
+    Error = "open('" + LockPath + "'): " + std::strerror(errno);
     return false;
   }
-  return false;
+  if (::flock(NewFd, LOCK_EX | LOCK_NB) == 0) {
+    Fd = NewFd;
+    Held = true;
+    return true;
+  }
+  int E = errno;
+  ::close(NewFd);
+  if (E != EWOULDBLOCK && E != EAGAIN && E != EINTR)
+    Error = "flock('" + LockPath + "'): " + std::strerror(E);
+  return false; // With no Error: held elsewhere, poll again later.
 }
-
-bool FileLock::tryAcquire(const Options &O) {
-  bool BrokeStale = false;
-  std::string Error;
-  return tryAcquireOnce(O, BrokeStale, Error);
-}
-
-bool FileLock::tryAcquire() { return tryAcquire(Options()); }
 
 FileLock::AcquireResult FileLock::acquire() { return acquire(Options()); }
 
@@ -161,10 +65,8 @@ FileLock::AcquireResult FileLock::acquire(const Options &O) {
   const std::uint64_t Start = steadyMs();
   std::uint64_t Backoff = O.InitialBackoffMs ? O.InitialBackoffMs : 1;
   for (;;) {
-    bool BrokeStale = false;
     std::string Error;
-    bool Ok = tryAcquireOnce(O, BrokeStale, Error);
-    R.BrokeStaleLock = R.BrokeStaleLock || BrokeStale;
+    bool Ok = tryAcquireOnce(Error);
     R.WaitedMs = steadyMs() - Start;
     if (Ok) {
       R.St = Status::Acquired;
@@ -187,22 +89,13 @@ FileLock::AcquireResult FileLock::acquire(const Options &O) {
   }
 }
 
-void FileLock::heartbeat() {
-  if (Held && Fd >= 0)
-    ::futimens(Fd, nullptr);
-}
-
 void FileLock::release() {
   if (!Held)
     return;
-  // Sentinel: unlink IS the release.  flock: leave the file — unlinking
-  // would let a fresh opener lock a new inode concurrently with a
-  // waiter that still polls the old one.
-  if (Sentinel)
-    ::unlink(LockPath.c_str());
+  // Leave the file: unlinking would let a fresh opener lock a new inode
+  // concurrently with a waiter that still polls the old one.
   if (Fd >= 0)
     ::close(Fd);
   Fd = -1;
   Held = false;
-  Sentinel = false;
 }

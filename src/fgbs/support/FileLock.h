@@ -6,35 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A cross-process (and cross-thread) advisory file lock with timeout,
-/// exponential backoff, and stale-lock recovery — the writer-coordination
-/// primitive under the measurement cache (core/MeasurementCache) and any
-/// future on-disk store that fleet-style concurrent runs share.
+/// A cross-process (and cross-thread) advisory file lock with timeout
+/// and exponential backoff: the writer lock under the measurement cache
+/// (core/MeasurementCache), one per entry plus one for the manifest.
 ///
-/// Two protocols, selected per acquisition:
+/// The lock is `flock(LOCK_EX)` on the lock file's inode.  The kernel
+/// releases it when the holder exits for any reason, so a crashed
+/// writer can never wedge waiters.  The file is deliberately *not*
+/// unlinked on release: unlink-then-reopen would let a new opener
+/// create a second inode and hand two processes "the" lock (the classic
+/// flock race).  A leftover `.lock` file is inert.  On a filesystem
+/// where flock fails (some network mounts), acquire() reports
+/// Status::Error; the cache then simulates without storing.
 ///
-///  - **flock** (the default): the lock is `flock(LOCK_EX)` on the lock
-///    file's inode.  The kernel releases it when the holder exits for any
-///    reason, so a crashed writer can never wedge waiters.  The file is
-///    deliberately *not* unlinked on release: unlink-then-reopen would
-///    let a new opener create a second inode and hand two processes "the"
-///    lock (the classic flock race).  A leftover `.lock` file is ~16
-///    bytes of inert metadata.
-///  - **O_EXCL sentinel** (fallback for filesystems where flock is a
-///    no-op or unsupported, e.g. some network mounts): existence of the
-///    file IS the lock.  Because a crashed holder leaves the file behind,
-///    waiters run stale detection: the file records the holder's pid
-///    (`pid N`), a dead pid means stale immediately, and a file whose
-///    owner cannot be determined goes stale once its mtime heartbeat is
-///    older than Options::StaleAfterMs (holders refresh it with
-///    heartbeat()).  Stale locks are broken by unlink + O_EXCL re-create;
-///    racing breakers are safe because exactly one re-create wins.
-///
-/// Mode::Auto tries flock first and falls back to the sentinel protocol
-/// only when flock itself is unsupported, so every process on one
-/// filesystem resolves to the same protocol.  A FileLock constructed
-/// with an empty path is a no-op lock that always acquires — backends
-/// that need no cross-process coordination hand one out.
+/// A FileLock constructed with an empty path is a no-op lock that
+/// always acquires — backends that need no cross-process coordination
+/// hand one out.
 ///
 /// Waiting is polling with exponential backoff (InitialBackoffMs
 /// doubling up to MaxBackoffMs) under a hard TimeoutMs deadline; the
@@ -55,13 +42,6 @@ namespace fgbs {
 /// Movable-from-nowhere by design: one object, one (potential) holder.
 class FileLock {
 public:
-  /// Which locking protocol acquire() uses (see file comment).
-  enum class Mode {
-    Auto,      ///< flock, falling back to the sentinel when unsupported.
-    Flock,     ///< flock only; fail if the filesystem cannot.
-    Exclusive, ///< O_EXCL sentinel only (what the fallback resolves to).
-  };
-
   struct Options {
     /// Hard deadline for acquire(); 0 polls exactly once.
     std::uint64_t TimeoutMs = 600000;
@@ -69,25 +49,18 @@ public:
     std::uint64_t InitialBackoffMs = 5;
     /// Backoff ceiling.
     std::uint64_t MaxBackoffMs = 250;
-    /// Sentinel protocol only: a lock file whose owner pid cannot be
-    /// determined is considered abandoned once its mtime is older than
-    /// this (a dead owner pid is stale immediately; a live one never).
-    std::uint64_t StaleAfterMs = 900000;
-    Mode LockMode = Mode::Auto;
   };
 
   enum class Status {
     Acquired, ///< The lock is held by this object.
     Timeout,  ///< TimeoutMs elapsed with the lock still held elsewhere.
-    Error,    ///< The lock file itself is unusable (permissions, I/O).
+    Error,    ///< The lock file is unusable (open or flock failed).
   };
 
   struct AcquireResult {
     Status St = Status::Error;
     /// Wall time spent inside acquire().
     std::uint64_t WaitedMs = 0;
-    /// A stale sentinel from a crashed holder was detected and broken.
-    bool BrokeStaleLock = false;
     std::string Message;
 
     explicit operator bool() const { return St == Status::Acquired; }
@@ -104,14 +77,6 @@ public:
   AcquireResult acquire(const Options &O);
   AcquireResult acquire();
 
-  /// One non-blocking attempt.
-  bool tryAcquire(const Options &O);
-  bool tryAcquire();
-
-  /// Refreshes the lock file's mtime so sentinel-protocol waiters keep
-  /// treating this holder as live.  No-op unless held.
-  void heartbeat();
-
   /// Releases if held (also run by the destructor).
   void release();
 
@@ -119,16 +84,13 @@ public:
   const std::string &path() const { return LockPath; }
 
 private:
-  bool tryAcquireOnce(const Options &O, bool &BrokeStale,
-                      std::string &Error);
-  bool isStale(const Options &O) const;
-  void writeOwner();
+  /// One attempt.  False with \p Error empty when the lock is held
+  /// elsewhere; false with \p Error set when the lock file is unusable.
+  bool tryAcquireOnce(std::string &Error);
 
   std::string LockPath;
   int Fd = -1;
   bool Held = false;
-  /// True when the sentinel protocol took the lock (release unlinks).
-  bool Sentinel = false;
 };
 
 } // namespace fgbs

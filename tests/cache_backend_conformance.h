@@ -212,16 +212,15 @@ TYPED_TEST_P(CacheBackendConformance, WriterLockCycle) {
   ASSERT_NE(Lock, nullptr);
   FileLock::Options O;
   O.TimeoutMs = 5000;
-  WriterLock::Result R = Lock->acquire(O);
+  FileLock::AcquireResult R = Lock->acquire(O);
   ASSERT_TRUE(static_cast<bool>(R)) << R.Message;
-  Lock->heartbeat();
   // Publishing while holding the election must work (the cold path of
   // buildMeasurementDatabase does exactly this).
   EXPECT_TRUE(B.put(Name, "published under the writer lock"));
   Lock->release();
   // Re-election after release must succeed promptly.
   std::unique_ptr<WriterLock> Again = B.writerLock(Name);
-  WriterLock::Result R2 = Again->acquire(O);
+  FileLock::AcquireResult R2 = Again->acquire(O);
   EXPECT_TRUE(static_cast<bool>(R2)) << R2.Message;
   Again->release();
 }

@@ -1,9 +1,9 @@
 //===- tests/cache_lifecycle_test.cpp - cache locking + eviction ----------===//
 //
 // The measurement cache's lifecycle layer: the fgbs.meas.index.v1
-// manifest, LRU/age eviction, atomic publish, typed lock-timeout
-// stores, and the cross-process single-simulation guarantee of
-// buildMeasurementDatabase.
+// manifest, LRU/age eviction, atomic publish, typed lock-timeout and
+// lock-error stores, and the cross-process single-simulation guarantee
+// of buildMeasurementDatabase.
 //
 //===----------------------------------------------------------------------===//
 
@@ -273,6 +273,49 @@ TEST_F(CacheLifecycleTest, StoreReportsLockTimeoutWhileEntryLockIsHeld) {
   EXPECT_EQ(Cache.store(*Db, Key, /*EntryLockHeld=*/true),
             MeasurementCacheError::None);
   EXPECT_TRUE(Cache.exists(Key));
+}
+
+/// A local directory whose writer locks live in a directory that does
+/// not exist, so every lock acquisition fails to open its file.  Unlike
+/// a read-only directory, that fails for root too.
+class UnopenableLockBackend final : public CacheBackend {
+public:
+  explicit UnopenableLockBackend(const std::string &Dir)
+      : Dir(Dir), Local(Dir) {}
+  bool exists(const std::string &Name) const override {
+    return Local.exists(Name);
+  }
+  bool get(const std::string &Name, std::string &BytesOut) const override {
+    return Local.get(Name, BytesOut);
+  }
+  bool put(const std::string &Name, std::string_view Bytes) override {
+    return Local.put(Name, Bytes);
+  }
+  bool remove(const std::string &Name) override { return Local.remove(Name); }
+  std::vector<CacheEntry> scan(const std::string &Prefix,
+                               const std::string &Suffix) const override {
+    return Local.scan(Prefix, Suffix);
+  }
+  std::string lockPath(const std::string &Name) const override {
+    return Dir + "/no-such-dir/" + Name + ".lock";
+  }
+
+private:
+  std::string Dir;
+  LocalDirBackend Local;
+};
+
+TEST_F(CacheLifecycleTest, StoreReportsLockErrorsAsIo) {
+  TempDir Dir("lock_error");
+  MeasurementCache Cache(
+      std::make_unique<UnopenableLockBackend>(Dir.Path.string()));
+  // A lock error mistaken for a held lock would poll this long.
+  Cache.LockOptions.TimeoutMs = 2000;
+  std::string Message;
+  EXPECT_EQ(Cache.store(*Db, Key, /*EntryLockHeld=*/false, &Message),
+            MeasurementCacheError::Io);
+  EXPECT_NE(Message.find("no-such-dir"), std::string::npos) << Message;
+  EXPECT_FALSE(Cache.exists(Key)) << "a store without its lock writes nothing";
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,8 +1,8 @@
 //===- tests/file_lock_test.cpp - support/FileLock ------------------------===//
 //
 // The cross-process lock under the measurement cache: mutual exclusion
-// across threads and forked processes, timeout behaviour, and
-// stale-sentinel recovery.
+// across threads and forked processes, timeout behaviour, and a typed
+// error for a lock file that cannot be opened.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,14 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -59,7 +57,6 @@ TEST(FileLockTest, AcquireReleaseRoundTrip) {
   FileLock::AcquireResult R = Lock.acquire(fastOptions());
   ASSERT_TRUE(R) << R.Message;
   EXPECT_TRUE(Lock.held());
-  EXPECT_FALSE(R.BrokeStaleLock);
   Lock.release();
   EXPECT_FALSE(Lock.held());
   // Re-acquirable after release.
@@ -80,7 +77,9 @@ TEST(FileLockTest, SecondHolderTimesOutWhileHeld) {
   ASSERT_TRUE(First.acquire(fastOptions()));
 
   FileLock Second(Dir.file("x.lock"));
-  EXPECT_FALSE(Second.tryAcquire(fastOptions()));
+  FileLock::Options Once = fastOptions();
+  Once.TimeoutMs = 0; // One poll, no wait.
+  EXPECT_EQ(Second.acquire(Once).St, FileLock::Status::Timeout);
   FileLock::Options Short = fastOptions();
   Short.TimeoutMs = 60;
   FileLock::AcquireResult R = Second.acquire(Short);
@@ -166,86 +165,14 @@ TEST(FileLockTest, ForkedProcessMutualExclusion) {
   EXPECT_EQ(Final, static_cast<long>(NumChildren) * Increments);
 }
 
-TEST(FileLockTest, SentinelStaleDeadPidIsBroken) {
-  TempDir Dir("stale_pid");
-  const std::string LockPath = Dir.file("x.lock");
-
-  // A child takes the sentinel lock and dies without releasing (as a
-  // crashed writer would); _exit skips the destructor on purpose.
-  FileLock::Options Sentinel = fastOptions();
-  Sentinel.LockMode = FileLock::Mode::Exclusive;
-  pid_t Pid = ::fork();
-  ASSERT_GE(Pid, 0);
-  if (Pid == 0) {
-    FileLock Lock(LockPath);
-    ::_exit(Lock.acquire(Sentinel) ? 0 : 2);
-  }
-  int St = 0;
-  ASSERT_EQ(::waitpid(Pid, &St, 0), Pid);
-  ASSERT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0);
-  ASSERT_TRUE(std::filesystem::exists(LockPath));
-
-  // The owner pid is dead, so the sentinel is stale regardless of age.
-  FileLock Lock(LockPath);
-  Sentinel.TimeoutMs = 5000;
-  Sentinel.StaleAfterMs = 1000 * 60 * 60;
-  FileLock::AcquireResult R = Lock.acquire(Sentinel);
-  ASSERT_TRUE(R) << R.Message;
-  EXPECT_TRUE(R.BrokeStaleLock);
-}
-
-TEST(FileLockTest, SentinelUnknownOwnerGoesStaleByMtime) {
-  TempDir Dir("stale_mtime");
-  const std::string LockPath = Dir.file("x.lock");
-  // A sentinel whose owner cannot be determined (garbage content, e.g.
-  // a writer that died between create and write).
-  std::ofstream(LockPath) << "not a pid line\n";
-
-  FileLock::Options Sentinel = fastOptions();
-  Sentinel.LockMode = FileLock::Mode::Exclusive;
-  Sentinel.StaleAfterMs = 10;
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  FileLock Lock(LockPath);
-  FileLock::AcquireResult R = Lock.acquire(Sentinel);
-  ASSERT_TRUE(R) << R.Message;
-  EXPECT_TRUE(R.BrokeStaleLock);
-
-  // While the heartbeat window is still open the same file is NOT
-  // stale: a fresh unknown-owner sentinel blocks a short acquire.
-  Lock.release();
-  std::ofstream(LockPath) << "not a pid line\n";
-  Sentinel.StaleAfterMs = 1000 * 60 * 60;
-  Sentinel.TimeoutMs = 60;
-  FileLock Blocked(LockPath);
-  EXPECT_EQ(Blocked.acquire(Sentinel).St, FileLock::Status::Timeout);
-}
-
-TEST(FileLockTest, SentinelReleaseUnlinksAndHeartbeatRefreshes) {
-  TempDir Dir("sentinel_release");
-  const std::string LockPath = Dir.file("x.lock");
-  FileLock::Options Sentinel = fastOptions();
-  Sentinel.LockMode = FileLock::Mode::Exclusive;
-
-  FileLock Lock(LockPath);
-  ASSERT_TRUE(Lock.acquire(Sentinel));
-  struct stat Before;
-  ASSERT_EQ(::stat(LockPath.c_str(), &Before), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Lock.heartbeat();
-  struct stat After;
-  ASSERT_EQ(::stat(LockPath.c_str(), &After), 0);
-  EXPECT_TRUE(After.st_mtim.tv_sec > Before.st_mtim.tv_sec ||
-              (After.st_mtim.tv_sec == Before.st_mtim.tv_sec &&
-               After.st_mtim.tv_nsec > Before.st_mtim.tv_nsec));
-
-  // Sentinel release removes the file (existence IS the lock); a new
-  // acquire succeeds instantly without breaking anything.
-  Lock.release();
-  EXPECT_FALSE(std::filesystem::exists(LockPath));
-  FileLock Next(LockPath);
-  FileLock::AcquireResult R = Next.acquire(Sentinel);
-  EXPECT_TRUE(R);
-  EXPECT_FALSE(R.BrokeStaleLock);
+TEST(FileLockTest, MissingDirectoryIsAnErrorNotATimeout) {
+  TempDir Dir("missing_dir");
+  FileLock Lock(Dir.file("absent/x.lock"));
+  FileLock::AcquireResult R = Lock.acquire(fastOptions());
+  EXPECT_EQ(R.St, FileLock::Status::Error);
+  EXPECT_LT(R.WaitedMs, 1000u) << "an unusable lock file must not be polled";
+  EXPECT_NE(R.Message.find("absent/x.lock"), std::string::npos) << R.Message;
+  EXPECT_FALSE(Lock.held());
 }
 
 TEST(FileLockTest, FlockModeLeavesTheFileOnRelease) {

@@ -5,9 +5,9 @@
 // round trips through an in-memory registry, hash-mismatched payloads
 // (remote AND local tampering) never reaching a caller, dead-registry
 // degradation to the memoized local copy, dangling refs as typed
-// errors, concurrent publishers racing a ref under the server lease
-// without tearing it, and an old pre-namespace server answering
-// scan-by-prefix with a typed Unsupported.
+// errors, concurrent publishers racing a ref without tearing it, and an
+// old pre-namespace server answering scan-by-prefix with a typed
+// Unsupported.
 //
 //===----------------------------------------------------------------------===//
 
@@ -501,8 +501,8 @@ TEST_F(LiveRegistryTest, WirePublishPullRoundTrip) {
 }
 
 TEST_F(LiveRegistryTest, RacingPublishersNeverTearTheRef) {
-  // Two publishers hammer the same tag with different payloads.  Under
-  // the server's ref lease each replacement is whole-ref, so every
+  // Two publishers hammer the same tag with different payloads.  Each
+  // ref is written whole by one atomic put on the server, so every
   // observation — including the final state — must be a fully valid
   // ref naming a fully present snapshot.
   const std::string BytesA = "payload from publisher A";
@@ -522,7 +522,7 @@ TEST_F(LiveRegistryTest, RacingPublishersNeverTearTheRef) {
   std::thread B(hammer, "host-b", BytesB);
   A.join();
   B.join();
-  EXPECT_EQ(Failures.load(), 0) << "publishes serialize under the lease";
+  EXPECT_EQ(Failures.load(), 0) << "every racing publish must succeed";
 
   // The final ref is wholly one of the two, never a splice.
   auto Reader = client("reader");

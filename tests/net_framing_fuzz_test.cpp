@@ -55,14 +55,6 @@ std::vector<std::pair<net::Opcode, std::string>> frameCorpus() {
   putU64(Prune, 1 << 20);
   putU64(Prune, 3600);
   add(net::Opcode::Prune, Prune);
-  std::string Lock = Name;
-  putU64(Lock, 0x1234u);
-  putU64(Lock, 30000);
-  add(net::Opcode::LockAcquire, Lock);
-  std::string Unlock = Name;
-  putU64(Unlock, 0x1234u);
-  add(net::Opcode::LockRelease, Unlock);
-
   add(net::Opcode::Stats, "");
   std::string ScanPrefix;
   putStr(ScanPrefix, "model/suite/");
@@ -316,11 +308,19 @@ TEST_F(FuzzServer, RejectsMalformedNamespacedNamesWithTypedErrors) {
 }
 
 TEST_F(FuzzServer, UnassignedOpcodesAnswerTypedErrorsAndKeepTheConnection) {
-  // Opcodes 9-13 once drove a server-side work queue; they are
-  // unassigned now.  A client still sending them, with the payloads
-  // they used to carry, must get a typed Error on a connection that
-  // stays usable — never Ok, a drop, or a crash.
+  // Opcodes 7-8 once took and gave back a writer lock on the server,
+  // and 9-13 drove a server-side work queue; they are unassigned now.
+  // A client still sending them, with the payloads they used to carry,
+  // must get a typed Error on a connection that stays usable — never
+  // Ok, a drop, or a crash.
   const std::string Name = "fgbs-meas-0123456789abcdef.v1";
+  std::string Acquire;
+  putStr(Acquire, Name);
+  putU64(Acquire, 0x1234u);
+  putU64(Acquire, 30000);
+  std::string Release;
+  putStr(Release, Name);
+  putU64(Release, 0x1234u);
   std::string Enqueue;
   putStr(Enqueue, Name);
   putStr(Enqueue, "opaque work spec");
@@ -337,7 +337,8 @@ TEST_F(FuzzServer, UnassignedOpcodesAnswerTypedErrorsAndKeepTheConnection) {
   putStr(Finish, Name);
   putU64(Finish, 0xBEEFu);
   const std::vector<std::pair<std::uint32_t, std::string>> Retired = {
-      {9, Enqueue}, {10, Claim}, {11, Renew}, {12, Finish}, {13, Finish}};
+      {7, Acquire}, {8, Release}, {9, Enqueue}, {10, Claim},
+      {11, Renew},  {12, Finish}, {13, Finish}};
 
   net::Socket S = connect();
   ASSERT_TRUE(S.valid());

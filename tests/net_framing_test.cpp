@@ -145,7 +145,8 @@ TEST(Framing, WriteFrameReadFrameAcrossThreads) {
 
 TEST(Framing, NamesAreStable) {
   EXPECT_STREQ(opcodeName(Opcode::Ping), "ping");
-  EXPECT_STREQ(opcodeName(Opcode::LockAcquire), "lock_acquire");
+  EXPECT_STREQ(opcodeName(Opcode::Prune), "prune");
+  EXPECT_STREQ(opcodeName(static_cast<Opcode>(7)), "unknown");
   EXPECT_STREQ(opcodeName(Opcode::Error), "error");
   EXPECT_STREQ(wireErrorName(WireError::ChecksumMismatch),
                "checksum_mismatch");

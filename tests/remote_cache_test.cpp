@@ -1,10 +1,9 @@
 //===- tests/remote_cache_test.cpp - the networked cache tier -------------===//
 //
 // The remote measurement-cache tier end to end: shard addressing, the
-// fgbs_cached server's opcode surface over a real loopback socket,
-// fleet-wide writer leases, the jittered retry schedule, tiered
-// read-through/write-back semantics, typed degradation when the server
-// dies, and the headline guarantee —
+// fgbs_cached server's opcode surface over a real loopback socket, the
+// jittered retry schedule, tiered read-through/write-back semantics,
+// typed degradation when the server dies, and the headline guarantee —
 // a second host with a cold local directory trains with zero simulation
 // and byte-identical results.
 //
@@ -292,96 +291,6 @@ TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fleet-wide writer leases
-//===----------------------------------------------------------------------===//
-
-TEST(WriterLease, MutualExclusionAndRelease) {
-  TempDir Dir("lease");
-  net::CacheServer Server(loopbackConfig(Dir, 1));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-
-  RemoteCacheBackend A(clientConfig(Server));
-  RemoteCacheBackend B(clientConfig(Server));
-  const std::string Name = "fgbs-meas-00000000000000cc.v1";
-
-  bool Granted = false;
-  ASSERT_TRUE(A.lockAcquire(Name, /*Token=*/111, Granted));
-  EXPECT_TRUE(Granted);
-  // Renewal by the same token re-grants.
-  ASSERT_TRUE(A.lockAcquire(Name, /*Token=*/111, Granted));
-  EXPECT_TRUE(Granted);
-  // A different token is denied while the lease is live.
-  ASSERT_TRUE(B.lockAcquire(Name, /*Token=*/222, Granted));
-  EXPECT_FALSE(Granted);
-  // Releasing with the wrong token is refused; the right one works.
-  ASSERT_TRUE(B.lockRelease(Name, /*Token=*/222));
-  ASSERT_TRUE(B.lockAcquire(Name, /*Token=*/222, Granted));
-  EXPECT_FALSE(Granted);
-  ASSERT_TRUE(A.lockRelease(Name, /*Token=*/111));
-  ASSERT_TRUE(B.lockAcquire(Name, /*Token=*/222, Granted));
-  EXPECT_TRUE(Granted);
-  ASSERT_TRUE(B.lockRelease(Name, /*Token=*/222));
-}
-
-TEST(WriterLease, ExpiresAfterTtl) {
-  TempDir Dir("ttl");
-  net::CacheServer Server(loopbackConfig(Dir, 1));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-
-  RemoteCacheConfig Config = clientConfig(Server);
-  Config.LeaseTtlMs = 100; // A crashed holder delays others 100ms, max.
-  RemoteCacheBackend Crashed(std::move(Config));
-  RemoteCacheBackend Waiter(clientConfig(Server));
-
-  bool Granted = false;
-  ASSERT_TRUE(Crashed.lockAcquire("fgbs-meas-00000000000000cd.v1", 333,
-                                  Granted));
-  ASSERT_TRUE(Granted);
-  // "Crashed" never releases.  Within the TTL the lease holds...
-  ASSERT_TRUE(
-      Waiter.lockAcquire("fgbs-meas-00000000000000cd.v1", 444, Granted));
-  EXPECT_FALSE(Granted);
-  // ...and after it, the name is free again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  ASSERT_TRUE(
-      Waiter.lockAcquire("fgbs-meas-00000000000000cd.v1", 444, Granted));
-  EXPECT_TRUE(Granted);
-}
-
-TEST(WriterLease, WriterLockBlocksUntilPeerReleases) {
-  TempDir Dir("lockwait");
-  net::CacheServer Server(loopbackConfig(Dir, 1));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-
-  RemoteCacheBackend A(clientConfig(Server));
-  RemoteCacheBackend B(clientConfig(Server));
-  const std::string Name = "fgbs-meas-00000000000000ce.v1";
-
-  std::unique_ptr<WriterLock> LockA = A.writerLock(Name);
-  FileLock::Options Fast;
-  Fast.TimeoutMs = 5000;
-  ASSERT_TRUE(static_cast<bool>(LockA->acquire(Fast)));
-
-  std::atomic<bool> PeerAcquired{false};
-  std::thread Peer([&] {
-    std::unique_ptr<WriterLock> LockB = B.writerLock(Name);
-    WriterLock::Result R = LockB->acquire(Fast);
-    EXPECT_TRUE(static_cast<bool>(R)) << R.Message;
-    PeerAcquired.store(true);
-    LockB->release();
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_FALSE(PeerAcquired.load()) << "peer acquired a held lease";
-  LockA->release();
-  Peer.join();
-  EXPECT_TRUE(PeerAcquired.load());
-}
-
-//===----------------------------------------------------------------------===//
 // Degradation: a dead server never fails an operation
 //===----------------------------------------------------------------------===//
 
@@ -398,22 +307,8 @@ TEST(Degradation, DeadServerDegradesWithCounters) {
   obs::setEnabled(false);
 }
 
-TEST(Degradation, WriterLockAcquiresUnleasedWhenServerDead) {
-  // The writer election degrades to "go ahead" — a dead coordination
-  // server must never stall every training run in the fleet.
-  RemoteCacheBackend Client(deadServerConfig());
-  std::unique_ptr<WriterLock> Lock =
-      Client.writerLock("fgbs-meas-00000000000000d1.v1");
-  FileLock::Options Fast;
-  Fast.TimeoutMs = 2000;
-  WriterLock::Result R = Lock->acquire(Fast);
-  EXPECT_TRUE(static_cast<bool>(R));
-  EXPECT_NE(R.Message.find("unleased"), std::string::npos);
-  Lock->release();
-}
-
 //===----------------------------------------------------------------------===//
-// Jittered retry backoff (RemoteCacheBackend retries and lease polls)
+// Jittered retry backoff (RemoteCacheBackend retries)
 //===----------------------------------------------------------------------===//
 
 TEST(RetryBackoff, StaysInsideTheEqualJitterWindow) {
@@ -804,11 +699,6 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
     EXPECT_NE(Meas->find(Key), nullptr) << "meas." << Key;
   EXPECT_EQ(Meas->find("entries")->number(), 1.0);
   EXPECT_EQ(Meas->find("shards")->elements().size(), 2u);
-
-  const obs::JsonValue *Leases = Doc->find("leases");
-  ASSERT_NE(Leases, nullptr);
-  EXPECT_NE(Leases->find("granted"), nullptr);
-  EXPECT_NE(Leases->find("denied"), nullptr);
 
   // The server has no work queue, so the document has no farm block.
   EXPECT_EQ(Doc->find("farm"), nullptr);

@@ -5,8 +5,10 @@
 //
 // The fleet-facing half of the measurement cache: serve a sharded
 // directory of fgbs.meas.v1 entries over the fgbs.cachewire.v1 protocol
-// so many fgbs_train runs — across processes and across hosts — pay the
-// paper's simulation cost exactly once.
+// so many fgbs_train runs — across processes and across hosts — share
+// what one of them simulated instead of paying the paper's simulation
+// cost again (hosts that start one cold key at the same moment may each
+// simulate it; they publish identical bytes).
 //
 //   fgbs_cached --root DIR [--port N] [--shards N] [--threads N]
 //               [--bind ADDR] [--max-bytes N] [--max-age SECONDS]
@@ -53,9 +55,9 @@ int usage(std::ostream &OS, int Exit) {
         "       fgbs_cached --stats HOST:PORT [--json]\n"
         "\n"
         "Serves a sharded measurement-cache directory to a fleet of\n"
-        "fgbs_train runs over the fgbs.cachewire.v1 protocol, so the\n"
-        "simulation cost of a suite/machine configuration is paid once\n"
-        "fleet-wide.  Runs until SIGINT/SIGTERM.\n"
+        "fgbs_train runs over the fgbs.cachewire.v1 protocol, so a\n"
+        "suite/machine configuration simulated on one host loads on the\n"
+        "others instead of re-simulating.  Runs until SIGINT/SIGTERM.\n"
         "\n"
         "  --root DIR     directory holding the shard subdirectories\n"
         "                 (shard-00, shard-01, ...; created on start)\n"
@@ -217,9 +219,7 @@ int main(int argc, char **argv) {
     }
     std::cout << "total: " << Entries << " entries, " << Bytes << " bytes\n"
               << "requests: " << Stats.Hits << " hits, " << Stats.Misses
-              << " misses\n"
-              << "leases: " << Stats.LeasesGranted << " granted, "
-              << Stats.LeasesDenied << " denied\n";
+              << " misses\n";
     if (Stats.HasModelStats) {
       std::uint64_t ModelEntries = 0, ModelBytes = 0;
       for (const RemoteShardStats &S : Stats.ModelShards) {
