@@ -145,6 +145,41 @@ TEST(ModelRef, DamageIsTyped) {
   EXPECT_FALSE(parseModelRef(Clean + "trailing", Out, &Error));
 }
 
+std::string hexOf(std::string_view Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Hex;
+  for (char C : Bytes) {
+    const auto U = static_cast<unsigned char>(C);
+    Hex += Digits[U >> 4];
+    Hex += Digits[U & 15];
+  }
+  return Hex;
+}
+
+TEST(ModelRef, GoldenBytes) {
+  // Every byte of one fixed ref: header (magic, version 1.0, payload
+  // size 84, CRC-32) and payload (hash, snapshot size, publish time).
+  ModelRef In;
+  In.Sha256Hex = sha256Hex("abc");
+  In.SnapshotBytes = 5562;
+  In.PublishedUnixSeconds = 1700000000;
+  const std::string Golden =
+      "464742535245463101000000000000005400000000000000d60022c440000000"
+      "6261373831366266386630316366656134313431343064653564616532323233"
+      "6230303336316133393631373761396362343130666636316632303031356164"
+      "ba1500000000000000f1536500000000";
+  const std::string Blob = serializeModelRef(In);
+  EXPECT_EQ(Blob.size(), 112u);
+  EXPECT_EQ(hexOf(Blob), Golden);
+
+  ModelRef Out;
+  std::string Error;
+  ASSERT_TRUE(parseModelRef(Blob, Out, &Error)) << Error;
+  EXPECT_EQ(Out.Sha256Hex, In.Sha256Hex);
+  EXPECT_EQ(Out.SnapshotBytes, 5562u);
+  EXPECT_EQ(Out.PublishedUnixSeconds, 1700000000u);
+}
+
 //===----------------------------------------------------------------------===//
 // fgbs:// URIs
 //===----------------------------------------------------------------------===//

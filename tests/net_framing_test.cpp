@@ -56,6 +56,38 @@ TEST(Framing, EncodeLayout) {
   EXPECT_EQ(In.u64(), Payload.size());
 }
 
+std::string hexOf(std::string_view Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Hex;
+  for (char C : Bytes) {
+    const auto U = static_cast<unsigned char>(C);
+    Hex += Digits[U >> 4];
+    Hex += Digits[U & 15];
+  }
+  return Hex;
+}
+
+TEST(Framing, GoldenBytes) {
+  // Every byte of three frames the shipped tools exchange: magic,
+  // version 1, opcode, payload size, CRC-32, then the payload.
+  EXPECT_EQ(hexOf(encodeFrame(Opcode::Ping, {})),
+            "46474253435756310100000000000000000000000000000000000000");
+
+  std::string Put;
+  binio::putStr(Put, "fgbs-meas-0123456789abcdef.v1");
+  Put += "entry bytes";
+  EXPECT_EQ(hexOf(encodeFrame(Opcode::Put, Put)),
+            "464742534357563101000000030000002c00000000000000414115231d000000"
+            "666762732d6d6561732d303132333435363738396162636465662e7631656e74"
+            "7279206279746573");
+
+  std::string Error;
+  binio::putStr(Error, "unsupported opcode unknown");
+  EXPECT_EQ(hexOf(encodeFrame(Opcode::Error, Error)),
+            "464742534357563101000000660000001e000000000000003206f8751a000000"
+            "756e737570706f72746564206f70636f646520756e6b6e6f776e");
+}
+
 TEST(Framing, RoundTrip) {
   Frame Out;
   std::string Payload(4096, '\0');
