@@ -155,7 +155,6 @@ void BM_TieredWarmLocalHit(benchmark::State &State) {
         std::make_unique<LocalDirBackend>(LocalDir),
         std::make_unique<RemoteCacheBackend>(clientConfig()));
     Tiered->put(Name, Blob);
-    Tiered->flushWriteBacks();
   }
   std::string Bytes;
   for (auto _ : State) {

@@ -46,22 +46,19 @@ struct CacheEntry {
 };
 
 /// How a scanPrefix() call resolved.  Distinct from "empty result":
-/// a registry that asks an old server for `model/foo/sha/` must be able
-/// to tell "there are no snapshots" (Ok, zero entries) apart from "this
-/// server cannot answer that question" (Unsupported) and "the network
-/// ate the answer" (Failed) — the first is authoritative, the others
-/// must not be treated as it.
+/// a registry that asks for `model/foo/sha/` must be able to tell
+/// "there are no snapshots" (Ok, zero entries) apart from "the network
+/// ate the answer or the server refused it" (Failed) — the first is
+/// authoritative, the second must not be treated as it.
 enum class ScanPrefixOutcome {
-  Ok,          ///< Entries is the complete, authoritative listing.
-  Unsupported, ///< The backend (or the server behind it) predates
-               ///< scan-by-prefix; Entries is empty and means nothing.
-  Failed,      ///< Transport or storage error; Entries may be partial.
+  Ok,     ///< Entries is the complete, authoritative listing.
+  Failed, ///< Transport, storage or server error; Entries is empty.
 };
 
 struct ScanPrefixResult {
   ScanPrefixOutcome Outcome = ScanPrefixOutcome::Ok;
   std::vector<CacheEntry> Entries;
-  /// Human-readable detail for Unsupported/Failed.
+  /// Human-readable detail for Failed.
   std::string Message;
 
   explicit operator bool() const { return Outcome == ScanPrefixOutcome::Ok; }
@@ -98,7 +95,7 @@ public:
   /// outcome (see ScanPrefixOutcome).  Default: scan(Prefix, "") marked
   /// Ok, which is correct for every backend whose scan() is
   /// authoritative; RemoteCacheBackend overrides this to surface
-  /// old-server (Unsupported) and transport (Failed) conditions.
+  /// transport and server failures (Failed).
   virtual ScanPrefixResult scanPrefix(const std::string &Prefix) const;
 
   /// True when the backend can currently serve requests.  Local

@@ -37,7 +37,6 @@
 #include "fgbs/core/TieredCacheBackend.h"
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
-#include "fgbs/support/Crc32.h"
 #include "fgbs/support/Rng.h"
 
 #include <algorithm>
@@ -46,7 +45,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -279,6 +277,10 @@ bool readStandalone(ByteReader &In, StandaloneMeasurement &S) {
   return S.MedianSeconds > 0.0 && S.TrueSeconds > 0.0 && S.Invocations >= 1;
 }
 
+constexpr framed::Format kMeasurementFormat = {
+    kMeasurementMagic, kMeasurementVersionMajor,
+    "fgbs.meas.v1 measurement cache"};
+
 MeasurementLoadResult failed(MeasurementCacheError E, std::string Message) {
   MeasurementLoadResult R;
   R.Error = E;
@@ -290,9 +292,7 @@ MeasurementLoadResult failed(MeasurementCacheError E, std::string Message) {
 
 std::string fgbs::serializeMeasurements(const MeasurementDatabase &Db,
                                         std::uint64_t Key) {
-  // The payload is written after a header-sized gap that is filled in
-  // once the payload's size and CRC are known.
-  std::string Out(kMeasurementHeaderBytes, '\0');
+  std::string Out = framed::blank();
   putU64(Out, Key);
   putStr(Out, Db.suite().Name);
   putStr(Out, Db.reference().Name);
@@ -321,15 +321,7 @@ std::string fgbs::serializeMeasurements(const MeasurementDatabase &Db,
   for (std::size_t T = 0; T < Db.targets().size(); ++T)
     for (std::size_t I = 0; I < N; ++I)
       putStandalone(Out, Db.standaloneTarget(I, T));
-
-  const std::string_view Payload =
-      std::string_view(Out).substr(kMeasurementHeaderBytes);
-  std::string Header(kMeasurementMagic, sizeof(kMeasurementMagic));
-  putU32(Header, kMeasurementVersionMajor);
-  putU32(Header, kMeasurementVersionMinor);
-  putU64(Header, Payload.size());
-  putU32(Header, crc32(Payload));
-  Out.replace(0, kMeasurementHeaderBytes, Header);
+  framed::seal(Out, kMeasurementFormat, kMeasurementVersionMinor);
   return Out;
 }
 
@@ -337,41 +329,12 @@ MeasurementLoadResult fgbs::parseMeasurements(std::string_view Bytes,
                                               const Suite &S, Machine Reference,
                                               std::vector<Machine> Targets,
                                               std::uint64_t ExpectedKey) {
-  if (Bytes.size() >= sizeof(kMeasurementMagic) &&
-      std::memcmp(Bytes.data(), kMeasurementMagic,
-                  sizeof(kMeasurementMagic)) != 0)
-    return failed(MeasurementCacheError::BadMagic,
-                  "not an fgbs.meas measurement cache");
-  if (Bytes.size() < kMeasurementHeaderBytes)
-    return failed(MeasurementCacheError::Truncated,
-                  "file shorter than the measurement-cache header");
+  const framed::Opened Blob = framed::open(Bytes, kMeasurementFormat);
+  if (!Blob)
+    return failed(framed::typedError<MeasurementCacheError>(Blob.State),
+                  framed::describe(Blob, kMeasurementFormat));
 
-  ByteReader Header(
-      Bytes.substr(sizeof(kMeasurementMagic),
-                   kMeasurementHeaderBytes - sizeof(kMeasurementMagic)));
-  std::uint32_t Major = Header.u32();
-  std::uint32_t Minor = Header.u32();
-  std::uint64_t PayloadSize = Header.u64();
-  std::uint32_t Crc = Header.u32();
-
-  if (Major != kMeasurementVersionMajor)
-    return failed(MeasurementCacheError::UnsupportedVersion,
-                  "measurement-cache major version " + std::to_string(Major) +
-                      " (this reader speaks " +
-                      std::to_string(kMeasurementVersionMajor) + ")");
-
-  std::string_view Payload = Bytes.substr(kMeasurementHeaderBytes);
-  if (Payload.size() < PayloadSize)
-    return failed(MeasurementCacheError::Truncated,
-                  "payload shorter than the header announces");
-  if (Payload.size() > PayloadSize)
-    return failed(MeasurementCacheError::Malformed,
-                  "trailing bytes after the announced payload");
-  if (crc32(Payload) != Crc)
-    return failed(MeasurementCacheError::ChecksumMismatch,
-                  "payload bytes do not match the stored CRC-32");
-
-  ByteReader In(Payload);
+  ByteReader In(Blob.Payload);
   std::uint64_t StoredKey = In.u64();
   if (In.overrun())
     return failed(MeasurementCacheError::Truncated, "payload ends in the key");
@@ -469,7 +432,7 @@ MeasurementLoadResult fgbs::parseMeasurements(std::string_view Bytes,
 
   // Minor-version forward compatibility: a newer writer appends fields
   // we skip; a file of our own minor version must end exactly here.
-  if (Minor <= kMeasurementVersionMinor && !In.atEnd())
+  if (Blob.Head.Minor <= kMeasurementVersionMinor && !In.atEnd())
     return failed(MeasurementCacheError::Malformed,
                   "trailing garbage after the last measurement field");
 
@@ -708,9 +671,8 @@ CachePruneStats MeasurementCache::prune(std::uint64_t MaxBytes,
                                         std::uint64_t MaxAgeSeconds) {
   CachePruneStats Stats;
   // No manifest lock location = the backend runs its own lifecycle
-  // (RemoteCacheBackend::pruneRemote asks the server to prune its
-  // shards); client-side eviction here would be blind to fleet-wide
-  // access times.
+  // (the server prunes a shard after every put into it); client-side
+  // eviction here would be blind to fleet-wide access times.
   if (BackendPtr->lockPath(kMeasurementIndexName).empty())
     return Stats;
   FileLock Lock(BackendPtr->lockPath(kMeasurementIndexName));

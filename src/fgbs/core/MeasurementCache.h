@@ -17,15 +17,10 @@
 /// inputs — suite name + full codelet set + every machine configuration
 /// + the timing policy — so a warm run skips simulation entirely.
 ///
-/// File layout (all integers little-endian; the header discipline of
-/// fgbs.model.v1 snapshots — see service/Snapshot.h):
-///
-///   [0..8)   magic "FGBSMEA1"
-///   [8..12)  u32 version major (this writer: 1)
-///   [12..16) u32 version minor (this writer: 0)
-///   [16..24) u64 payload size in bytes
-///   [24..28) u32 CRC-32 (IEEE) of the payload
-///   [28.. )  payload (see MeasurementCache.cpp for the field order)
+/// File layout: the 28-byte support/FramedBlob header (magic
+/// "FGBSMEA1", version major 1, minor 0, payload size, CRC-32 of the
+/// payload), then the payload (see MeasurementCache.cpp for the field
+/// order; all integers little-endian).
 ///
 /// Loading is strict and typed like snapshot loading — truncation,
 /// version skew, CRC mismatch, dimension damage and non-finite numbers
@@ -44,6 +39,7 @@
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/core/Database.h"
 #include "fgbs/support/FileLock.h"
+#include "fgbs/support/FramedBlob.h"
 
 #include <cstdint>
 #include <memory>
@@ -59,7 +55,7 @@ inline constexpr char kMeasurementMagic[8] = {'F', 'G', 'B', 'S',
 inline constexpr std::uint32_t kMeasurementVersionMajor = 1;
 inline constexpr std::uint32_t kMeasurementVersionMinor = 0;
 /// Fixed header size preceding the payload.
-inline constexpr std::size_t kMeasurementHeaderBytes = 28;
+inline constexpr std::size_t kMeasurementHeaderBytes = framed::kHeaderBytes;
 
 /// Content hash of everything the simulator sweep depends on: suite
 /// name, every codelet (arrays, loop nest, body statement trees,
@@ -222,7 +218,7 @@ struct DatabaseBuildOptions {
   /// "host:port" of an fgbs_cached server (--cache-remote); empty falls
   /// back to the FGBS_MEAS_CACHE_REMOTE environment variable, and an
   /// empty result means no remote tier.  With a CacheDir too, the cache
-  /// is tiered (local read-through over the remote, async write-back);
+  /// is tiered (local read-through over the remote, write-through puts);
   /// with no CacheDir it is remote-only.  An unreachable or dying
   /// server degrades to simulate-without-store with a warning and
   /// db.cache.remote.{errors,timeouts} counters — it never fails a run.

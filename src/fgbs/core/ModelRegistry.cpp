@@ -9,10 +9,8 @@
 
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
-#include "fgbs/support/Crc32.h"
 #include "fgbs/support/Sha256.h"
 
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 
@@ -21,46 +19,35 @@ using namespace fgbs::binio;
 
 namespace fs = std::filesystem;
 
-std::string fgbs::serializeModelRef(const ModelRef &R) {
-  std::string Payload;
-  putStr(Payload, R.Sha256Hex);
-  putU64(Payload, R.SnapshotBytes);
-  putU64(Payload, R.PublishedUnixSeconds);
+namespace {
 
-  std::string Out;
-  Out.append(kModelRefMagic, sizeof(kModelRefMagic));
-  putU32(Out, kModelRefVersionMajor);
-  putU32(Out, kModelRefVersionMinor);
-  putU64(Out, Payload.size());
-  putU32(Out, crc32(Payload));
-  Out.append(Payload);
+constexpr framed::Format kModelRefFormat = {
+    kModelRefMagic, kModelRefVersionMajor, "fgbs.ref.v1 ref"};
+
+} // namespace
+
+std::string fgbs::serializeModelRef(const ModelRef &R) {
+  std::string Out = framed::blank();
+  putStr(Out, R.Sha256Hex);
+  putU64(Out, R.SnapshotBytes);
+  putU64(Out, R.PublishedUnixSeconds);
+  framed::seal(Out, kModelRefFormat, kModelRefVersionMinor);
   return Out;
 }
 
 bool fgbs::parseModelRef(std::string_view Bytes, ModelRef &Out,
                          std::string *Error) {
-  auto Fail = [&](const char *Why) {
+  auto Fail = [&](std::string Why) {
     if (Error)
-      *Error = Why;
+      *Error = std::move(Why);
     return false;
   };
-  if (Bytes.size() < kModelRefHeaderBytes)
-    return Fail("truncated ref header");
-  if (std::memcmp(Bytes.data(), kModelRefMagic, sizeof(kModelRefMagic)) != 0)
-    return Fail("not an fgbs.ref.v1 blob");
-  ByteReader Header(Bytes.substr(sizeof(kModelRefMagic)));
-  const std::uint32_t Major = Header.u32();
-  Header.u32(); // minor: additive, ignored.
-  const std::uint64_t PayloadSize = Header.u64();
-  const std::uint32_t Checksum = Header.u32();
-  if (Major != kModelRefVersionMajor)
-    return Fail("unsupported ref version");
-  if (Bytes.size() - kModelRefHeaderBytes != PayloadSize)
-    return Fail("ref payload size mismatch");
-  std::string_view Payload = Bytes.substr(kModelRefHeaderBytes);
-  if (crc32(Payload) != Checksum)
-    return Fail("ref checksum mismatch");
-  ByteReader In(Payload);
+  // The minor version is additive and ignored: a ref's payload is
+  // always exactly the three fields below.
+  const framed::Opened Blob = framed::open(Bytes, kModelRefFormat);
+  if (!Blob)
+    return Fail(framed::describe(Blob, kModelRefFormat));
+  ByteReader In(Blob.Payload);
   ModelRef R;
   R.Sha256Hex = In.str();
   R.SnapshotBytes = In.u64();
@@ -192,8 +179,6 @@ const char *fgbs::registryErrorName(RegistryError E) {
     return "publish_failed";
   case RegistryError::RefPublishFailed:
     return "ref_publish_failed";
-  case RegistryError::LocalWriteFailed:
-    return "local_write_failed";
   }
   return "unknown";
 }
@@ -202,22 +187,14 @@ ModelRegistry::ModelRegistry(std::unique_ptr<CacheBackend> Remote,
                              std::string LocalCacheDir)
     : Remote(std::move(Remote)), LocalCacheDir(std::move(LocalCacheDir)) {}
 
-std::string ModelRegistry::localSnapshotFileName(const std::string &Hex) {
-  return "model-" + Hex + ".fgbs";
-}
-
-std::string ModelRegistry::localRefFileName(const std::string &Name,
-                                            const std::string &Tag) {
-  return "ref-" + Name + "@" + Tag + ".fgbsref";
-}
-
 std::string ModelRegistry::localSnapshotPath(const std::string &Hex) const {
-  return (fs::path(LocalCacheDir) / localSnapshotFileName(Hex)).string();
+  return (fs::path(LocalCacheDir) / ("model-" + Hex + ".fgbs")).string();
 }
 
 std::string ModelRegistry::localRefPath(const std::string &Name,
                                         const std::string &Tag) const {
-  return (fs::path(LocalCacheDir) / localRefFileName(Name, Tag)).string();
+  return (fs::path(LocalCacheDir) / ("ref-" + Name + "@" + Tag + ".fgbsref"))
+      .string();
 }
 
 bool ModelRegistry::loadVerifiedLocal(const std::string &Hex,

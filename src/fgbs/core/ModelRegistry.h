@@ -21,15 +21,10 @@
 ///                            a tag (e.g. "latest") points at, replaced
 ///                            whole by one atomic put
 ///
-/// Ref blob layout (fgbs.ref.v1, all integers little-endian):
-///
-///   [0..8)   magic "FGBSREF1"
-///   [8..12)  u32 version major (this writer: 1)
-///   [12..16) u32 version minor (this writer: 0)
-///   [16..24) u64 payload size in bytes
-///   [24..28) u32 CRC-32 (IEEE) of the payload
-///   [28.. )  payload: str sha256-hex, u64 snapshot size in bytes,
-///            u64 publish time (unix seconds)
+/// Ref blob layout (fgbs.ref.v1): the 28-byte support/FramedBlob header
+/// (magic "FGBSREF1", version major 1, minor 0, payload size, CRC-32 of
+/// the payload), then the payload: str sha256-hex, u64 snapshot size in
+/// bytes, u64 publish time (unix seconds), all little-endian.
 ///
 /// Publish ordering is snapshot-then-ref: the blob is fully published
 /// (and verified present) before any tag names it, so a publisher that
@@ -59,6 +54,7 @@
 #define FGBS_CORE_MODELREGISTRY_H
 
 #include "fgbs/core/CacheBackend.h"
+#include "fgbs/support/FramedBlob.h"
 
 #include <cstdint>
 #include <memory>
@@ -73,7 +69,7 @@ inline constexpr char kModelRefMagic[8] = {'F', 'G', 'B', 'S',
                                            'R', 'E', 'F', '1'};
 inline constexpr std::uint32_t kModelRefVersionMajor = 1;
 inline constexpr std::uint32_t kModelRefVersionMinor = 0;
-inline constexpr std::size_t kModelRefHeaderBytes = 28;
+inline constexpr std::size_t kModelRefHeaderBytes = framed::kHeaderBytes;
 
 /// What a tag points at.
 struct ModelRef {
@@ -133,7 +129,6 @@ enum class RegistryError {
                     ///< never returned to the caller.
   PublishFailed,    ///< Snapshot blob could not be stored remotely.
   RefPublishFailed, ///< Ref blob could not be stored remotely.
-  LocalWriteFailed, ///< Local read-through cache dir is unwritable.
 };
 
 /// Stable identifier for an error (messages and tests key on it).
@@ -182,7 +177,6 @@ public:
                 std::string LocalCacheDir);
 
   CacheBackend &remote() { return *Remote; }
-  const std::string &localCacheDir() const { return LocalCacheDir; }
 
   /// Publishes \p SnapshotBytes as \p Name and points \p Tag at it,
   /// snapshot-then-ref.  Idempotent for identical bytes.
@@ -200,14 +194,11 @@ public:
 
   /// Enumerates `model/<name>/` keys (names only) via the backend's
   /// scanPrefix; empty \p Name lists every model.  Outcome semantics
-  /// follow ScanPrefixResult (an old server yields Unsupported).
+  /// follow ScanPrefixResult (a server that refuses yields Failed).
   ScanPrefixResult list(const std::string &Name) const;
 
-  /// File names inside the local cache dir (exposed for tests and the
+  /// Paths inside the local cache dir (exposed for tests and the
   /// tampering sweep).
-  static std::string localSnapshotFileName(const std::string &Hex);
-  static std::string localRefFileName(const std::string &Name,
-                                      const std::string &Tag);
   std::string localSnapshotPath(const std::string &Hex) const;
   std::string localRefPath(const std::string &Name,
                            const std::string &Tag) const;

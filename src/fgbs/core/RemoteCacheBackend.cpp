@@ -131,16 +131,19 @@ bool RemoteCacheBackend::ping() const {
   return request(Opcode::Ping, {}, Response) && Response.Op == Opcode::Ok;
 }
 
-bool RemoteCacheBackend::exists(const std::string &Name) const {
+bool RemoteCacheBackend::flagRequest(Opcode Op, const std::string &Name) const {
   std::string Payload;
   putStr(Payload, Name);
   Frame Response;
-  if (!request(Opcode::Exists, Payload, Response) ||
-      Response.Op != Opcode::Ok)
+  if (!request(Op, Payload, Response) || Response.Op != Opcode::Ok)
     return false;
   ByteReader In(Response.Payload);
-  bool Present = In.u8() != 0;
-  return !In.overrun() && Present;
+  bool Flag = In.u8() != 0;
+  return !In.overrun() && Flag;
+}
+
+bool RemoteCacheBackend::exists(const std::string &Name) const {
+  return flagRequest(Opcode::Exists, Name);
 }
 
 bool RemoteCacheBackend::get(const std::string &Name,
@@ -163,74 +166,41 @@ bool RemoteCacheBackend::put(const std::string &Name, std::string_view Bytes) {
 }
 
 bool RemoteCacheBackend::remove(const std::string &Name) {
-  std::string Payload;
-  putStr(Payload, Name);
-  Frame Response;
-  if (!request(Opcode::Remove, Payload, Response) ||
-      Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  bool Removed = In.u8() != 0;
-  return !In.overrun() && Removed;
+  return flagRequest(Opcode::Remove, Name);
 }
 
 std::vector<CacheEntry>
 RemoteCacheBackend::scan(const std::string &Prefix,
                          const std::string &Suffix) const {
-  std::string Payload;
-  putStr(Payload, Prefix);
-  putStr(Payload, Suffix);
-  Frame Response;
-  if (!request(Opcode::Scan, Payload, Response) || Response.Op != Opcode::Ok)
-    return {};
-  ByteReader In(Response.Payload);
-  std::uint32_t Count = In.u32();
-  std::vector<CacheEntry> Out;
-  Out.reserve(std::min<std::uint32_t>(Count, 4096));
-  for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I) {
-    CacheEntry E;
-    E.Name = In.str();
-    E.SizeBytes = In.u64();
-    E.AccessUnixSeconds = static_cast<std::int64_t>(In.u64());
-    Out.push_back(std::move(E));
-  }
-  if (In.overrun())
-    return {};
-  return Out;
+  ScanPrefixResult R = scanPrefix(Prefix);
+  std::erase_if(R.Entries, [&](const CacheEntry &E) {
+    return !std::string_view(E.Name).ends_with(Suffix);
+  });
+  return std::move(R.Entries);
 }
 
 ScanPrefixResult
 RemoteCacheBackend::scanPrefix(const std::string &Prefix) const {
   ScanPrefixResult R;
+  R.Outcome = ScanPrefixOutcome::Failed;
   std::string Payload;
   putStr(Payload, Prefix);
   Frame Response;
   if (!request(Opcode::ScanPrefix, Payload, Response)) {
-    R.Outcome = ScanPrefixOutcome::Failed;
     R.Message = "scan_prefix: " + address() + " unreachable";
     return R;
   }
+  ByteReader In(Response.Payload);
   if (Response.Op == Opcode::Error) {
-    ByteReader ErrIn(Response.Payload);
-    std::string Message = ErrIn.str();
-    // A pre-namespace server answers every unknown opcode with this
-    // message; that is "the server cannot enumerate", not "nothing
-    // matched", and the two must stay distinguishable.
-    if (Message.find("unsupported opcode") != std::string::npos) {
-      R.Outcome = ScanPrefixOutcome::Unsupported;
-      R.Message = address() + " predates scan_prefix";
-      return R;
-    }
-    R.Outcome = ScanPrefixOutcome::Failed;
-    R.Message = "scan_prefix: " + Message;
+    // A server that refuses the request has not said that nothing
+    // matched.
+    R.Message = "scan_prefix: " + In.str();
     return R;
   }
   if (Response.Op != Opcode::Ok) {
-    R.Outcome = ScanPrefixOutcome::Failed;
     R.Message = "scan_prefix: unexpected response";
     return R;
   }
-  ByteReader In(Response.Payload);
   std::uint32_t Count = In.u32();
   R.Entries.reserve(std::min<std::uint32_t>(Count, 4096));
   for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I) {
@@ -242,9 +212,10 @@ RemoteCacheBackend::scanPrefix(const std::string &Prefix) const {
   }
   if (In.overrun() || R.Entries.size() != Count) {
     R.Entries.clear();
-    R.Outcome = ScanPrefixOutcome::Failed;
     R.Message = "scan_prefix: damaged listing";
+    return R;
   }
+  R.Outcome = ScanPrefixOutcome::Ok;
   return R;
 }
 
@@ -254,118 +225,74 @@ std::string RemoteCacheBackend::lockPath(const std::string &) const {
   return {};
 }
 
-bool RemoteCacheBackend::pruneRemote(std::uint64_t MaxBytes,
-                                     std::uint64_t MaxAgeSeconds,
-                                     std::uint64_t *EntriesOut,
-                                     std::uint64_t *RemovedOut) {
-  std::string Payload;
-  putU64(Payload, MaxBytes);
-  putU64(Payload, MaxAgeSeconds);
-  Frame Response;
-  if (!request(Opcode::Prune, Payload, Response) || Response.Op != Opcode::Ok)
-    return false;
-  ByteReader In(Response.Payload);
-  std::uint64_t Entries = In.u64();
-  std::uint64_t Removed = In.u64();
-  if (In.overrun())
-    return false;
-  if (EntriesOut)
-    *EntriesOut = Entries;
-  if (RemovedOut)
-    *RemovedOut = Removed;
-  return true;
-}
-
 bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
   Frame Response;
   if (!request(Opcode::Stats, {}, Response) || Response.Op != Opcode::Ok)
     return false;
   ByteReader In(Response.Payload);
-  std::uint32_t Shards = In.u32();
-  RemoteCacheStats S;
-  S.Shards.reserve(std::min<std::uint32_t>(Shards, 4096));
-  for (std::uint32_t I = 0; I < Shards && !In.overrun(); ++I) {
-    RemoteShardStats Sh;
-    Sh.Entries = In.u64();
-    Sh.Bytes = In.u64();
-    S.Shards.push_back(Sh);
-  }
-  S.Hits = In.u64();
-  S.Misses = In.u64();
-  if (In.overrun() || S.Shards.size() != Shards)
-    return false;
-  // Namespace extension: present iff bytes remain (a pre-namespace
-  // server's response ends exactly here).
-  if (!In.atEnd()) {
-    std::uint32_t ModelShards = In.u32();
-    S.ModelShards.reserve(std::min<std::uint32_t>(ModelShards, 4096));
-    for (std::uint32_t I = 0; I < ModelShards && !In.overrun(); ++I) {
+  // u32 shards, then {u64 entries, u64 bytes} per shard; false when the
+  // reply ends early.
+  auto ReadShards = [&In](std::vector<RemoteShardStats> &Shards) {
+    const std::uint32_t Count = In.u32();
+    for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I) {
       RemoteShardStats Sh;
       Sh.Entries = In.u64();
       Sh.Bytes = In.u64();
-      S.ModelShards.push_back(Sh);
+      Shards.push_back(Sh);
     }
-    S.ModelGets = In.u64();
-    S.ModelPuts = In.u64();
-    S.ModelRefPuts = In.u64();
-    S.ScanPrefixes = In.u64();
-    if (In.overrun() || S.ModelShards.size() != ModelShards || !In.atEnd())
-      return false;
-    S.HasModelStats = true;
-  }
+    return !In.overrun() && Shards.size() == Count;
+  };
+  RemoteCacheStats S;
+  if (!ReadShards(S.Shards))
+    return false;
+  S.Hits = In.u64();
+  S.Misses = In.u64();
+  if (!ReadShards(S.ModelShards))
+    return false;
+  S.ModelGets = In.u64();
+  S.ModelPuts = In.u64();
+  S.ModelRefPuts = In.u64();
+  S.ScanPrefixes = In.u64();
+  if (In.overrun() || !In.atEnd())
+    return false;
   Out = std::move(S);
   return true;
 }
 
 std::string fgbs::renderStatsJson(const RemoteCacheStats &S) {
   using obs::JsonValue;
-  auto ShardArray = [](const std::vector<RemoteShardStats> &Shards) {
+  // One namespace's {shards, entries, bytes}.
+  auto Footprint = [](const std::vector<RemoteShardStats> &Shards) {
     JsonValue Arr = JsonValue::array();
+    std::uint64_t Entries = 0, Bytes = 0;
     for (const RemoteShardStats &Sh : Shards) {
       JsonValue One = JsonValue::object();
       One.set("entries", JsonValue(static_cast<double>(Sh.Entries)));
       One.set("bytes", JsonValue(static_cast<double>(Sh.Bytes)));
       Arr.push(std::move(One));
+      Entries += Sh.Entries;
+      Bytes += Sh.Bytes;
     }
-    return Arr;
+    JsonValue Block = JsonValue::object();
+    Block.set("shards", std::move(Arr));
+    Block.set("entries", JsonValue(static_cast<double>(Entries)));
+    Block.set("bytes", JsonValue(static_cast<double>(Bytes)));
+    return Block;
   };
 
   JsonValue Doc = JsonValue::object();
   Doc.set("schema", JsonValue("fgbs.cachestats.v1"));
 
-  JsonValue Meas = JsonValue::object();
-  Meas.set("shards", ShardArray(S.Shards));
-  std::uint64_t Entries = 0, Bytes = 0;
-  for (const RemoteShardStats &Sh : S.Shards) {
-    Entries += Sh.Entries;
-    Bytes += Sh.Bytes;
-  }
-  Meas.set("entries", JsonValue(static_cast<double>(Entries)));
-  Meas.set("bytes", JsonValue(static_cast<double>(Bytes)));
+  JsonValue Meas = Footprint(S.Shards);
   Meas.set("hits", JsonValue(static_cast<double>(S.Hits)));
   Meas.set("misses", JsonValue(static_cast<double>(S.Misses)));
   Doc.set("meas", std::move(Meas));
 
-  // "model": null from a pre-namespace server — dashboards can tell
-  // "server cannot say" from "zero models".
-  if (S.HasModelStats) {
-    JsonValue Model = JsonValue::object();
-    Model.set("shards", ShardArray(S.ModelShards));
-    std::uint64_t MEntries = 0, MBytes = 0;
-    for (const RemoteShardStats &Sh : S.ModelShards) {
-      MEntries += Sh.Entries;
-      MBytes += Sh.Bytes;
-    }
-    Model.set("entries", JsonValue(static_cast<double>(MEntries)));
-    Model.set("bytes", JsonValue(static_cast<double>(MBytes)));
-    Model.set("gets", JsonValue(static_cast<double>(S.ModelGets)));
-    Model.set("puts", JsonValue(static_cast<double>(S.ModelPuts)));
-    Model.set("ref_puts", JsonValue(static_cast<double>(S.ModelRefPuts)));
-    Model.set("scan_prefixes",
-              JsonValue(static_cast<double>(S.ScanPrefixes)));
-    Doc.set("model", std::move(Model));
-  } else {
-    Doc.set("model", JsonValue());
-  }
+  JsonValue Model = Footprint(S.ModelShards);
+  Model.set("gets", JsonValue(static_cast<double>(S.ModelGets)));
+  Model.set("puts", JsonValue(static_cast<double>(S.ModelPuts)));
+  Model.set("ref_puts", JsonValue(static_cast<double>(S.ModelRefPuts)));
+  Model.set("scan_prefixes", JsonValue(static_cast<double>(S.ScanPrefixes)));
+  Doc.set("model", std::move(Model));
   return obs::writeJson(Doc, 2) + "\n";
 }

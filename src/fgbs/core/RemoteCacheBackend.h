@@ -69,10 +69,7 @@ struct RemoteCacheStats {
   std::vector<RemoteShardStats> Shards;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
-  /// Namespace extension (servers that speak the model/ namespace
-  /// append it; HasModelStats distinguishes "old server" from "all
-  /// zeros").
-  bool HasModelStats = false;
+  /// The model/ namespace's shards and counters.
   std::vector<RemoteShardStats> ModelShards;
   std::uint64_t ModelGets = 0;
   std::uint64_t ModelPuts = 0;
@@ -124,23 +121,18 @@ public:
   bool get(const std::string &Name, std::string &BytesOut) const override;
   bool put(const std::string &Name, std::string_view Bytes) override;
   bool remove(const std::string &Name) override;
+  /// A ScanPrefix round trip filtered by \p Suffix on this side; empty
+  /// when the listing failed.
   std::vector<CacheEntry> scan(const std::string &Prefix,
                                const std::string &Suffix) const override;
-  /// ScanPrefix round trip with typed degradation: Unsupported when the
-  /// server answers "unsupported opcode" (it predates ScanPrefix — an
-  /// empty listing from it means nothing), Failed when the network ate
-  /// the answer.  Never silently empty.
+  /// ScanPrefix round trip with typed degradation: Failed when the
+  /// network ate the answer or the server answered Error.  Never
+  /// silently empty.
   ScanPrefixResult scanPrefix(const std::string &Prefix) const override;
   /// One Ping: the registry's "is an empty/missing answer
   /// authoritative, or is the server down" probe.
   bool healthy() const override { return ping(); }
   std::string lockPath(const std::string &Name) const override;
-
-  /// Asks the server to prune every shard to the given budgets.  True
-  /// on a round trip; fills totals across shards.
-  bool pruneRemote(std::uint64_t MaxBytes, std::uint64_t MaxAgeSeconds,
-                   std::uint64_t *EntriesOut = nullptr,
-                   std::uint64_t *RemovedOut = nullptr);
 
   /// One Stats round trip; false on a network failure or a damaged
   /// reply.
@@ -153,6 +145,9 @@ private:
   /// otherwise.
   bool request(net::Opcode Op, std::string_view Payload,
                net::Frame &Response) const;
+  /// An Exists or Remove round trip: the one-byte flag of an Ok reply,
+  /// false on any failure.
+  bool flagRequest(net::Opcode Op, const std::string &Name) const;
 
   RemoteCacheConfig Config;
   /// Per-backend jitter seed so a fleet's retry schedules decorrelate.

@@ -10,11 +10,10 @@
 /// a RemoteCacheBackend: gets consult the local tier first, fall through
 /// to the remote, and a remote hit is written back into the local tier
 /// so the next run on this host never crosses the network for it.
-/// Puts land locally (the run's own durability) and are replicated to
-/// the remote asynchronously on a single write-back thread, so
-/// publishing a measurement never blocks a training run on a slow or
-/// dead network.  The thread starts with the first queued write-back,
-/// so a backend that only reads never starts one.
+/// Puts land locally (the run's own durability) and are then
+/// replicated to the remote in the same call; a failed replication is
+/// counted and the put still succeeds, so a slow or dead network costs
+/// a training run at most the client's retry budget, never its result.
 ///
 /// Scope rules keeping the tiers honest:
 ///  - The manifest (fgbs.meas.index.v1) is never replicated: access
@@ -39,22 +38,17 @@
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/core/RemoteCacheBackend.h"
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace fgbs {
 
-/// Local-then-remote read-through cache backend with asynchronous
+/// Local-then-remote read-through cache backend with synchronous
 /// remote write-back.
 class TieredCacheBackend final : public CacheBackend {
 public:
   TieredCacheBackend(std::unique_ptr<CacheBackend> Local,
                      std::unique_ptr<RemoteCacheBackend> Remote);
-  ~TieredCacheBackend() override;
 
   CacheBackend &local() { return *Local; }
   RemoteCacheBackend &remote() { return *Remote; }
@@ -77,33 +71,13 @@ public:
   bool healthy() const override { return Local->healthy(); }
   std::string lockPath(const std::string &Name) const override;
 
-  /// Blocks until every queued remote write-back has been attempted
-  /// (success or typed degradation).  remove() runs it first; the
-  /// destructor drains the queue the same way.
-  void flushWriteBacks();
-
   /// Whether \p Name crosses the network at all.  The manifest stays
   /// per-tier (each tier runs its own lifecycle).
   static bool replicated(const std::string &Name);
 
 private:
-  void writeBackLoop();
-  void enqueueWriteBack(const std::string &Name, std::string Bytes);
-
   std::unique_ptr<CacheBackend> Local;
   std::unique_ptr<RemoteCacheBackend> Remote;
-
-  struct WriteBack {
-    std::string Name;
-    std::string Bytes;
-  };
-  mutable std::mutex QueueMutex;
-  std::condition_variable QueueCv;
-  std::condition_variable DrainCv;
-  std::deque<WriteBack> Queue;
-  std::size_t InFlight = 0;
-  bool Stopping = false;
-  std::thread Writer; ///< Started by the first enqueueWriteBack.
 };
 
 } // namespace fgbs

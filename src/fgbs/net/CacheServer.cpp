@@ -11,6 +11,7 @@
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Crc32.h"
+#include "fgbs/support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
@@ -34,23 +35,6 @@ std::uint64_t steadyMs() {
 /// Stop-flag poll interval for accept and idle-connection waits.
 constexpr std::uint64_t kPollSliceMs = 250;
 
-bool isHexDigit(char C) {
-  return (C >= '0' && C <= '9') || (C >= 'a' && C <= 'f') ||
-         (C >= 'A' && C <= 'F');
-}
-
-unsigned hexValue(char C) {
-  if (C >= '0' && C <= '9')
-    return static_cast<unsigned>(C - '0');
-  if (C >= 'a' && C <= 'f')
-    return static_cast<unsigned>(C - 'a') + 10;
-  return static_cast<unsigned>(C - 'A') + 10;
-}
-
-} // namespace
-
-namespace {
-
 /// Per-shard slice of a whole-server byte budget.  Ceiling division so
 /// a tiny non-zero budget stays non-zero (0 means unbounded, and a
 /// 1-byte budget rounding down to "unbounded" would invert its intent).
@@ -58,6 +42,28 @@ std::uint64_t perShardBudget(std::uint64_t MaxBytes, unsigned Shards) {
   if (MaxBytes == 0 || Shards == 0)
     return 0;
   return (MaxBytes + Shards - 1) / Shards;
+}
+
+/// The shard a name with a content hash routes to: the hash's leading 8
+/// hex digits modulo \p Shards when \p Hex starts with them, else the
+/// CRC-32 of the whole \p Name.
+unsigned hashShard(std::string_view Name, std::string_view Hex,
+                   unsigned Shards) {
+  std::uint32_t Lead = 0;
+  for (std::size_t I = 0; I < 8; ++I) {
+    const char C = I < Hex.size() ? Hex[I] : '\0';
+    unsigned Digit = 0;
+    if (C >= '0' && C <= '9')
+      Digit = static_cast<unsigned>(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      Digit = static_cast<unsigned>(C - 'a') + 10;
+    else if (C >= 'A' && C <= 'F')
+      Digit = static_cast<unsigned>(C - 'A') + 10;
+    else
+      return crc32(Name) % Shards;
+    Lead = (Lead << 4) | Digit;
+  }
+  return Lead % Shards;
 }
 
 } // namespace
@@ -87,61 +93,45 @@ bool isValidPathSegment(std::string_view Seg) {
   return true;
 }
 
-} // namespace
+/// Where a wire entry name is stored.  A name is stored under itself:
+///
+///   <flat>            -> Meas  (isValidEntryName)
+///   model/<segments>  -> Model (own shards, own budgets)
+///
+/// Anything else is Invalid: another namespace, empty / "." / ".."
+/// segments, characters outside [A-Za-z0-9._-] in a namespaced
+/// segment, a trailing '/', "//", '~' anywhere (reserved as the storage
+/// '/'-escape), and names over 255 bytes — there is exactly one
+/// accepted spelling per entry, so validation cannot be dodged by an
+/// alternate encoding.
+enum class Space { Invalid, Meas, Model };
 
-bool fgbs::net::resolveEntryName(std::string_view WireName,
-                                 WireNamespace &NsOut,
-                                 std::string &StorageOut) {
-  if (WireName.empty() || WireName.size() > 255)
-    return false;
+Space entrySpace(std::string_view Name) {
+  if (Name.empty() || Name.size() > 255)
+    return Space::Invalid;
   // '~' is LocalDirBackend's on-disk '/'-escape; a wire name carrying
   // it could collide with a different entry's encoded file name.
-  if (WireName.find('~') != std::string_view::npos)
-    return false;
-  const std::size_t Slash = WireName.find('/');
-  if (Slash == std::string_view::npos) {
-    // Historical flat measurement name, validated as ever.
-    if (!isValidEntryName(WireName))
-      return false;
-    NsOut = WireNamespace::Meas;
-    StorageOut.assign(WireName);
-    return true;
-  }
-  const std::string_view Ns = WireName.substr(0, Slash);
-  const std::string_view Rest = WireName.substr(Slash + 1);
-  if (Ns == "meas") {
-    // Alias of the flat space: `meas/<entry>` and `<entry>` are one
-    // entry, so the flat rules (not the segment charset) apply and the
-    // stored name is the flat one.
-    if (!isValidEntryName(Rest))
-      return false;
-    NsOut = WireNamespace::Meas;
-    StorageOut.assign(Rest);
-    return true;
-  }
-  if (Ns != "model")
-    return false;
+  if (Name.find('~') != std::string_view::npos)
+    return Space::Invalid;
+  const std::size_t Slash = Name.find('/');
+  if (Slash == std::string_view::npos)
+    return isValidEntryName(Name) ? Space::Meas : Space::Invalid;
+  if (Name.substr(0, Slash) != "model")
+    return Space::Invalid;
   // model/<seg>/<seg>/... — every segment canonical, no empty segment
-  // (catches "//" and a trailing '/').
-  if (Rest.empty())
-    return false;
-  std::string_view Tail = Rest;
+  // (catches "model/", "//" and a trailing '/').
+  std::string_view Tail = Name.substr(Slash + 1);
   while (true) {
     const std::size_t Next = Tail.find('/');
-    const std::string_view Seg =
-        Next == std::string_view::npos ? Tail : Tail.substr(0, Next);
-    if (!isValidPathSegment(Seg))
-      return false;
+    if (!isValidPathSegment(Tail.substr(0, Next)))
+      return Space::Invalid;
     if (Next == std::string_view::npos)
-      break;
+      return Space::Model;
     Tail = Tail.substr(Next + 1);
-    if (Tail.empty()) // trailing '/'
-      return false;
   }
-  NsOut = WireNamespace::Model;
-  StorageOut.assign(WireName);
-  return true;
 }
+
+} // namespace
 
 unsigned CacheServer::shardForName(std::string_view Name, unsigned Shards) {
   if (Shards <= 1)
@@ -150,20 +140,9 @@ unsigned CacheServer::shardForName(std::string_view Name, unsigned Shards) {
   // content-hash digits so the key itself names the shard.
   constexpr std::string_view Prefix = "fgbs-meas-";
   constexpr std::string_view Suffix = ".v1";
-  if (Name.size() == Prefix.size() + 16 + Suffix.size() &&
-      Name.substr(0, Prefix.size()) == Prefix &&
-      Name.substr(Name.size() - Suffix.size()) == Suffix) {
-    bool AllHex = true;
-    std::uint32_t Lead = 0;
-    for (std::size_t I = 0; I < 8 && AllHex; ++I) {
-      char C = Name[Prefix.size() + I];
-      AllHex = isHexDigit(C);
-      Lead = (Lead << 4) | hexValue(C);
-    }
-    if (AllHex)
-      return Lead % Shards;
-  }
-  return crc32(Name) % Shards;
+  const bool Canonical = Name.size() == Prefix.size() + 16 + Suffix.size() &&
+                         Name.starts_with(Prefix) && Name.ends_with(Suffix);
+  return hashShard(Name, Canonical ? Name.substr(Prefix.size()) : "", Shards);
 }
 
 unsigned CacheServer::modelShardForName(std::string_view Name,
@@ -174,20 +153,9 @@ unsigned CacheServer::modelShardForName(std::string_view Name,
   // digits, like canonical measurement entries do.
   constexpr std::string_view Marker = "/sha/";
   const std::size_t Pos = Name.rfind(Marker);
-  if (Pos != std::string_view::npos) {
-    const std::string_view Hex = Name.substr(Pos + Marker.size());
-    if (Hex.size() >= 8) {
-      bool AllHex = true;
-      std::uint32_t Lead = 0;
-      for (std::size_t I = 0; I < 8 && AllHex; ++I) {
-        AllHex = isHexDigit(Hex[I]);
-        Lead = (Lead << 4) | hexValue(Hex[I]);
-      }
-      if (AllHex)
-        return Lead % Shards;
-    }
-  }
-  return crc32(Name) % Shards;
+  const std::string_view Hex =
+      Pos == std::string_view::npos ? "" : Name.substr(Pos + Marker.size());
+  return hashShard(Name, Hex, Shards);
 }
 
 CacheServer::CacheServer(CacheServerConfig Config)
@@ -298,10 +266,10 @@ bool CacheServer::respondError(Socket &Conn, const std::string &Message) {
   return respond(Conn, Opcode::Error, Payload);
 }
 
-CacheBackend &CacheServer::backendFor(bool Model, const std::string &Storage) {
+CacheBackend &CacheServer::backendFor(bool Model, const std::string &Name) {
   if (Model)
-    return *ModelShardBackends[modelShardForName(Storage, shards())];
-  return *ShardBackends[shardForName(Storage, shards())];
+    return *ModelShardBackends[modelShardForName(Name, shards())];
+  return *ShardBackends[shardForName(Name, shards())];
 }
 
 void CacheServer::pruneShard(unsigned Shard) {
@@ -314,49 +282,55 @@ void CacheServer::pruneShard(unsigned Shard) {
                   Config.MaxAgeSeconds);
 }
 
-CachePruneCounters CacheServer::pruneModelShard(unsigned Shard,
-                                                std::uint64_t MaxBytes,
-                                                std::uint64_t MaxAgeSeconds) {
+void CacheServer::pruneModelShard(unsigned Shard) {
   // The measurement manifest machinery only adopts fgbs-meas-* names,
   // so the model namespace gets its own (simpler) lifecycle: LRU by
   // storage mtime plus an age cutoff, over `sha/` blobs only.  Refs are
   // tiny and namable — pruning one would silently unpin a tag, whereas
   // pruning a snapshot produces the explicit dangling-ref condition the
   // registry client knows how to report.
-  CachePruneCounters Out;
   LocalDirBackend &Backend = *ModelShardBackends[Shard];
   std::vector<CacheEntry> Blobs;
+  std::uint64_t Bytes = 0;
   for (CacheEntry &E : Backend.scan("model/", "")) {
     if (E.Name.find("/sha/") == std::string::npos)
       continue;
-    Out.Entries += 1;
-    Out.BytesBefore += E.SizeBytes;
+    Bytes += E.SizeBytes;
     Blobs.push_back(std::move(E));
   }
-  Out.BytesAfter = Out.BytesBefore;
   std::sort(Blobs.begin(), Blobs.end(),
             [](const CacheEntry &A, const CacheEntry &B) {
               return A.AccessUnixSeconds < B.AccessUnixSeconds;
             });
   const std::int64_t Now = static_cast<std::int64_t>(std::time(nullptr));
-  const std::uint64_t Budget = perShardBudget(MaxBytes, shards());
+  const std::uint64_t Budget = perShardBudget(Config.ModelMaxBytes, shards());
+  const std::uint64_t MaxAge = Config.ModelMaxAgeSeconds;
   for (const CacheEntry &E : Blobs) {
     const bool OverAge =
-        MaxAgeSeconds && Now - E.AccessUnixSeconds >
-                             static_cast<std::int64_t>(MaxAgeSeconds);
-    const bool OverBytes = Budget && Out.BytesAfter > Budget;
-    if (!OverAge && !OverBytes)
-      continue;
-    if (!Backend.remove(E.Name))
-      continue;
-    Out.Removed += 1;
-    Out.BytesAfter -= E.SizeBytes;
+        MaxAge && Now - E.AccessUnixSeconds > static_cast<std::int64_t>(MaxAge);
+    const bool OverBytes = Budget && Bytes > Budget;
+    if ((OverAge || OverBytes) && Backend.remove(E.Name))
+      Bytes -= E.SizeBytes;
   }
-  return Out;
 }
 
 bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   ByteReader In(Request.Payload);
+  // Exists, Get, Put and Remove start with the entry's wire name.
+  const bool NamesEntry =
+      Request.Op == Opcode::Exists || Request.Op == Opcode::Get ||
+      Request.Op == Opcode::Put || Request.Op == Opcode::Remove;
+  std::string Name;
+  bool Model = false;
+  if (NamesEntry) {
+    Name = In.str();
+    const Space Ns = In.overrun() ? Space::Invalid : entrySpace(Name);
+    if (Ns == Space::Invalid) {
+      const std::string Op = opcodeName(Request.Op);
+      return respondError(Conn, Op + ": bad name");
+    }
+    Model = Ns == Space::Model;
+  }
   switch (Request.Op) {
   case Opcode::Ping: {
     std::string Out;
@@ -365,27 +339,13 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     return respond(Conn, Opcode::Ok, Out);
   }
 
-  case Opcode::Exists: {
-    std::string Name = In.str();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage))
-      return respondError(Conn, "exists: bad name");
-    const bool Model = Ns == WireNamespace::Model;
-    std::string Out;
-    Out.push_back(backendFor(Model, Storage).exists(Storage) ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
+  case Opcode::Exists:
+    return respond(Conn, Opcode::Ok,
+                   std::string(1, backendFor(Model, Name).exists(Name)));
 
   case Opcode::Get: {
-    std::string Name = In.str();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage))
-      return respondError(Conn, "get: bad name");
-    const bool Model = Ns == WireNamespace::Model;
     std::string Bytes;
-    if (!backendFor(Model, Storage).get(Storage, Bytes)) {
+    if (!backendFor(Model, Name).get(Name, Bytes)) {
       FGBS_COUNTER_ADD("cachesrv.get.misses", 1);
       StatMisses.fetch_add(1, std::memory_order_relaxed);
       return respond(Conn, Opcode::NotFound, {});
@@ -398,109 +358,28 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   }
 
   case Opcode::Put: {
-    std::string Name = In.str();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage))
-      return respondError(Conn, "put: bad name");
-    const bool Model = Ns == WireNamespace::Model;
     // The blob is the rest of the payload, unframed — no second length
     // field to disagree with the frame's.
     std::string_view Blob =
         std::string_view(Request.Payload).substr(4 + Name.size());
-    if (!backendFor(Model, Storage).put(Storage, Blob))
+    if (!backendFor(Model, Name).put(Name, Blob))
       return respondError(Conn, "put: cannot publish '" + Name + "'");
     FGBS_COUNTER_ADD("cachesrv.puts", 1);
     if (Model) {
       StatModelPuts.fetch_add(1, std::memory_order_relaxed);
-      if (Storage.find("/ref/") != std::string::npos)
+      if (Name.find("/ref/") != std::string::npos)
         StatModelRefPuts.fetch_add(1, std::memory_order_relaxed);
       if (Config.ModelMaxBytes || Config.ModelMaxAgeSeconds)
-        pruneModelShard(modelShardForName(Storage, shards()),
-                        Config.ModelMaxBytes, Config.ModelMaxAgeSeconds);
+        pruneModelShard(modelShardForName(Name, shards()));
     } else if (Config.MaxBytes || Config.MaxAgeSeconds) {
-      pruneShard(shardForName(Storage, shards()));
+      pruneShard(shardForName(Name, shards()));
     }
     return respond(Conn, Opcode::Ok, {});
   }
 
-  case Opcode::Remove: {
-    std::string Name = In.str();
-    WireNamespace Ns;
-    std::string Storage;
-    if (In.overrun() || !resolveEntryName(Name, Ns, Storage))
-      return respondError(Conn, "remove: bad name");
-    const bool Model = Ns == WireNamespace::Model;
-    std::string Out;
-    Out.push_back(backendFor(Model, Storage).remove(Storage) ? 1 : 0);
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::Scan: {
-    std::string Prefix = In.str();
-    std::string Suffix = In.str();
-    if (In.overrun())
-      return respondError(Conn, "scan: damaged filters");
-    std::vector<CacheEntry> All;
-    for (const auto &Shard : ShardBackends) {
-      std::vector<CacheEntry> Part = Shard->scan(Prefix, Suffix);
-      All.insert(All.end(), std::make_move_iterator(Part.begin()),
-                 std::make_move_iterator(Part.end()));
-    }
-    std::string Out;
-    putU32(Out, static_cast<std::uint32_t>(All.size()));
-    for (const CacheEntry &E : All) {
-      putStr(Out, E.Name);
-      putU64(Out, E.SizeBytes);
-      putU64(Out, static_cast<std::uint64_t>(E.AccessUnixSeconds));
-    }
-    return respond(Conn, Opcode::Ok, Out);
-  }
-
-  case Opcode::Prune: {
-    std::uint64_t MaxBytes = In.u64();
-    std::uint64_t MaxAgeSeconds = In.u64();
-    if (In.overrun())
-      return respondError(Conn, "prune: damaged budgets");
-    // Namespace-aware clients append a second budget pair for model/;
-    // its absence means "measurements only", which is exactly what a
-    // pre-namespace client asks for.
-    std::uint64_t ModelMaxBytes = 0, ModelMaxAgeSeconds = 0;
-    bool PruneModels = false;
-    if (In.remaining() >= 16) {
-      ModelMaxBytes = In.u64();
-      ModelMaxAgeSeconds = In.u64();
-      if (In.overrun() || !In.atEnd())
-        return respondError(Conn, "prune: damaged budgets");
-      PruneModels = true;
-    }
-    CachePruneStats Total;
-    for (unsigned I = 0; I < shards(); ++I) {
-      MeasurementCache Shardwise(
-          std::make_unique<LocalDirBackend>(ShardBackends[I]->dir()));
-      CachePruneStats S =
-          Shardwise.prune(perShardBudget(MaxBytes, shards()), MaxAgeSeconds);
-      Total.Entries += S.Entries;
-      Total.Removed += S.Removed;
-      Total.BytesBefore += S.BytesBefore;
-      Total.BytesAfter += S.BytesAfter;
-    }
-    if (PruneModels && (ModelMaxBytes || ModelMaxAgeSeconds))
-      for (unsigned I = 0; I < shards(); ++I) {
-        CachePruneCounters S =
-            pruneModelShard(I, ModelMaxBytes, ModelMaxAgeSeconds);
-        Total.Entries += S.Entries;
-        Total.Removed += S.Removed;
-        Total.BytesBefore += S.BytesBefore;
-        Total.BytesAfter += S.BytesAfter;
-      }
-    std::string Out;
-    putU64(Out, Total.Entries);
-    putU64(Out, Total.Removed);
-    putU64(Out, Total.BytesBefore);
-    putU64(Out, Total.BytesAfter);
-    return respond(Conn, Opcode::Ok, Out);
-  }
+  case Opcode::Remove:
+    return respond(Conn, Opcode::Ok,
+                   std::string(1, backendFor(Model, Name).remove(Name)));
 
   case Opcode::ScanPrefix: {
     std::string Prefix = In.str();
@@ -514,22 +393,10 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
         Prefix.empty() || std::string_view(Prefix).substr(0, 6) == "model/";
     const bool WantMeas = !WantModel || Prefix.empty();
     std::vector<CacheEntry> All;
-    if (WantMeas) {
-      // `meas/<p>` filters the flat space by `<p>` but reports the
-      // spelling the client asked in, so returned names feed straight
-      // back into Get.
-      std::string Flat = Prefix;
-      std::string Respell;
-      if (std::string_view(Prefix).substr(0, 5) == "meas/") {
-        Flat = Prefix.substr(5);
-        Respell = "meas/";
-      }
+    if (WantMeas)
       for (const auto &Shard : ShardBackends)
-        for (CacheEntry &E : Shard->scan(Flat, "")) {
-          E.Name = Respell + E.Name;
+        for (CacheEntry &E : Shard->scan(Prefix, ""))
           All.push_back(std::move(E));
-        }
-    }
     if (WantModel)
       for (const auto &Shard : ModelShardBackends)
         for (CacheEntry &E : Shard->scan(Prefix.empty() ? "model/" : Prefix,
@@ -549,30 +416,22 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     if (!Request.Payload.empty())
       return respondError(Conn, "stats: unexpected payload");
     std::string Out;
-    putU32(Out, shards());
-    for (const auto &Shard : ShardBackends) {
-      std::uint64_t Entries = 0, Bytes = 0;
-      for (const CacheEntry &E : Shard->scan("", "")) {
-        ++Entries;
-        Bytes += E.SizeBytes;
+    auto PutFootprints = [&Out](const auto &Shards) {
+      putU32(Out, static_cast<std::uint32_t>(Shards.size()));
+      for (const auto &Shard : Shards) {
+        std::uint64_t Entries = 0, Bytes = 0;
+        for (const CacheEntry &E : Shard->scan("", "")) {
+          ++Entries;
+          Bytes += E.SizeBytes;
+        }
+        putU64(Out, Entries);
+        putU64(Out, Bytes);
       }
-      putU64(Out, Entries);
-      putU64(Out, Bytes);
-    }
+    };
+    PutFootprints(ShardBackends);
     putU64(Out, StatHits.load(std::memory_order_relaxed));
     putU64(Out, StatMisses.load(std::memory_order_relaxed));
-    // Namespace extension: appended after the pre-namespace layout so
-    // old clients (which stop reading here) still parse the response.
-    putU32(Out, shards());
-    for (const auto &Shard : ModelShardBackends) {
-      std::uint64_t Entries = 0, Bytes = 0;
-      for (const CacheEntry &E : Shard->scan("", "")) {
-        ++Entries;
-        Bytes += E.SizeBytes;
-      }
-      putU64(Out, Entries);
-      putU64(Out, Bytes);
-    }
+    PutFootprints(ModelShardBackends);
     putU64(Out, StatModelGets.load(std::memory_order_relaxed));
     putU64(Out, StatModelPuts.load(std::memory_order_relaxed));
     putU64(Out, StatModelRefPuts.load(std::memory_order_relaxed));

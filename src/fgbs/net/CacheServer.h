@@ -19,10 +19,9 @@
 /// per-server, never per-client (clients address the server, not the
 /// shards).
 ///
-/// Namespaces: wire names without '/' are the historical flat
-/// measurement space; `meas/<entry>` is an alias for that same space
-/// (one entry, two spellings), and `model/<name>/...` is a separate set
-/// of model shard directories with its own byte/age budgets — model
+/// Namespaces: wire names without '/' are the flat measurement space,
+/// and `model/<name>/...` is a separate set of model shard directories
+/// with its own byte/age budgets — model
 /// snapshots are large and long-lived, and must not be evicted by
 /// measurement churn (nor crowd measurements out).  Within the model
 /// namespace only `.../sha/<hex>` blobs are budget-pruned; tiny
@@ -52,7 +51,6 @@
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/net/Framing.h"
 #include "fgbs/net/Socket.h"
-#include "fgbs/support/ThreadPool.h"
 
 #include <atomic>
 #include <cstdint>
@@ -78,8 +76,8 @@ struct CacheServerConfig {
   /// TCP port; 0 = kernel-chosen ephemeral (read back via port()).
   std::uint16_t Port = 0;
   /// Per-shard lifecycle budgets, enforced by pruning a shard after
-  /// each store into it and by the Prune opcode (0 = unbounded).  The
-  /// byte budget is the whole server's; each shard gets an equal split.
+  /// each store into it (0 = unbounded).  The byte budget is the whole
+  /// server's; each shard gets an equal split.
   std::uint64_t MaxBytes = 0;
   std::uint64_t MaxAgeSeconds = 0;
   /// Same, scoped to the model/ namespace (its shard set is pruned
@@ -91,15 +89,6 @@ struct CacheServerConfig {
   std::uint64_t IdleTimeoutMs = 30000;
   /// Deadline for each single frame send/receive once started.
   std::uint64_t IoTimeoutMs = 10000;
-};
-
-/// pruneModelShard's tally (mirrors core CachePruneStats without
-/// pulling MeasurementCache.h into this header).
-struct CachePruneCounters {
-  std::uint64_t Entries = 0;
-  std::uint64_t Removed = 0;
-  std::uint64_t BytesBefore = 0;
-  std::uint64_t BytesAfter = 0;
 };
 
 /// The daemon: start() binds and serves in background threads until
@@ -150,23 +139,18 @@ private:
   bool respond(Socket &Conn, Opcode Op, std::string_view Payload);
   bool respondError(Socket &Conn, const std::string &Message);
 
-  /// The backend a resolved wire name stores into: a measurement shard
-  /// keyed on the flat storage name, or a model shard keyed on the
-  /// namespaced one.
-  CacheBackend &backendFor(bool Model, const std::string &Storage);
+  /// The shard an entry name is stored in: a measurement shard for a
+  /// flat name, a model shard for a `model/...` one.
+  CacheBackend &backendFor(bool Model, const std::string &Name);
   void pruneShard(unsigned Shard);
   /// LRU + age pruning over one model shard's `sha/` blobs (refs are
-  /// exempt); budgets are the per-shard slice of \p MaxBytes /
-  /// \p MaxAgeSeconds.  Returns {entries, removed, bytes-before,
-  /// bytes-after} aggregated over sha blobs only.
-  CachePruneCounters pruneModelShard(unsigned Shard, std::uint64_t MaxBytes,
-                                     std::uint64_t MaxAgeSeconds);
+  /// exempt) to the per-shard slice of the model budgets.
+  void pruneModelShard(unsigned Shard);
 
   CacheServerConfig Config;
   Listener Listen;
   std::vector<std::unique_ptr<LocalDirBackend>> ShardBackends;
   std::vector<std::unique_ptr<LocalDirBackend>> ModelShardBackends;
-  std::unique_ptr<ThreadPool> Pool;
   std::thread ServeThread;
   std::atomic<bool> StopFlag{false};
   std::atomic<bool> Running{false};
@@ -185,27 +169,6 @@ private:
 /// at most 255 bytes, no path separators, and not "." or ".." — the
 /// server rejects anything else before it touches the filesystem.
 bool isValidEntryName(std::string_view Name);
-
-/// Which namespace a resolved wire name lives in.
-enum class WireNamespace {
-  Meas,  ///< The historical flat measurement space.
-  Model, ///< `model/...` artifact space (own shards, own budgets).
-};
-
-/// Resolves a wire entry name to its namespace and storage name.
-///
-///   <flat>            -> Meas, storage "<flat>"      (back-compat)
-///   meas/<flat>       -> Meas, storage "<flat>"      (alias)
-///   model/<segments>  -> Model, storage "model/<segments>"
-///
-/// Rejects (returns false): any other namespace, empty / "." / ".." /
-/// over-long segments, characters outside [A-Za-z0-9._-] in a
-/// namespaced segment, a trailing '/', "//", '~' anywhere (reserved as
-/// the storage '/'-escape), and names over 255 bytes — there is exactly
-/// one accepted spelling per entry, so validation cannot be dodged by
-/// an alternate encoding.
-bool resolveEntryName(std::string_view WireName, WireNamespace &NsOut,
-                      std::string &StorageOut);
 
 } // namespace net
 } // namespace fgbs

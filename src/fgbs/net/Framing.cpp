@@ -7,13 +7,15 @@
 
 #include "fgbs/net/Framing.h"
 
-#include "fgbs/support/BinaryIo.h"
-#include "fgbs/support/Crc32.h"
-
-#include <cstring>
-
 using namespace fgbs;
 using namespace fgbs::net;
+
+namespace {
+
+constexpr framed::Format kWireFormat = {kWireMagic, kWireVersion,
+                                        "fgbs.cachewire.v1 frame"};
+
+} // namespace
 
 const char *fgbs::net::opcodeName(Opcode Op) {
   switch (Op) {
@@ -27,10 +29,6 @@ const char *fgbs::net::opcodeName(Opcode Op) {
     return "put";
   case Opcode::Remove:
     return "remove";
-  case Opcode::Scan:
-    return "scan";
-  case Opcode::Prune:
-    return "prune";
   case Opcode::Stats:
     return "stats";
   case Opcode::ScanPrefix:
@@ -68,14 +66,9 @@ const char *fgbs::net::wireErrorName(WireError E) {
 }
 
 std::string fgbs::net::encodeFrame(Opcode Op, std::string_view Payload) {
-  std::string Out;
-  Out.reserve(kWireHeaderBytes + Payload.size());
-  Out.append(kWireMagic, sizeof(kWireMagic));
-  binio::putU32(Out, kWireVersion);
-  binio::putU32(Out, static_cast<std::uint32_t>(Op));
-  binio::putU64(Out, Payload.size());
-  binio::putU32(Out, crc32(Payload));
+  std::string Out = framed::blank(Payload.size());
   Out.append(Payload);
+  framed::seal(Out, kWireFormat, static_cast<std::uint32_t>(Op));
   return Out;
 }
 
@@ -98,18 +91,19 @@ WireError fgbs::net::readFrame(Socket &S, Frame &Out,
   case RecvStatus::Error:
     return WireError::Io;
   }
-  if (std::memcmp(Header, kWireMagic, sizeof(kWireMagic)) != 0)
+  framed::Header Head;
+  switch (framed::readHeader(std::string_view(Header, sizeof(Header)),
+                             kWireFormat, Head)) {
+  case framed::Status::Ok:
+    break;
+  case framed::Status::BadMagic:
     return WireError::BadMagic;
-
-  binio::ByteReader In(std::string_view(Header + sizeof(kWireMagic),
-                                        sizeof(Header) -
-                                            sizeof(kWireMagic)));
-  std::uint32_t Version = In.u32();
-  std::uint32_t OpRaw = In.u32();
-  std::uint64_t PayloadSize = In.u64();
-  std::uint32_t Crc = In.u32();
-  if (Version != kWireVersion)
+  case framed::Status::UnsupportedVersion:
     return WireError::UnsupportedVersion;
+  default: // A whole header was read: nothing else can fail here.
+    return WireError::Io;
+  }
+  const std::uint64_t PayloadSize = Head.PayloadBytes;
   if (PayloadSize > kWireMaxPayloadBytes)
     return WireError::Oversize;
 
@@ -125,10 +119,10 @@ WireError fgbs::net::readFrame(Socket &S, Frame &Out,
       return WireError::Io;
     }
   }
-  if (crc32(Payload) != Crc)
+  if (!framed::checksumMatches(Head, Payload))
     return WireError::ChecksumMismatch;
 
-  Out.Op = static_cast<Opcode>(OpRaw);
+  Out.Op = static_cast<Opcode>(Head.Minor); // The wire's minor is its opcode.
   Out.Payload = std::move(Payload);
   return WireError::None;
 }

@@ -26,12 +26,9 @@
 
 #include "fgbs/core/CacheBackend.h"
 #include "fgbs/support/BinaryIo.h"
-#include "fgbs/support/Crc32.h"
-#include "fgbs/support/Sha256.h"
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -44,6 +41,9 @@ using namespace fgbs::binio;
 namespace {
 
 using Reader = binio::ByteReader;
+
+constexpr framed::Format kSnapshotFormat = {
+    kSnapshotMagic, kSnapshotVersionMajor, "fgbs.model.v1 snapshot"};
 
 SnapshotLoadResult failed(SnapshotError E, std::string Message) {
   SnapshotLoadResult R;
@@ -246,9 +246,7 @@ SnapshotError service::validateSnapshot(const ModelSnapshot &S,
 //===----------------------------------------------------------------------===//
 
 std::string service::serializeSnapshot(const ModelSnapshot &S) {
-  // The payload is written after a header-sized gap that is filled in
-  // once the payload's size and CRC are known.
-  std::string Out(kSnapshotHeaderBytes, '\0');
+  std::string Out = framed::blank();
   putStr(Out, S.SuiteName);
   putStr(Out, S.ReferenceName);
 
@@ -285,51 +283,17 @@ std::string service::serializeSnapshot(const ModelSnapshot &S) {
     for (double V : T.RepresentativeSeconds)
       putF64(Out, V);
   }
-
-  const std::string_view Payload =
-      std::string_view(Out).substr(kSnapshotHeaderBytes);
-  std::string Header(kSnapshotMagic, sizeof(kSnapshotMagic));
-  putU32(Header, kSnapshotVersionMajor);
-  putU32(Header, kSnapshotVersionMinor);
-  putU64(Header, Payload.size());
-  putU32(Header, crc32(Payload));
-  Out.replace(0, kSnapshotHeaderBytes, Header);
+  framed::seal(Out, kSnapshotFormat, kSnapshotVersionMinor);
   return Out;
 }
 
 SnapshotLoadResult service::parseSnapshot(std::string_view Bytes) {
-  if (Bytes.size() >= sizeof(kSnapshotMagic) &&
-      std::memcmp(Bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0)
-    return failed(SnapshotError::BadMagic, "not an fgbs.model snapshot");
-  if (Bytes.size() < kSnapshotHeaderBytes)
-    return failed(SnapshotError::Truncated,
-                  "file shorter than the snapshot header");
+  const framed::Opened Blob = framed::open(Bytes, kSnapshotFormat);
+  if (!Blob)
+    return failed(framed::typedError<SnapshotError>(Blob.State),
+                  framed::describe(Blob, kSnapshotFormat));
 
-  Reader Header(Bytes.substr(sizeof(kSnapshotMagic),
-                             kSnapshotHeaderBytes - sizeof(kSnapshotMagic)));
-  std::uint32_t Major = Header.u32();
-  std::uint32_t Minor = Header.u32();
-  std::uint64_t PayloadSize = Header.u64();
-  std::uint32_t Crc = Header.u32();
-
-  if (Major != kSnapshotVersionMajor)
-    return failed(SnapshotError::UnsupportedVersion,
-                  "snapshot major version " + std::to_string(Major) +
-                      " (this reader speaks " +
-                      std::to_string(kSnapshotVersionMajor) + ")");
-
-  std::string_view Payload = Bytes.substr(kSnapshotHeaderBytes);
-  if (Payload.size() < PayloadSize)
-    return failed(SnapshotError::Truncated,
-                  "payload shorter than the header announces");
-  if (Payload.size() > PayloadSize)
-    return failed(SnapshotError::Malformed,
-                  "trailing bytes after the announced payload");
-  if (crc32(Payload) != Crc)
-    return failed(SnapshotError::ChecksumMismatch,
-                  "payload bytes do not match the stored CRC-32");
-
-  Reader In(Payload);
+  Reader In(Blob.Payload);
   ModelSnapshot S;
   S.SuiteName = In.str();
   S.ReferenceName = In.str();
@@ -398,7 +362,7 @@ SnapshotLoadResult service::parseSnapshot(std::string_view Bytes) {
 
   // Minor-version forward compatibility: a newer writer appends fields
   // we skip; a file of our own minor version must end exactly here.
-  if (Minor <= kSnapshotVersionMinor && !In.atEnd())
+  if (Blob.Head.Minor <= kSnapshotVersionMinor && !In.atEnd())
     return failed(SnapshotError::Malformed,
                   "trailing garbage after the last snapshot field");
 
@@ -440,8 +404,4 @@ SnapshotLoadResult service::loadSnapshotFile(const std::string &Path) {
   if (!readWholeFile(Path, Bytes))
     return failed(SnapshotError::Io, "cannot read '" + Path + "'");
   return parseSnapshot(Bytes);
-}
-
-std::string service::snapshotSha256Hex(std::string_view SnapshotBytes) {
-  return sha256Hex(SnapshotBytes);
 }

@@ -16,14 +16,10 @@
 /// SelectionService needs to classify new codelets and predict their
 /// target times without re-running the pipeline.
 ///
-/// File layout (all integers little-endian):
-///
-///   [0..8)   magic "FGBSMDL1"
-///   [8..12)  u32 version major (this writer: 1)
-///   [12..16) u32 version minor (this writer: 0)
-///   [16..24) u64 payload size in bytes
-///   [24..28) u32 CRC-32 (IEEE) of the payload
-///   [28.. )  payload (see Snapshot.cpp for the field-by-field order)
+/// File layout: the 28-byte support/FramedBlob header (magic
+/// "FGBSMDL1", version major 1, minor 0, payload size, CRC-32 of the
+/// payload), then the payload (see Snapshot.cpp for the field-by-field
+/// order; all integers little-endian).
 ///
 /// Compatibility policy: a reader rejects any major version it does not
 /// know (UnsupportedVersion).  Minor versions are additive — a v1.N
@@ -41,6 +37,7 @@
 #define FGBS_SERVICE_SNAPSHOT_H
 
 #include "fgbs/core/Pipeline.h"
+#include "fgbs/support/FramedBlob.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -58,7 +55,7 @@ inline constexpr char kSnapshotMagic[8] = {'F', 'G', 'B', 'S',
 inline constexpr std::uint32_t kSnapshotVersionMajor = 1;
 inline constexpr std::uint32_t kSnapshotVersionMinor = 0;
 /// Fixed header size preceding the payload.
-inline constexpr std::size_t kSnapshotHeaderBytes = 28;
+inline constexpr std::size_t kSnapshotHeaderBytes = framed::kHeaderBytes;
 
 /// Per-target slice of the model: the representatives' standalone
 /// measurements on one target machine (the only thing a user must run on
@@ -160,13 +157,6 @@ void saveSnapshot(std::ostream &OS, const ModelSnapshot &S);
 bool saveSnapshotFile(const std::string &Path, const ModelSnapshot &S);
 SnapshotLoadResult loadSnapshot(std::istream &IS);
 SnapshotLoadResult loadSnapshotFile(const std::string &Path);
-
-/// The content address of a serialized snapshot: SHA-256 over the whole
-/// file image (header + payload), as 64 lowercase hex digits.  This is
-/// the `<hex>` in a registry `model/<name>/sha/<hex>` key, and what a
-/// consumer re-verifies after every pull — the header's CRC-32 catches
-/// accidental damage, the digest pins identity.
-std::string snapshotSha256Hex(std::string_view SnapshotBytes);
 
 } // namespace service
 } // namespace fgbs

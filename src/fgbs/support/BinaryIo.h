@@ -44,6 +44,11 @@ inline void storeLe32(char *P, std::uint32_t V) {
   P[3] = static_cast<char>(V >> 24);
 }
 
+inline void storeLe64(char *P, std::uint64_t V) {
+  storeLe32(P, static_cast<std::uint32_t>(V));
+  storeLe32(P + 4, static_cast<std::uint32_t>(V >> 32));
+}
+
 /// The little-endian word at \p P, assembled byte by byte so the result
 /// depends on neither the host's byte order nor the alignment (compilers
 /// fold it into one load on little-endian targets).
@@ -69,8 +74,7 @@ inline void putU32(std::string &Out, std::uint32_t V) {
 
 inline void putU64(std::string &Out, std::uint64_t V) {
   char Bytes[8];
-  detail::storeLe32(Bytes, static_cast<std::uint32_t>(V));
-  detail::storeLe32(Bytes + 4, static_cast<std::uint32_t>(V >> 32));
+  detail::storeLe64(Bytes, V);
   Out.append(Bytes, 8);
 }
 

@@ -277,8 +277,8 @@ TYPED_TEST_P(CacheBackendConformance, ScanPrefixEnumeratesNamesAndSizes) {
 
 TYPED_TEST_P(CacheBackendConformance, ScanPrefixEmptyIsAuthoritative) {
   // "Nothing under that prefix" must come back as Ok-with-no-entries —
-  // the caller distinguishes an authoritative empty listing from an old
-  // server (Unsupported) or a dead one (Failed).
+  // the caller distinguishes an authoritative empty listing from a dead
+  // or refusing server (Failed).
   CacheBackend &B = this->H.backend();
   ScanPrefixResult R = B.scanPrefix("model/conf-absent/");
   EXPECT_EQ(R.Outcome, ScanPrefixOutcome::Ok) << R.Message;

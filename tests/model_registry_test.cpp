@@ -5,9 +5,8 @@
 // round trips through an in-memory registry, hash-mismatched payloads
 // (remote AND local tampering) never reaching a caller, dead-registry
 // degradation to the memoized local copy, dangling refs as typed
-// errors, concurrent publishers racing a ref without tearing it, and an
-// old pre-namespace server answering scan-by-prefix with a typed
-// Unsupported.
+// errors, concurrent publishers racing a ref without tearing it, and a
+// server that refuses scan-by-prefix yielding a typed Failed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -579,14 +578,14 @@ TEST_F(LiveRegistryTest, RacingPublishersNeverTearTheRef) {
 }
 
 //===----------------------------------------------------------------------===//
-// Old-server detection: scan-by-prefix must degrade to a typed
-// Unsupported, not an empty "authoritative" listing
+// A refused scan-by-prefix must come back as a typed Failed, not an
+// empty "authoritative" listing
 //===----------------------------------------------------------------------===//
 
-TEST(ScanPrefixCompat, OldServerYieldsTypedUnsupported) {
-  // A minimal fgbs.cachewire.v1 speaker that predates ScanPrefix: it
-  // answers every request the way the real pre-namespace server
-  // answers unknown opcodes — a typed Error frame naming the opcode.
+TEST(ScanPrefixCompat, RefusedScanIsFailedNotAnEmptyListing) {
+  // A minimal fgbs.cachewire.v1 speaker that refuses everything but
+  // Ping with a typed Error frame naming the opcode, the way a server
+  // answers an opcode it does not serve.
   net::Listener L;
   std::string Error;
   ASSERT_TRUE(L.listenOn("127.0.0.1", 0, 4, &Error)) << Error;
@@ -620,7 +619,9 @@ TEST(ScanPrefixCompat, OldServerYieldsTypedUnsupported) {
   Config.MaxAttempts = 1;
   RemoteCacheBackend Client(std::move(Config));
   ScanPrefixResult R = Client.scanPrefix("model/");
-  EXPECT_EQ(R.Outcome, ScanPrefixOutcome::Unsupported) << R.Message;
+  EXPECT_EQ(R.Outcome, ScanPrefixOutcome::Failed) << R.Message;
+  EXPECT_NE(R.Message.find("unsupported opcode"), std::string::npos)
+      << R.Message;
   EXPECT_TRUE(R.Entries.empty());
 
   // And ModelRegistry::list surfaces the same typed outcome.
@@ -633,7 +634,7 @@ TEST(ScanPrefixCompat, OldServerYieldsTypedUnsupported) {
                          }()),
                          "");
   ScanPrefixResult Via = Registry.list("");
-  EXPECT_EQ(Via.Outcome, ScanPrefixOutcome::Unsupported);
+  EXPECT_EQ(Via.Outcome, ScanPrefixOutcome::Failed);
 
   Stop = true;
   OldServer.join();

@@ -47,14 +47,6 @@ std::vector<std::pair<net::Opcode, std::string>> frameCorpus() {
   std::string Put = Name;
   Put += "some entry bytes, not structured";
   add(net::Opcode::Put, Put);
-  std::string Scan;
-  putStr(Scan, "fgbs-meas-");
-  putStr(Scan, ".v1");
-  add(net::Opcode::Scan, Scan);
-  std::string Prune;
-  putU64(Prune, 1 << 20);
-  putU64(Prune, 3600);
-  add(net::Opcode::Prune, Prune);
   add(net::Opcode::Stats, "");
   std::string ScanPrefix;
   putStr(ScanPrefix, "model/suite/");
@@ -262,14 +254,16 @@ TEST_F(FuzzServer, RejectsMalformedNamespacedNamesWithTypedErrors) {
       "model/x/..",            // dot-dot leaf
       "model/x y/z",           // whitespace in a segment
       "model/x\x01y",          // control byte in a segment
-      "meas/",                 // alias with no rest
-      "meas/..",               // alias of an invalid flat name
+      "meas/",                 // the retired alias, with no rest
+      "meas/..",               // the retired alias of an invalid name
       "meas/x/y",              // the flat space has no sub-paths
       "snapshots/x",           // unknown namespace
       "model/x~y/z",           // reserved flat-encoding escape byte
       "fgbs~meas",             // reserved escape in a flat name
       "/model/x",              // absolute-looking spelling
       "model/" + std::string(300, 'a'), // over the 255-byte entry limit
+      // The retired alias of the flat space, with a valid flat name.
+      "meas/fgbs-meas-0123456789abcdef.v1",
   };
   net::Socket S = connect();
   ASSERT_TRUE(S.valid());
@@ -295,7 +289,6 @@ TEST_F(FuzzServer, RejectsMalformedNamespacedNamesWithTypedErrors) {
   // The canonical spellings still work on the same connection.
   for (const std::string &Good :
        {std::string("model/suite/sha/") + std::string(64, 'e'),
-        std::string("meas/fgbs-meas-0123456789abcdef.v1"),
         std::string("fgbs-meas-0123456789abcdef.v1")}) {
     std::string Payload;
     putStr(Payload, Good);
@@ -308,12 +301,21 @@ TEST_F(FuzzServer, RejectsMalformedNamespacedNamesWithTypedErrors) {
 }
 
 TEST_F(FuzzServer, UnassignedOpcodesAnswerTypedErrorsAndKeepTheConnection) {
-  // Opcodes 7-8 once took and gave back a writer lock on the server,
-  // and 9-13 drove a server-side work queue; they are unassigned now.
-  // A client still sending them, with the payloads they used to carry,
-  // must get a typed Error on a connection that stays usable — never
-  // Ok, a drop, or a crash.
+  // Opcodes 5 and 6 were a suffix-filtered scan and a server-wide
+  // prune, 7-8 took and gave back a writer lock on the server, and 9-13
+  // drove a server-side work queue; they are unassigned now.  A client
+  // still sending them, with the payloads they used to carry, must get
+  // a typed Error on a connection that stays usable — never Ok, a drop,
+  // or a crash.
   const std::string Name = "fgbs-meas-0123456789abcdef.v1";
+  std::string Scan;
+  putStr(Scan, "fgbs-meas-");
+  putStr(Scan, ".v1");
+  std::string Prune;
+  putU64(Prune, 1 << 20);
+  putU64(Prune, 3600);
+  putU64(Prune, 1 << 30);
+  putU64(Prune, 86400);
   std::string Acquire;
   putStr(Acquire, Name);
   putU64(Acquire, 0x1234u);
@@ -337,8 +339,8 @@ TEST_F(FuzzServer, UnassignedOpcodesAnswerTypedErrorsAndKeepTheConnection) {
   putStr(Finish, Name);
   putU64(Finish, 0xBEEFu);
   const std::vector<std::pair<std::uint32_t, std::string>> Retired = {
-      {7, Acquire}, {8, Release}, {9, Enqueue}, {10, Claim},
-      {11, Renew},  {12, Finish}, {13, Finish}};
+      {5, Scan},   {6, Prune},  {7, Acquire}, {8, Release}, {9, Enqueue},
+      {10, Claim}, {11, Renew}, {12, Finish}, {13, Finish}};
 
   net::Socket S = connect();
   ASSERT_TRUE(S.valid());

@@ -166,19 +166,21 @@ TEST(Framing, WriteFrameReadFrameAcrossThreads) {
   SocketPair Pair;
   const std::string Payload(1u << 16, 'z');
   std::thread Writer([&] {
-    EXPECT_TRUE(writeFrame(Pair.A, Opcode::Scan, Payload, 5000));
+    EXPECT_TRUE(writeFrame(Pair.A, Opcode::Put, Payload, 5000));
   });
   Frame Out;
   EXPECT_EQ(readFrame(Pair.B, Out, 5000), WireError::None);
   Writer.join();
-  EXPECT_EQ(Out.Op, Opcode::Scan);
+  EXPECT_EQ(Out.Op, Opcode::Put);
   EXPECT_EQ(Out.Payload, Payload);
 }
 
 TEST(Framing, NamesAreStable) {
   EXPECT_STREQ(opcodeName(Opcode::Ping), "ping");
-  EXPECT_STREQ(opcodeName(Opcode::Prune), "prune");
-  EXPECT_STREQ(opcodeName(static_cast<Opcode>(7)), "unknown");
+  EXPECT_STREQ(opcodeName(Opcode::ScanPrefix), "scan_prefix");
+  // 5 and 6 were Scan and Prune; like 7-13 they are unassigned.
+  for (std::uint32_t Raw : {5u, 6u, 7u})
+    EXPECT_STREQ(opcodeName(static_cast<Opcode>(Raw)), "unknown") << Raw;
   EXPECT_STREQ(opcodeName(Opcode::Error), "error");
   EXPECT_STREQ(wireErrorName(WireError::ChecksumMismatch),
                "checksum_mismatch");

@@ -1,8 +1,9 @@
 //===- tests/remote_cache_test.cpp - the networked cache tier -------------===//
 //
 // The remote measurement-cache tier end to end: shard addressing, the
-// fgbs_cached server's opcode surface over a real loopback socket, the
-// jittered retry schedule, tiered read-through/write-back semantics,
+// fgbs_cached server's opcode surface over a real loopback socket,
+// put-time pruning in both namespaces, the jittered retry schedule,
+// tiered read-through/write-through semantics,
 // typed degradation when the server dies, and the headline guarantee —
 // a second host with a cold local directory trains with zero simulation
 // and byte-identical results.
@@ -17,6 +18,7 @@
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/service/Snapshot.h"
 #include "fgbs/suites/Synthetic.h"
+#include "fgbs/support/BinaryIo.h"
 
 #include <gtest/gtest.h>
 
@@ -217,9 +219,15 @@ TEST(CacheServer, TraversalNamesRejected) {
   EXPECT_FALSE(fs::exists(Dir.Path / "escape.v1"));
 }
 
-TEST(CacheServer, WirePruneEvictsOverBudget) {
+TEST(CacheServer, MaxBytesEvictsMeasurementEntriesAfterPut) {
+  // One shard with room for two 10 kB entries: each put prunes the shard
+  // it landed in, so the third put leaves two entries behind.  Which one
+  // goes depends on access times in whole seconds, so only the count
+  // and the footprint are checked.
   TempDir Dir("prune");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  Config.MaxBytes = 25000;
+  net::CacheServer Server(Config);
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Client(clientConfig(Server));
@@ -227,14 +235,44 @@ TEST(CacheServer, WirePruneEvictsOverBudget) {
   const std::string Blob(10000, 'p');
   ASSERT_TRUE(Client.put("fgbs-meas-0000000000000001.v1", Blob));
   ASSERT_TRUE(Client.put("fgbs-meas-0000000100000002.v1", Blob));
+  EXPECT_EQ(Client.scan("fgbs-meas-", ".v1").size(), 2u);
   ASSERT_TRUE(Client.put("fgbs-meas-0000000200000003.v1", Blob));
 
-  std::uint64_t Entries = 0, Removed = 0;
-  ASSERT_TRUE(Client.pruneRemote(/*MaxBytes=*/1, /*MaxAgeSeconds=*/0,
-                                 &Entries, &Removed));
-  EXPECT_EQ(Entries, 3u);
-  EXPECT_EQ(Removed, 3u);
-  EXPECT_TRUE(Client.scan("fgbs-meas-", ".v1").empty());
+  std::uint64_t Footprint = 0;
+  const std::vector<CacheEntry> Left = Client.scan("fgbs-meas-", ".v1");
+  for (const CacheEntry &E : Left)
+    Footprint += E.SizeBytes;
+  EXPECT_EQ(Left.size(), 2u);
+  EXPECT_LE(Footprint, Config.MaxBytes);
+}
+
+TEST(CacheServer, ModelMaxBytesEvictsShaBlobsButNeverRefs) {
+  // The model namespace prunes its sha/ blobs to --model-max-bytes
+  // after each put into it; refs are exempt, so a tag whose blob aged
+  // out dangles instead of vanishing.  The measurement budget is
+  // unbounded and a measurement entry is untouched.
+  TempDir Dir("modelprune");
+  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  Config.ModelMaxBytes = 1;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Client(clientConfig(Server));
+
+  const std::string Meas = "fgbs-meas-0000000000000001.v1";
+  const std::string Sha = "model/pruned/sha/" + std::string(64, 'a');
+  const std::string Ref = "model/pruned/ref/latest";
+  ASSERT_TRUE(Client.put(Meas, std::string(10000, 'm')));
+  ASSERT_TRUE(Client.put(Sha, std::string(10000, 's')));
+  EXPECT_FALSE(Client.exists(Sha)) << "a blob over budget is evicted";
+  ASSERT_TRUE(Client.put(Ref, std::string(10000, 'r')));
+  EXPECT_TRUE(Client.exists(Ref)) << "refs are never budget-pruned";
+  EXPECT_TRUE(Client.exists(Meas));
+
+  ScanPrefixResult Models = Client.scanPrefix("model/pruned/");
+  ASSERT_TRUE(static_cast<bool>(Models)) << Models.Message;
+  ASSERT_EQ(Models.Entries.size(), 1u);
+  EXPECT_EQ(Models.Entries[0].Name, Ref);
 }
 
 TEST(CacheServer, SurvivesDamagedFramesFromOtherClients) {
@@ -382,21 +420,23 @@ TEST(Tiered, RemoteHitPopulatesLocalTier) {
   obs::setEnabled(false);
 }
 
-TEST(Tiered, PutWritesBackToRemoteAsynchronously) {
+TEST(Tiered, PutWritesThroughToRemote) {
   TempDir Dir("writeback");
   net::CacheServer Server(loopbackConfig(Dir, 2));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
 
   const std::string Name = "fgbs-meas-00000000000000e1.v1";
-  {
-    TieredCacheBackend Tiered(
-        std::make_unique<LocalDirBackend>((Dir.Path / "local").string()),
-        std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
-    ASSERT_TRUE(Tiered.put(Name, "published locally"));
-    Tiered.flushWriteBacks();
-  }
+  TieredCacheBackend Tiered(
+      std::make_unique<LocalDirBackend>((Dir.Path / "local").string()),
+      std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
+  obs::MetricsRegistry::global().reset();
+  obs::setEnabled(true);
+  ASSERT_TRUE(Tiered.put(Name, "published locally"));
+  EXPECT_EQ(obs::counterTotal("db.cache.tier.writebacks"), 1u);
+  obs::setEnabled(false);
 
+  // The put has reached the server by the time it returns.
   RemoteCacheBackend Checker(clientConfig(Server));
   std::string Bytes;
   ASSERT_TRUE(Checker.get(Name, Bytes));
@@ -413,58 +453,41 @@ TEST(Tiered, ManifestNeverCrossesTheNetwork) {
       std::make_unique<LocalDirBackend>((Dir.Path / "local").string()),
       std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
   ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "local manifest"));
-  Tiered.flushWriteBacks();
 
   RemoteCacheBackend Checker(clientConfig(Server));
   EXPECT_FALSE(Checker.exists(kMeasurementIndexName));
 }
 
-namespace {
-
-/// The threads of this process, from /proc/self/task.
-std::size_t threadCount() {
-  std::size_t N = 0;
-  for ([[maybe_unused]] const fs::directory_entry &E :
-       fs::directory_iterator("/proc/self/task"))
-    ++N;
-  return N;
-}
-
-} // namespace
-
-// Every fresh-host load builds a tiered backend that only reads; it must
-// not pay for a write-back thread.
-// No server: its own threads would start while this test counts.
-TEST(Tiered, ReadOnlyBackendStartsNoThread) {
+// Every fresh-host load builds a tiered backend over a server that may
+// be down: the local tier must keep serving reads and taking puts, and a
+// replication that fails is counted, never a failed put.
+TEST(Tiered, LocalTierServesWhileTheServerIsDown) {
   TempDir Dir("readonly");
   const std::string LocalDir = (Dir.Path / "local").string();
   const std::string Name = "fgbs-meas-00000000000000e2.v1";
   ASSERT_TRUE(LocalDirBackend(LocalDir).put(Name, "local bytes"));
 
-  const std::size_t Before = threadCount();
-  {
-    TieredCacheBackend Tiered(
-        std::make_unique<LocalDirBackend>(LocalDir),
-        std::make_unique<RemoteCacheBackend>(deadServerConfig()));
-    std::string Bytes;
-    ASSERT_TRUE(Tiered.get(Name, Bytes));
-    EXPECT_EQ(Bytes, "local bytes");
-    EXPECT_TRUE(Tiered.exists(Name));
-    EXPECT_EQ(Tiered.scan("fgbs-meas-", ".v1").size(), 1u);
-    Tiered.flushWriteBacks();
-    EXPECT_EQ(threadCount(), Before);
+  TieredCacheBackend Tiered(
+      std::make_unique<LocalDirBackend>(LocalDir),
+      std::make_unique<RemoteCacheBackend>(deadServerConfig()));
+  std::string Bytes;
+  ASSERT_TRUE(Tiered.get(Name, Bytes));
+  EXPECT_EQ(Bytes, "local bytes");
+  EXPECT_TRUE(Tiered.exists(Name));
+  EXPECT_EQ(Tiered.scan("fgbs-meas-", ".v1").size(), 1u);
 
-    // The manifest is never replicated, so its put queues nothing.
-    ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "manifest"));
-    EXPECT_EQ(threadCount(), Before);
+  obs::MetricsRegistry::global().reset();
+  obs::setEnabled(true);
+  // The manifest is never replicated, so its put sends nothing.
+  ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "manifest"));
+  EXPECT_EQ(obs::counterTotal("db.cache.remote.errors"), 0u);
 
-    ASSERT_TRUE(Tiered.put("fgbs-meas-00000000000000e3.v1", "queued"));
-    EXPECT_GE(threadCount(), Before + 1) << "a queued put starts the writer";
-  }
-  // A joined thread can stay listed for a moment after join returns.
-  for (int Poll = 0; Poll < 100 && threadCount() != Before; ++Poll)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(threadCount(), Before);
+  const std::string Fresh = "fgbs-meas-00000000000000e3.v1";
+  ASSERT_TRUE(Tiered.put(Fresh, "kept locally"));
+  EXPECT_EQ(obs::counterTotal("db.cache.tier.writeback_failures"), 1u);
+  obs::setEnabled(false);
+  ASSERT_TRUE(Tiered.get(Fresh, Bytes));
+  EXPECT_EQ(Bytes, "kept locally");
 }
 
 TEST(Tiered, QueuedPutReachesServerAfterRemoveAndDestruction) {
@@ -482,15 +505,15 @@ TEST(Tiered, QueuedPutReachesServerAfterRemoveAndDestruction) {
         std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
     ASSERT_TRUE(Tiered.put(Kept, "kept"));
     ASSERT_TRUE(Tiered.put(Removed, "removed"));
-    // remove() drains the queue first: the other entry is published and
-    // the removed one is not republished after the remove.
+    // remove() deletes from both tiers: the other entry stays published
+    // and the removed one is gone from the server.
     EXPECT_TRUE(Tiered.remove(Removed));
     std::string Bytes;
     ASSERT_TRUE(Checker.get(Kept, Bytes));
     EXPECT_EQ(Bytes, "kept");
     EXPECT_FALSE(Checker.exists(Removed));
 
-    // Queued and never flushed: the destructor drains it.
+    // The last put before the backend goes away reaches the server too.
     ASSERT_TRUE(Tiered.put(Last, "last"));
   }
   std::string Bytes;
@@ -678,7 +701,6 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
 
   RemoteCacheStats Stats;
   ASSERT_TRUE(Client.statsRemote(Stats));
-  ASSERT_TRUE(Stats.HasModelStats);
   // ModelPuts counts every model-namespace store; ModelRefPuts is the
   // ref-only sub-count.
   EXPECT_EQ(Stats.ModelPuts, 2u);
@@ -718,23 +740,34 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
   Server.stop();
 }
 
-TEST(StatsJson, PreNamespaceServerRendersModelNull) {
-  // A stats reply without the namespace extension (an old server) must
-  // render "model": null — distinguishable from "zero models" — while
-  // the measurement half stays fully populated.
+TEST(StatsJson, ReplyWithoutTheModelBlockIsRejected) {
+  // Every server sends the model block, so a reply that ends after the
+  // measurement counters is damaged, not a server with no models.
+  net::Listener L;
+  std::string Error;
+  ASSERT_TRUE(L.listenOn("127.0.0.1", 0, 4, &Error)) << Error;
+  std::thread Cut([&L] {
+    net::Socket Conn = L.acceptOnce(5000);
+    net::Frame Request;
+    if (!Conn.valid() ||
+        net::readFrame(Conn, Request, 5000) != net::WireError::None)
+      return;
+    std::string Reply;
+    binio::putU32(Reply, 1);    // one shard
+    binio::putU64(Reply, 7);    // its entries
+    binio::putU64(Reply, 4096); // its bytes
+    binio::putU64(Reply, 3);    // hits
+    binio::putU64(Reply, 0);    // misses, and nothing after
+    net::writeFrame(Conn, net::Opcode::Ok, Reply, 5000);
+  });
+  RemoteCacheConfig Config;
+  Config.Host = "127.0.0.1";
+  Config.Port = L.port();
+  Config.MaxAttempts = 1;
+  RemoteCacheBackend Client(Config);
   RemoteCacheStats Stats;
-  Stats.Shards.resize(1);
-  Stats.Shards[0].Entries = 7;
-  Stats.Shards[0].Bytes = 4096;
-  Stats.Hits = 3;
-  ASSERT_FALSE(Stats.HasModelStats);
-  const std::string Json = renderStatsJson(Stats);
-  std::optional<obs::JsonValue> Doc = obs::parseJson(Json);
-  ASSERT_TRUE(Doc.has_value()) << Json;
-  const obs::JsonValue *Model = Doc->find("model");
-  ASSERT_NE(Model, nullptr);
-  EXPECT_TRUE(Model->isNull());
-  EXPECT_EQ(Doc->find("meas")->find("entries")->number(), 7.0);
+  EXPECT_FALSE(Client.statsRemote(Stats));
+  Cut.join();
 }
 
 } // namespace

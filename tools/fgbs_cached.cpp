@@ -220,18 +220,16 @@ int main(int argc, char **argv) {
     std::cout << "total: " << Entries << " entries, " << Bytes << " bytes\n"
               << "requests: " << Stats.Hits << " hits, " << Stats.Misses
               << " misses\n";
-    if (Stats.HasModelStats) {
-      std::uint64_t ModelEntries = 0, ModelBytes = 0;
-      for (const RemoteShardStats &S : Stats.ModelShards) {
-        ModelEntries += S.Entries;
-        ModelBytes += S.Bytes;
-      }
-      std::cout << "model: " << ModelEntries << " entries, " << ModelBytes
-                << " bytes across " << Stats.ModelShards.size()
-                << " shards; " << Stats.ModelGets << " gets, "
-                << Stats.ModelPuts << " puts, " << Stats.ModelRefPuts
-                << " ref puts, " << Stats.ScanPrefixes << " scans\n";
+    std::uint64_t ModelEntries = 0, ModelBytes = 0;
+    for (const RemoteShardStats &S : Stats.ModelShards) {
+      ModelEntries += S.Entries;
+      ModelBytes += S.Bytes;
     }
+    std::cout << "model: " << ModelEntries << " entries, " << ModelBytes
+              << " bytes across " << Stats.ModelShards.size() << " shards; "
+              << Stats.ModelGets << " gets, " << Stats.ModelPuts << " puts, "
+              << Stats.ModelRefPuts << " ref puts, " << Stats.ScanPrefixes
+              << " scans\n";
     return 0;
   }
 

@@ -88,7 +88,7 @@ int usage(std::ostream &OS, int Exit) {
         "                 a fleet (default: FGBS_MEAS_CACHE_REMOTE).  With\n"
         "                 --cache DIR the cache is tiered: local reads\n"
         "                 first, remote hits fill the local tier, stores\n"
-        "                 replicate asynchronously.  An unreachable server\n"
+        "                 go to the server too.  An unreachable server\n"
         "                 degrades to the local tier with a warning; it\n"
         "                 never fails the run\n"
         "  --cache-max-bytes N\n"
