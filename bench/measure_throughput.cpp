@@ -149,9 +149,8 @@ void BM_Crc32(benchmark::State &State) {
 BENCHMARK(BM_Crc32)->Arg(65536);
 
 /// One uncontended acquire/release of the cross-process writer lock —
-/// the fixed overhead a cold store pays on top of simulation, and the
-/// per-update cost of the manifest lock.  Dominated by the open/flock
-/// syscall pair.
+/// the fixed overhead a cold store pays on top of simulation for its
+/// per-entry lock.  Dominated by the open/flock syscall pair.
 void BM_FileLockCycle(benchmark::State &State) {
   std::filesystem::path Dir =
       std::filesystem::temp_directory_path() / "fgbs_bench_file_lock";

@@ -7,6 +7,9 @@
 
 #include "fgbs/core/CacheBackend.h"
 
+#include "fgbs/obs/Metrics.h"
+
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <ctime>
@@ -63,7 +66,13 @@ bool fgbs::atomicWriteFile(const std::string &Path, std::string_view Bytes) {
   return true;
 }
 
-bool fgbs::readWholeFile(const std::string &Path, std::string &BytesOut) {
+namespace {
+
+/// readWholeFile(), and when \p Refresh is set, a file whose mtime is
+/// kEntryRefreshSeconds or more old (judged from the fstat the read
+/// makes anyway) gets the current time as its mtime.
+bool readRegularFile(const std::string &Path, std::string &BytesOut,
+                     bool Refresh) {
   // O_NONBLOCK: a FIFO in an entry's place must not hang the reader.
   const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (Fd < 0)
@@ -86,10 +95,20 @@ bool fgbs::readWholeFile(const std::string &Path, std::string &BytesOut) {
     }
     Bytes.resize(Done);
   }
+  // Best effort: an entry this user may not stamp (a shared read-only
+  // directory) still loads; it just ages as if unread.
+  if (Ok && Refresh && std::time(nullptr) - St.st_mtime >= kEntryRefreshSeconds)
+    ::futimens(Fd, nullptr);
   ::close(Fd);
   if (Ok)
     BytesOut = std::move(Bytes);
   return Ok;
+}
+
+} // namespace
+
+bool fgbs::readWholeFile(const std::string &Path, std::string &BytesOut) {
+  return readRegularFile(Path, BytesOut, /*Refresh=*/false);
 }
 
 LocalDirBackend::LocalDirBackend(std::string Dir) : Dir(std::move(Dir)) {
@@ -126,7 +145,7 @@ bool LocalDirBackend::exists(const std::string &Name) const {
 
 bool LocalDirBackend::get(const std::string &Name,
                           std::string &BytesOut) const {
-  return readWholeFile(fullPath(Name), BytesOut);
+  return readRegularFile(fullPath(Name), BytesOut, /*Refresh=*/true);
 }
 
 bool LocalDirBackend::put(const std::string &Name, std::string_view Bytes) {
@@ -159,8 +178,8 @@ std::vector<CacheEntry> LocalDirBackend::scan(const std::string &Prefix,
       continue;
     std::string FileName = It->path().filename().string();
     // atomicWriteFile() temp files are never entries, whatever the
-    // filters say: a crashed writer's leftovers must not be loaded,
-    // counted against byte budgets, or adopted by a manifest rescan.
+    // filters say: a crashed writer's leftovers must not be loaded or
+    // counted against byte budgets.
     // Old ones are debris (no live writer renames after an hour) and
     // are swept here, the one place that already walks the directory.
     if (FileName.find(".tmp.") != std::string::npos) {
@@ -191,4 +210,40 @@ std::vector<CacheEntry> LocalDirBackend::scan(const std::string &Prefix,
 
 std::string LocalDirBackend::lockPath(const std::string &Name) const {
   return fullPath(Name) + ".lock";
+}
+
+CachePruneStats fgbs::pruneEntries(LocalDirBackend &Dir,
+                                   std::vector<CacheEntry> Entries,
+                                   std::uint64_t MaxBytes,
+                                   std::uint64_t MaxAgeSeconds,
+                                   std::string_view JustStored) {
+  // Times are whole seconds, so the entry just stored can tie with an
+  // older one; it ranks first so a put is never evicted by its own prune.
+  std::sort(Entries.begin(), Entries.end(),
+            [JustStored](const CacheEntry &A, const CacheEntry &B) {
+              if ((A.Name == JustStored) != (B.Name == JustStored))
+                return A.Name == JustStored;
+              if (A.AccessUnixSeconds != B.AccessUnixSeconds)
+                return A.AccessUnixSeconds > B.AccessUnixSeconds;
+              return A.Name < B.Name;
+            });
+  CachePruneStats Stats;
+  Stats.Entries = Entries.size();
+  const std::int64_t Now = static_cast<std::int64_t>(std::time(nullptr));
+  bool Evicting = false;
+  for (const CacheEntry &E : Entries) {
+    Stats.BytesBefore += E.SizeBytes;
+    const std::int64_t Age = Now - E.AccessUnixSeconds;
+    Evicting = Evicting ||
+               (MaxAgeSeconds != 0 && Age > 0 &&
+                static_cast<std::uint64_t>(Age) > MaxAgeSeconds) ||
+               (MaxBytes != 0 && Stats.BytesAfter + E.SizeBytes > MaxBytes);
+    if (Evicting && Dir.remove(E.Name))
+      ++Stats.Removed;
+    else
+      Stats.BytesAfter += E.SizeBytes; // Kept, or its removal failed.
+  }
+  if (Stats.Removed > 0)
+    FGBS_COUNTER_ADD("db.cache.evictions", Stats.Removed);
+  return Stats;
 }

@@ -6,20 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The storage seam under core/MeasurementCache: named blobs with
-/// atomic publish, enumeration, and (optionally) a lock-file location
-/// for cross-process writer coordination.
+/// The storage seam under core/MeasurementCache and core/ModelRegistry:
+/// named blobs with atomic publish, enumeration, and (optionally) a
+/// lock-file location for same-host writer coordination.
 ///
-/// LocalDirBackend is the one shipping implementation — a flat
-/// directory of content-addressed `fgbs-meas-*.v1` files where put() is
+/// LocalDirBackend is a flat directory of blobs where put() is
 /// write-to-temp-in-the-same-directory + rename, so readers only ever
 /// observe absent or complete entries (the temp file lives next to its
 /// target, never in /tmp, because rename(2) is only atomic within one
-/// filesystem).  The interface is deliberately dumb-blob-shaped so the
-/// ROADMAP's sharded remote tier (HTTP/object store; content-addressed
-/// keys make it natural) can slot in without touching the cache logic:
-/// a remote backend returns an empty lockPath() and brings its own
-/// atomicity.
+/// filesystem).  It backs a host's cache directory and every shard of
+/// net/CacheServer.  core/RemoteCacheBackend speaks the same interface
+/// over the wire and returns an empty lockPath() (the server brings its
+/// own atomicity); core/TieredCacheBackend composes the two.
+///
+/// Each entry file is its own record of last use: a put sets its mtime,
+/// and a LocalDirBackend::get sets it to now when it is
+/// kEntryRefreshSeconds or more old.  pruneEntries() is the one
+/// eviction rule over those times, for the client's directory and both
+/// server namespaces alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +44,9 @@ namespace fgbs {
 struct CacheEntry {
   std::string Name;
   std::uint64_t SizeBytes = 0;
-  /// Last-use time (unix seconds).  scan() reports the storage-level
-  /// modification time; the manifest layer overlays true access times.
+  /// Last-use time (unix seconds): the entry's mtime, which a put sets
+  /// and a LocalDirBackend::get refreshes once it is
+  /// kEntryRefreshSeconds old.
   std::int64_t AccessUnixSeconds = 0;
 };
 
@@ -134,6 +139,10 @@ bool readWholeFile(const std::string &Path, std::string &BytesOut);
 /// never reports any temp file as an entry, whatever the scan filters).
 inline constexpr std::int64_t kStaleTempFileSeconds = 3600;
 
+/// A get refreshes an entry's mtime (its last use) only when it is at
+/// least this old, so a warm run's steady state reads and never writes.
+inline constexpr std::int64_t kEntryRefreshSeconds = 60;
+
 /// A flat directory of blobs (created on first use).
 ///
 /// Namespaced entry names (`model/<name>/sha/<hex>`) are stored flat:
@@ -149,6 +158,8 @@ public:
   const std::string &dir() const { return Dir; }
 
   bool exists(const std::string &Name) const override;
+  /// Reads the entry and, when its mtime is kEntryRefreshSeconds or more
+  /// old, sets it to now: the read is a use.
   bool get(const std::string &Name, std::string &BytesOut) const override;
   bool put(const std::string &Name, std::string_view Bytes) override;
   bool remove(const std::string &Name) override;
@@ -167,6 +178,28 @@ private:
 
   std::string Dir;
 };
+
+/// What pruneEntries() did.
+struct CachePruneStats {
+  std::size_t Entries = 0;       ///< Candidate entries before pruning.
+  std::size_t Removed = 0;       ///< Entries deleted.
+  std::uint64_t BytesBefore = 0; ///< Candidate bytes before pruning.
+  std::uint64_t BytesAfter = 0;  ///< Candidate bytes after pruning.
+};
+
+/// The eviction rule: sorts \p Entries (a scan of \p Dir) most recently
+/// used first, with \p JustStored, the entry whose put triggered the
+/// prune, ranked first and other ties ordered by name; keeps the longest
+/// prefix whose entries are all at most \p MaxAgeSeconds old and fit
+/// \p MaxBytes together (0 = unbounded), and removes the rest from
+/// \p Dir.  Needs no lock: a prune only removes, and a removal that
+/// races a read or another prune costs at most one re-simulation.
+/// Counts removals as db.cache.evictions.
+CachePruneStats pruneEntries(LocalDirBackend &Dir,
+                             std::vector<CacheEntry> Entries,
+                             std::uint64_t MaxBytes,
+                             std::uint64_t MaxAgeSeconds,
+                             std::string_view JustStored = {});
 
 } // namespace fgbs
 

@@ -39,15 +39,11 @@
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Rng.h"
 
-#include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
-#include <sstream>
 
 using namespace fgbs;
 using namespace fgbs::binio;
@@ -462,16 +458,10 @@ MeasurementLoadResult fgbs::loadMeasurementsFile(const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// The manifest (fgbs.meas.index.v1) and lifecycle logic
+// Lifecycle: typed stores and pruning
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::int64_t nowUnixSeconds() {
-  return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t envU64(const char *Name) {
   const char *Raw = std::getenv(Name);
@@ -482,56 +472,8 @@ std::uint64_t envU64(const char *Name) {
   return (End && *End == '\0') ? static_cast<std::uint64_t>(V) : 0;
 }
 
-/// Parses the manifest text; false means corrupt (callers rescan).
-bool parseManifest(std::string_view Text, std::vector<CacheEntry> &Out) {
-  std::istringstream In{std::string(Text)};
-  std::string Line;
-  if (!std::getline(In, Line) || Line != kMeasurementIndexName)
-    return false;
-  std::vector<CacheEntry> Entries;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    std::istringstream Fields(Line);
-    CacheEntry E;
-    if (!(Fields >> E.AccessUnixSeconds >> E.SizeBytes >> E.Name) ||
-        E.Name.empty())
-      return false;
-    std::string Extra;
-    if (Fields >> Extra)
-      return false;
-    Entries.push_back(std::move(E));
-  }
-  Out = std::move(Entries);
-  return true;
-}
-
-std::string renderManifest(const std::vector<CacheEntry> &Entries) {
-  std::string Out = kMeasurementIndexName;
-  Out.push_back('\n');
-  for (const CacheEntry &E : Entries) {
-    Out += std::to_string(E.AccessUnixSeconds);
-    Out.push_back(' ');
-    Out += std::to_string(E.SizeBytes);
-    Out.push_back(' ');
-    Out += E.Name;
-    Out.push_back('\n');
-  }
-  return Out;
-}
-
-/// Most recently used first; name-ordered among ties for determinism.
-void sortLru(std::vector<CacheEntry> &Entries) {
-  std::sort(Entries.begin(), Entries.end(),
-            [](const CacheEntry &A, const CacheEntry &B) {
-              if (A.AccessUnixSeconds != B.AccessUnixSeconds)
-                return A.AccessUnixSeconds > B.AccessUnixSeconds;
-              return A.Name < B.Name;
-            });
-}
-
 /// Every lock acquisition in the cache layer funnels through here so
-/// the db.cache.lock.* counters cover entry and manifest locks alike.
+/// the db.cache.lock.* counters cover every entry lock.
 FileLock::AcquireResult acquireCounted(FileLock &Lock,
                                        const FileLock::Options &O) {
   FileLock::AcquireResult R = Lock.acquire(O);
@@ -552,21 +494,18 @@ MeasurementCacheError lockError(const FileLock::AcquireResult &R) {
                                            : MeasurementCacheError::Io;
 }
 
-/// Manifest updates are quick bookkeeping: give them a short slice of
-/// the writer budget so a wedged manifest lock cannot stall a build.
-FileLock::Options manifestOptions(const FileLock::Options &Base) {
-  FileLock::Options O = Base;
-  O.TimeoutMs = std::min<std::uint64_t>(Base.TimeoutMs, 5000);
-  return O;
-}
-
-constexpr char kEntryPrefix[] = "fgbs-meas-";
-constexpr char kEntrySuffix[] = ".v1";
-
 } // namespace
 
 std::uint64_t fgbs::measurementCacheEnvMaxBytes() {
   return envU64("FGBS_MEAS_CACHE_MAX_BYTES");
+}
+
+CachePruneStats fgbs::pruneMeasurementEntries(LocalDirBackend &Dir,
+                                              std::uint64_t MaxBytes,
+                                              std::uint64_t MaxAgeSeconds,
+                                              std::string_view JustStored) {
+  return pruneEntries(Dir, Dir.scan("fgbs-meas-", ".v1"), MaxBytes,
+                      MaxAgeSeconds, JustStored);
 }
 
 MeasurementCache::MeasurementCache(const std::string &Dir)
@@ -583,50 +522,6 @@ bool MeasurementCache::exists(std::uint64_t Key) const {
   return BackendPtr->exists(measurementCacheFileName(Key));
 }
 
-void MeasurementCache::touchEntry(const std::string &Name,
-                                  std::uint64_t SizeBytes) {
-  // Backends without a manifest lock location manage their own
-  // lifecycle where the blobs live (the fgbs_cached server prunes its
-  // shards); no client-side manifest exists to update.
-  if (BackendPtr->lockPath(kMeasurementIndexName).empty())
-    return;
-  const std::int64_t Now = nowUnixSeconds();
-  // Relatime fast path: manifest writes are skipped while the entry's
-  // recorded access time is fresh.  The read is lock-free — manifests
-  // are published atomically, so any version we see is consistent.
-  {
-    std::string Raw;
-    std::vector<CacheEntry> Entries;
-    if (BackendPtr->get(kMeasurementIndexName, Raw) &&
-        parseManifest(Raw, Entries))
-      for (const CacheEntry &E : Entries)
-        if (E.Name == Name && E.SizeBytes == SizeBytes &&
-            Now - E.AccessUnixSeconds < kManifestRelatimeSeconds)
-          return;
-  }
-
-  FileLock Lock(BackendPtr->lockPath(kMeasurementIndexName));
-  if (!acquireCounted(Lock, manifestOptions(LockOptions)))
-    return; // Advisory bookkeeping; a rescan recovers a lost update.
-
-  std::string Raw;
-  std::vector<CacheEntry> Entries;
-  if (!(BackendPtr->get(kMeasurementIndexName, Raw) &&
-        parseManifest(Raw, Entries)))
-    Entries = BackendPtr->scan(kEntryPrefix, kEntrySuffix);
-  bool Found = false;
-  for (CacheEntry &E : Entries)
-    if (E.Name == Name) {
-      E.AccessUnixSeconds = Now;
-      E.SizeBytes = SizeBytes;
-      Found = true;
-    }
-  if (!Found)
-    Entries.push_back({Name, SizeBytes, Now});
-  sortLru(Entries);
-  BackendPtr->put(kMeasurementIndexName, renderManifest(Entries));
-}
-
 MeasurementLoadResult MeasurementCache::load(const Suite &S, Machine Reference,
                                              std::vector<Machine> Targets,
                                              std::uint64_t Key) {
@@ -635,11 +530,8 @@ MeasurementLoadResult MeasurementCache::load(const Suite &S, Machine Reference,
   if (!BackendPtr->get(Name, Bytes))
     return failed(MeasurementCacheError::Io,
                   "cannot read '" + Name + "' from the cache backend");
-  MeasurementLoadResult R = parseMeasurements(Bytes, S, std::move(Reference),
-                                              std::move(Targets), Key);
-  if (R)
-    touchEntry(Name, Bytes.size());
-  return R;
+  return parseMeasurements(Bytes, S, std::move(Reference), std::move(Targets),
+                           Key);
 }
 
 MeasurementCacheError MeasurementCache::store(const MeasurementDatabase &Db,
@@ -657,79 +549,12 @@ MeasurementCacheError MeasurementCache::store(const MeasurementDatabase &Db,
       return lockError(R);
     }
   }
-  std::string Bytes = serializeMeasurements(Db, Key);
-  if (!BackendPtr->put(Name, Bytes)) {
+  if (!BackendPtr->put(Name, serializeMeasurements(Db, Key))) {
     if (Message)
       *Message = "cannot publish '" + Name + "' to the cache backend";
     return MeasurementCacheError::Io;
   }
-  touchEntry(Name, Bytes.size());
   return MeasurementCacheError::None;
-}
-
-CachePruneStats MeasurementCache::prune(std::uint64_t MaxBytes,
-                                        std::uint64_t MaxAgeSeconds) {
-  CachePruneStats Stats;
-  // No manifest lock location = the backend runs its own lifecycle
-  // (the server prunes a shard after every put into it); client-side
-  // eviction here would be blind to fleet-wide access times.
-  if (BackendPtr->lockPath(kMeasurementIndexName).empty())
-    return Stats;
-  FileLock Lock(BackendPtr->lockPath(kMeasurementIndexName));
-  if (!acquireCounted(Lock, manifestOptions(LockOptions))) {
-    Stats.LockTimedOut = true;
-    return Stats;
-  }
-
-  // The backend scan is the ground truth for existence and size; the
-  // manifest overlays true access times.  A missing or corrupt manifest
-  // degrades to the scan's mtimes and is healed by the rewrite below.
-  std::vector<CacheEntry> OnDisk =
-      BackendPtr->scan(kEntryPrefix, kEntrySuffix);
-  std::string Raw;
-  std::vector<CacheEntry> Manifest;
-  const bool ManifestOk = BackendPtr->get(kMeasurementIndexName, Raw) &&
-                          parseManifest(Raw, Manifest);
-  Stats.RebuiltFromScan = !ManifestOk;
-  if (ManifestOk)
-    for (CacheEntry &E : OnDisk)
-      for (const CacheEntry &M : Manifest)
-        if (M.Name == E.Name) {
-          E.AccessUnixSeconds = M.AccessUnixSeconds;
-          break;
-        }
-
-  Stats.Entries = OnDisk.size();
-  for (const CacheEntry &E : OnDisk)
-    Stats.BytesBefore += E.SizeBytes;
-
-  sortLru(OnDisk);
-  const std::int64_t Now = nowUnixSeconds();
-  std::vector<CacheEntry> Kept;
-  std::uint64_t KeptBytes = 0;
-  for (CacheEntry &E : OnDisk) {
-    const bool TooOld =
-        MaxAgeSeconds != 0 &&
-        Now - E.AccessUnixSeconds > static_cast<std::int64_t>(MaxAgeSeconds);
-    const bool OverBudget = MaxBytes != 0 && KeptBytes + E.SizeBytes > MaxBytes;
-    if (!TooOld && !OverBudget) {
-      KeptBytes += E.SizeBytes;
-      Kept.push_back(std::move(E));
-      continue;
-    }
-    if (BackendPtr->remove(E.Name)) {
-      ++Stats.Removed;
-    } else {
-      // Deletion failed: keep accounting honest and keep tracking it.
-      KeptBytes += E.SizeBytes;
-      Kept.push_back(std::move(E));
-    }
-  }
-  Stats.BytesAfter = KeptBytes;
-  if (Stats.Removed > 0)
-    FGBS_COUNTER_ADD("db.cache.evictions", Stats.Removed);
-  BackendPtr->put(kMeasurementIndexName, renderManifest(Kept));
-  return Stats;
 }
 
 //===----------------------------------------------------------------------===//
@@ -853,18 +678,15 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
       const std::uint64_t MaxBytes = Options.CacheMaxBytes
                                          ? Options.CacheMaxBytes
                                          : measurementCacheEnvMaxBytes();
-      if (MaxBytes || Options.CacheMaxAgeSeconds) {
-        // Eviction is a per-tier concern: prune the local directory
-        // only, through its own cache object, so a tiered backend's
-        // remove() can never delete fleet-shared entries on the server
-        // (the server prunes its shards under its own budgets).
-        if (Options.CacheDir.empty()) {
-          Cache.prune(MaxBytes, Options.CacheMaxAgeSeconds);
-        } else {
-          MeasurementCache LocalOnly(Options.CacheDir);
-          LocalOnly.LockOptions = Cache.LockOptions;
-          LocalOnly.prune(MaxBytes, Options.CacheMaxAgeSeconds);
-        }
+      // Eviction is a per-tier concern: only the local directory is
+      // pruned, so a tiered cache never deletes fleet-shared entries on
+      // the server (which prunes its shards under its own budgets), and
+      // a remote-only cache has nothing here to prune.
+      if ((MaxBytes || Options.CacheMaxAgeSeconds) &&
+          !Options.CacheDir.empty()) {
+        LocalDirBackend Dir(Options.CacheDir);
+        pruneMeasurementEntries(Dir, MaxBytes, Options.CacheMaxAgeSeconds,
+                                measurementCacheFileName(Key));
       }
     } else {
       FGBS_COUNTER_ADD("db.cache.errors", 1);

@@ -125,37 +125,14 @@ MeasurementLoadResult loadMeasurementsFile(const std::string &Path,
                                            std::vector<Machine> Targets,
                                            std::uint64_t ExpectedKey);
 
-/// The per-directory manifest tracking size and last-use time of every
-/// cache entry (newest first).  Line-oriented text: a magic first line,
-/// then one "<atime-unix> <size-bytes> <name>" line per entry.  The
-/// manifest is advisory — a missing or damaged one falls back to a
-/// directory rescan (entry mtimes stand in for access times).
-inline constexpr char kMeasurementIndexName[] = "fgbs.meas.index.v1";
-
-/// Hits younger than this skip the manifest rewrite (relatime): a warm
-/// run's steady state costs one small read, never a write.
-inline constexpr std::int64_t kManifestRelatimeSeconds = 60;
-
-/// What prune() did.
-struct CachePruneStats {
-  std::size_t Entries = 0;        ///< Entries visible before pruning.
-  std::size_t Removed = 0;        ///< Entries deleted.
-  std::uint64_t BytesBefore = 0;  ///< Entry bytes before pruning.
-  std::uint64_t BytesAfter = 0;   ///< Entry bytes after pruning.
-  bool RebuiltFromScan = false;   ///< Manifest absent/corrupt; rescanned.
-  bool LockTimedOut = false;      ///< Manifest lock unavailable; no-op.
-};
-
 /// The measurement cache proper: a CacheBackend (a local directory, a
 /// RemoteCacheBackend over an fgbs_cached server, or the tiered
-/// composition of both) plus the lifecycle logic — manifest
-/// bookkeeping, LRU/age eviction, and typed lock-coordinated stores.
-/// Loads never lock: entries are published atomically, so a reader sees
-/// either nothing or a complete file.  Manifest bookkeeping and prune()
-/// are skipped for backends whose manifest lock path is empty — those
-/// manage their own lifecycle where the blobs live (the server prunes
-/// its shards).  Writers on one host coordinate through the backend's
-/// writerLock(), a FileLock on its lockPath().
+/// composition of both) plus typed, lock-coordinated stores.  Loads
+/// never lock: entries are published atomically, so a reader sees
+/// either nothing or a complete file.  Writers on one host coordinate
+/// through the backend's writerLock(), a FileLock on its lockPath().
+/// Last use is the entry's own mtime, which the backend keeps
+/// (CacheBackend.h); eviction is pruneMeasurementEntries().
 class MeasurementCache {
 public:
   /// A cache over \p Dir via LocalDirBackend (created when missing).
@@ -168,40 +145,38 @@ public:
   /// True when an entry for \p Key has been published.
   bool exists(std::uint64_t Key) const;
 
-  /// Loads and validates the entry for \p Key; a successful load
-  /// refreshes the entry's manifest access time (relatime-throttled).
+  /// Loads and validates the entry for \p Key.
   MeasurementLoadResult load(const Suite &S, Machine Reference,
                              std::vector<Machine> Targets, std::uint64_t Key);
 
-  /// Serializes and atomically publishes \p Db under \p Key, updating
-  /// the manifest.  Unless \p EntryLockHeld says the caller already
-  /// holds the entry's writer lock, one is acquired here — and a lock
-  /// still held elsewhere after LockOptions.TimeoutMs is the typed
-  /// LockTimeout error, a lock file that cannot be opened or flocked is
-  /// Io (nothing is written either way), never a silent fallback.
+  /// Serializes and atomically publishes \p Db under \p Key.  Unless
+  /// \p EntryLockHeld says the caller already holds the entry's writer
+  /// lock, one is acquired here — and a lock still held elsewhere after
+  /// LockOptions.TimeoutMs is the typed LockTimeout error, a lock file
+  /// that cannot be opened or flocked is Io (nothing is written either
+  /// way), never a silent fallback.
   MeasurementCacheError store(const MeasurementDatabase &Db, std::uint64_t Key,
                               bool EntryLockHeld = false,
                               std::string *Message = nullptr);
-
-  /// Evicts least-recently-used entries until the cache holds at most
-  /// \p MaxBytes of entries (0 = unbounded) and none older than
-  /// \p MaxAgeSeconds (0 = unbounded).  Runs under the manifest lock;
-  /// heals a corrupt manifest from a directory rescan as a side effect.
-  CachePruneStats prune(std::uint64_t MaxBytes, std::uint64_t MaxAgeSeconds);
 
   /// Where the writer lock for \p Key's entry lives (empty = backend
   /// needs no locking).
   std::string entryLockPath(std::uint64_t Key) const;
 
-  /// Writer-coordination knobs.  Manifest updates use a short slice of
-  /// this budget; entry stores use all of it.
+  /// Writer-coordination knobs for entry stores.
   FileLock::Options LockOptions;
 
 private:
-  void touchEntry(const std::string &Name, std::uint64_t SizeBytes);
-
   std::unique_ptr<CacheBackend> BackendPtr;
 };
+
+/// pruneEntries() over the measurement entries (`fgbs-meas-*.v1`) of
+/// \p Dir; no other file there is a candidate.  Runs where the files
+/// live: a host's cache directory or one server shard.
+CachePruneStats pruneMeasurementEntries(LocalDirBackend &Dir,
+                                        std::uint64_t MaxBytes,
+                                        std::uint64_t MaxAgeSeconds,
+                                        std::string_view JustStored = {});
 
 /// The FGBS_MEAS_CACHE_MAX_BYTES default byte budget (0 when unset or
 /// unparseable).
@@ -254,7 +229,8 @@ struct DatabaseBuildOptions {
 /// whose lock wait times out warns with the typed lock_timeout error,
 /// simulates, and skips the store (the live holder will publish the
 /// identical bytes); a lock that errors warns io the same way.  When a
-/// byte/age budget is configured the cache is LRU-pruned after a store.
+/// byte/age budget is configured the local directory is pruned after a
+/// store (pruneMeasurementEntries, the new entry ranked first).
 ///
 /// Counters (when telemetry is on): db.cache.{hits,misses,stores,
 /// errors,evictions} and db.cache.lock.{acquired,waited_ms,timeouts}.

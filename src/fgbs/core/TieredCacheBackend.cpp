@@ -7,14 +7,9 @@
 
 #include "fgbs/core/TieredCacheBackend.h"
 
-#include "fgbs/core/MeasurementCache.h"
 #include "fgbs/obs/Metrics.h"
 
 using namespace fgbs;
-
-bool TieredCacheBackend::replicated(const std::string &Name) {
-  return Name != kMeasurementIndexName;
-}
 
 TieredCacheBackend::TieredCacheBackend(
     std::unique_ptr<CacheBackend> Local,
@@ -22,9 +17,7 @@ TieredCacheBackend::TieredCacheBackend(
     : Local(std::move(Local)), Remote(std::move(Remote)) {}
 
 bool TieredCacheBackend::exists(const std::string &Name) const {
-  if (Local->exists(Name))
-    return true;
-  return replicated(Name) && Remote->exists(Name);
+  return Local->exists(Name) || Remote->exists(Name);
 }
 
 bool TieredCacheBackend::get(const std::string &Name,
@@ -33,7 +26,7 @@ bool TieredCacheBackend::get(const std::string &Name,
     FGBS_COUNTER_ADD("db.cache.tier.local_hits", 1);
     return true;
   }
-  if (!replicated(Name) || !Remote->get(Name, BytesOut))
+  if (!Remote->get(Name, BytesOut))
     return false;
   FGBS_COUNTER_ADD("db.cache.tier.remote_hits", 1);
   // Populate the local tier so the next run on this host stays off the
@@ -45,8 +38,6 @@ bool TieredCacheBackend::get(const std::string &Name,
 bool TieredCacheBackend::put(const std::string &Name, std::string_view Bytes) {
   if (!Local->put(Name, Bytes))
     return false;
-  if (!replicated(Name))
-    return true;
   if (Remote->put(Name, Bytes))
     FGBS_COUNTER_ADD("db.cache.tier.writebacks", 1);
   else
@@ -56,7 +47,7 @@ bool TieredCacheBackend::put(const std::string &Name, std::string_view Bytes) {
 
 bool TieredCacheBackend::remove(const std::string &Name) {
   bool RemovedLocal = Local->remove(Name);
-  bool RemovedRemote = replicated(Name) && Remote->remove(Name);
+  bool RemovedRemote = Remote->remove(Name);
   return RemovedLocal || RemovedRemote;
 }
 

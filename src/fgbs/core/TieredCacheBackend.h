@@ -16,9 +16,9 @@
 /// a training run at most the client's retry budget, never its result.
 ///
 /// Scope rules keeping the tiers honest:
-///  - The manifest (fgbs.meas.index.v1) is never replicated: access
-///    times and eviction are per-tier concerns, and the server runs its
-///    own lifecycle per shard.  Each tier prunes itself.
+///  - Last use and eviction are per tier: each tier's entry mtimes
+///    record its own reads, the server prunes its own shards, and a
+///    client prunes only its local directory.
 ///  - scan() is local-only.  Enumeration feeds local lifecycle and
 ///    status displays; fleet-wide enumeration goes through the remote
 ///    backend directly.
@@ -71,9 +71,8 @@ public:
   bool healthy() const override { return Local->healthy(); }
   std::string lockPath(const std::string &Name) const override;
 
-  /// Whether \p Name crosses the network at all.  The manifest stays
-  /// per-tier (each tier runs its own lifecycle).
-  static bool replicated(const std::string &Name);
+  /// Whether \p Name crosses the network: every name does.
+  static bool replicated(const std::string &) { return true; }
 
 private:
   std::unique_ptr<CacheBackend> Local;

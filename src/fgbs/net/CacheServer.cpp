@@ -13,10 +13,8 @@
 #include "fgbs/support/Crc32.h"
 #include "fgbs/support/ThreadPool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 
 using namespace fgbs;
@@ -272,46 +270,31 @@ CacheBackend &CacheServer::backendFor(bool Model, const std::string &Name) {
   return *ShardBackends[shardForName(Name, shards())];
 }
 
-void CacheServer::pruneShard(unsigned Shard) {
-  // Reuse the whole PR 5 lifecycle (manifest, LRU, age) per shard; the
-  // byte budget is split evenly because the content hash spreads
-  // entries uniformly.
-  MeasurementCache Shardwise(
-      std::make_unique<LocalDirBackend>(ShardBackends[Shard]->dir()));
-  Shardwise.prune(perShardBudget(Config.MaxBytes, shards()),
-                  Config.MaxAgeSeconds);
-}
-
-void CacheServer::pruneModelShard(unsigned Shard) {
-  // The measurement manifest machinery only adopts fgbs-meas-* names,
-  // so the model namespace gets its own (simpler) lifecycle: LRU by
-  // storage mtime plus an age cutoff, over `sha/` blobs only.  Refs are
-  // tiny and namable — pruning one would silently unpin a tag, whereas
-  // pruning a snapshot produces the explicit dangling-ref condition the
-  // registry client knows how to report.
-  LocalDirBackend &Backend = *ModelShardBackends[Shard];
-  std::vector<CacheEntry> Blobs;
-  std::uint64_t Bytes = 0;
-  for (CacheEntry &E : Backend.scan("model/", "")) {
-    if (E.Name.find("/sha/") == std::string::npos)
-      continue;
-    Bytes += E.SizeBytes;
-    Blobs.push_back(std::move(E));
+void CacheServer::pruneAfterPut(bool Model, const std::string &Name) {
+  // The byte budgets are split evenly across shards because the content
+  // hash spreads entries uniformly.
+  if (!Model) {
+    if (Config.MaxBytes || Config.MaxAgeSeconds)
+      pruneMeasurementEntries(*ShardBackends[shardForName(Name, shards())],
+                              perShardBudget(Config.MaxBytes, shards()),
+                              Config.MaxAgeSeconds, Name);
+    return;
   }
-  std::sort(Blobs.begin(), Blobs.end(),
-            [](const CacheEntry &A, const CacheEntry &B) {
-              return A.AccessUnixSeconds < B.AccessUnixSeconds;
-            });
-  const std::int64_t Now = static_cast<std::int64_t>(std::time(nullptr));
-  const std::uint64_t Budget = perShardBudget(Config.ModelMaxBytes, shards());
-  const std::uint64_t MaxAge = Config.ModelMaxAgeSeconds;
-  for (const CacheEntry &E : Blobs) {
-    const bool OverAge =
-        MaxAge && Now - E.AccessUnixSeconds > static_cast<std::int64_t>(MaxAge);
-    const bool OverBytes = Budget && Bytes > Budget;
-    if ((OverAge || OverBytes) && Backend.remove(E.Name))
-      Bytes -= E.SizeBytes;
-  }
+  if (!Config.ModelMaxBytes && !Config.ModelMaxAgeSeconds)
+    return;
+  // Only `sha/` blobs are candidates.  Refs are tiny and namable —
+  // pruning one would silently unpin a tag, whereas pruning a snapshot
+  // produces the explicit dangling-ref condition the registry client
+  // knows how to report.
+  LocalDirBackend &Shard =
+      *ModelShardBackends[modelShardForName(Name, shards())];
+  std::vector<CacheEntry> Blobs = Shard.scan("model/", "");
+  std::erase_if(Blobs, [](const CacheEntry &E) {
+    return E.Name.find("/sha/") == std::string::npos;
+  });
+  pruneEntries(Shard, std::move(Blobs),
+               perShardBudget(Config.ModelMaxBytes, shards()),
+               Config.ModelMaxAgeSeconds, Name);
 }
 
 bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
@@ -369,11 +352,8 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
       StatModelPuts.fetch_add(1, std::memory_order_relaxed);
       if (Name.find("/ref/") != std::string::npos)
         StatModelRefPuts.fetch_add(1, std::memory_order_relaxed);
-      if (Config.ModelMaxBytes || Config.ModelMaxAgeSeconds)
-        pruneModelShard(modelShardForName(Name, shards()));
-    } else if (Config.MaxBytes || Config.MaxAgeSeconds) {
-      pruneShard(shardForName(Name, shards()));
     }
+    pruneAfterPut(Model, Name);
     return respond(Conn, Opcode::Ok, {});
   }
 
@@ -386,21 +366,20 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     if (In.overrun() || !In.atEnd())
       return respondError(Conn, "scan_prefix: damaged prefix");
     StatScanPrefixes.fetch_add(1, std::memory_order_relaxed);
-    // Route the walk by the prefix's namespace so a model enumeration
-    // never pays for a measurement-shard directory walk (and vice
-    // versa); the empty prefix means "everything", both spaces.
-    const bool WantModel =
-        Prefix.empty() || std::string_view(Prefix).substr(0, 6) == "model/";
-    const bool WantMeas = !WantModel || Prefix.empty();
+    // Walk only the shards that can hold a match: a prefix under
+    // `model/` names model entries alone, and one that `model/` starts
+    // with ("", "m", "mod", ...) may name entries of either space.
+    constexpr std::string_view ModelRoot = "model/";
+    const bool UnderModel = Prefix.starts_with(ModelRoot);
+    const bool WantModel = UnderModel || ModelRoot.starts_with(Prefix);
     std::vector<CacheEntry> All;
-    if (WantMeas)
+    if (!UnderModel)
       for (const auto &Shard : ShardBackends)
         for (CacheEntry &E : Shard->scan(Prefix, ""))
           All.push_back(std::move(E));
     if (WantModel)
       for (const auto &Shard : ModelShardBackends)
-        for (CacheEntry &E : Shard->scan(Prefix.empty() ? "model/" : Prefix,
-                                         ""))
+        for (CacheEntry &E : Shard->scan(Prefix, ""))
           All.push_back(std::move(E));
     std::string Out;
     putU32(Out, static_cast<std::uint32_t>(All.size()));

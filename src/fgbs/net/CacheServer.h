@@ -8,9 +8,10 @@
 /// \file
 /// The server half of the remote measurement-cache tier: a
 /// ThreadPool-backed TCP daemon speaking fgbs.cachewire.v1 (net/Framing)
-/// over N shard directories, each shard a plain core/LocalDirBackend so
-/// PR 5's atomic-publish, manifest, and eviction machinery is reused
-/// verbatim.  Shipped as tools/fgbs_cached.
+/// over N shard directories, each shard a plain core/LocalDirBackend:
+/// its atomic publish, its mtime as each entry's last use (a Get is a
+/// use) and pruneEntries() as the eviction rule, the same ones a host's
+/// cache directory runs.  Shipped as tools/fgbs_cached.
 ///
 /// Shard addressing is by content-hash prefix: an entry name of the
 /// canonical "fgbs-meas-<16 hex>.v1" shape routes on its leading hash
@@ -142,10 +143,10 @@ private:
   /// The shard an entry name is stored in: a measurement shard for a
   /// flat name, a model shard for a `model/...` one.
   CacheBackend &backendFor(bool Model, const std::string &Name);
-  void pruneShard(unsigned Shard);
-  /// LRU + age pruning over one model shard's `sha/` blobs (refs are
-  /// exempt) to the per-shard slice of the model budgets.
-  void pruneModelShard(unsigned Shard);
+  /// Prunes the shard a put of \p Name landed in to the per-shard slice
+  /// of its namespace's budgets (model refs are exempt), with \p Name
+  /// ranked first.  A no-op when the namespace has no budget.
+  void pruneAfterPut(bool Model, const std::string &Name);
 
   CacheServerConfig Config;
   Listener Listen;

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A cross-process (and cross-thread) advisory file lock with timeout
-/// and exponential backoff: the writer lock under the measurement cache
-/// (core/MeasurementCache), one per entry plus one for the manifest.
+/// and exponential backoff: the per-entry writer lock under the
+/// measurement cache (core/MeasurementCache).
 ///
 /// The lock is `flock(LOCK_EX)` on the lock file's inode.  The kernel
 /// releases it when the holder exits for any reason, so a crashed

@@ -285,6 +285,26 @@ TYPED_TEST_P(CacheBackendConformance, ScanPrefixEmptyIsAuthoritative) {
   EXPECT_TRUE(R.Entries.empty());
 }
 
+TYPED_TEST_P(CacheBackendConformance, ShortPrefixesSpanNamespaces) {
+  // A prefix that `model/` itself starts with matches model entries as
+  // well as flat ones; a server that walks only one namespace for it
+  // lists fewer entries than a directory holding the same names.
+  CacheBackend &B = this->H.backend();
+  const std::string Model = "model/conf-short/sha/" + std::string(64, 'e');
+  const std::string Flat = "fgbs-meas-00000000000000b5.v1";
+  ASSERT_TRUE(B.put(Model, "model bytes"));
+  ASSERT_TRUE(B.put(Flat, "flat bytes"));
+  for (const char *Prefix : {"m", "mod", "model"}) {
+    std::vector<CacheEntry> Hits = B.scan(Prefix, "");
+    ASSERT_EQ(Hits.size(), 1u) << "prefix '" << Prefix << "'";
+    EXPECT_EQ(Hits[0].Name, Model) << "prefix '" << Prefix << "'";
+  }
+  EXPECT_EQ(B.scan("", "").size(), 2u);
+  ScanPrefixResult All = B.scanPrefix("");
+  ASSERT_TRUE(static_cast<bool>(All)) << All.Message;
+  EXPECT_EQ(All.Entries.size(), 2u);
+}
+
 REGISTER_TYPED_TEST_SUITE_P(CacheBackendConformance, AbsentEntryBehaves,
                             BinaryRoundTrip, OverwriteReplacesBytes,
                             EmptyBlobIsAnEntry, RemoveDeletes,
@@ -292,7 +312,8 @@ REGISTER_TYPED_TEST_SUITE_P(CacheBackendConformance, AbsentEntryBehaves,
                             LockPathContract, WriterLockCycle,
                             NamespacedModelRoundTrip,
                             ScanPrefixEnumeratesNamesAndSizes,
-                            ScanPrefixEmptyIsAuthoritative);
+                            ScanPrefixEmptyIsAuthoritative,
+                            ShortPrefixesSpanNamespaces);
 
 } // namespace conformance
 } // namespace fgbs

@@ -1,9 +1,9 @@
 //===- tests/cache_lifecycle_test.cpp - cache locking + eviction ----------===//
 //
-// The measurement cache's lifecycle layer: the fgbs.meas.index.v1
-// manifest, LRU/age eviction, atomic publish, typed lock-timeout and
-// lock-error stores, and the cross-process single-simulation guarantee
-// of buildMeasurementDatabase.
+// The measurement cache's lifecycle layer: entry mtimes as last use,
+// LRU/age eviction, atomic publish, typed lock-timeout and lock-error
+// stores, and the cross-process single-simulation guarantee of
+// buildMeasurementDatabase.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -76,36 +77,27 @@ std::vector<Machine> CacheLifecycleTest::Targets;
 MeasurementDatabase *CacheLifecycleTest::Db = nullptr;
 std::uint64_t CacheLifecycleTest::Key = 0;
 
-std::string manifestPath(const TempDir &Dir) {
-  return (Dir.Path / kMeasurementIndexName).string();
+namespace fs = std::filesystem;
+
+/// Sets \p Name's mtime \p SecondsAgo seconds back: what a long-lived
+/// cache directory accumulates over time.
+void age(const TempDir &Dir, const std::string &Name, int SecondsAgo) {
+  fs::last_write_time(Dir.Path / Name, fs::file_time_type::clock::now() -
+                                           std::chrono::seconds(SecondsAgo));
 }
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-}
-
-std::int64_t nowSeconds() {
+/// Seconds since \p Name's mtime, its last use.
+std::int64_t secondsSinceUse(const TempDir &Dir, const std::string &Name) {
   return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::system_clock::now().time_since_epoch())
+             fs::file_time_type::clock::now() -
+             fs::last_write_time(Dir.Path / Name))
       .count();
-}
-
-/// Writes a well-formed manifest with caller-chosen access times —
-/// exactly what a long-lived cache directory accumulates over time.
-void writeManifest(const TempDir &Dir,
-                   const std::vector<CacheEntry> &Entries) {
-  std::ofstream Out(manifestPath(Dir), std::ios::trunc);
-  Out << kMeasurementIndexName << "\n";
-  for (const CacheEntry &E : Entries)
-    Out << E.AccessUnixSeconds << " " << E.SizeBytes << " " << E.Name << "\n";
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Atomic publish + manifest bookkeeping
+// Atomic publish and last use
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheLifecycleTest, StorePublishesAtomicallyAndLeavesNoTempFiles) {
@@ -113,15 +105,37 @@ TEST_F(CacheLifecycleTest, StorePublishesAtomicallyAndLeavesNoTempFiles) {
   MeasurementCache Cache(Dir.Path.string());
   ASSERT_EQ(Cache.store(*Db, Key), MeasurementCacheError::None);
   EXPECT_TRUE(Cache.exists(Key));
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir.Path))
-    EXPECT_EQ(Entry.path().string().find(".tmp."), std::string::npos)
-        << Entry.path();
-  // The manifest records the entry with its true size.
-  std::string Manifest = readFile(manifestPath(Dir));
-  EXPECT_NE(Manifest.find(measurementCacheFileName(Key)), std::string::npos);
-  const std::uint64_t Size =
-      std::filesystem::file_size(Dir.Path / measurementCacheFileName(Key));
-  EXPECT_NE(Manifest.find(std::to_string(Size)), std::string::npos);
+  // The entry and its writer lock are the whole directory: no temp file
+  // and no side file of bookkeeping.
+  std::vector<std::string> Files;
+  for (const auto &Entry : fs::directory_iterator(Dir.Path))
+    Files.push_back(Entry.path().filename().string());
+  std::sort(Files.begin(), Files.end());
+  const std::string Name = measurementCacheFileName(Key);
+  EXPECT_EQ(Files, (std::vector<std::string>{Name, Name + ".lock"}));
+}
+
+TEST_F(CacheLifecycleTest, LoadRefreshesAStaleEntry) {
+  TempDir Dir("refresh_stale");
+  MeasurementCache Cache(Dir.Path.string());
+  ASSERT_EQ(Cache.store(*Db, Key), MeasurementCacheError::None);
+  const std::string Name = measurementCacheFileName(Key);
+  age(Dir, Name, 2 * 3600);
+  ASSERT_TRUE(Cache.load(*TheSuite, makeNehalem(), Targets, Key));
+  // The load is the entry's last use, recorded as its mtime.
+  EXPECT_LT(secondsSinceUse(Dir, Name), 5);
+}
+
+TEST_F(CacheLifecycleTest, LoadLeavesAFreshEntryAlone) {
+  TempDir Dir("refresh_fresh");
+  MeasurementCache Cache(Dir.Path.string());
+  ASSERT_EQ(Cache.store(*Db, Key), MeasurementCacheError::None);
+  const std::string Name = measurementCacheFileName(Key);
+  // Younger than kEntryRefreshSeconds: a warm load writes nothing.
+  age(Dir, Name, static_cast<int>(kEntryRefreshSeconds) / 2);
+  const fs::file_time_type Before = fs::last_write_time(Dir.Path / Name);
+  ASSERT_TRUE(Cache.load(*TheSuite, makeNehalem(), Targets, Key));
+  EXPECT_EQ(fs::last_write_time(Dir.Path / Name), Before);
 }
 
 TEST_F(CacheLifecycleTest, LoadRoundTripsThroughTheBackend) {
@@ -146,7 +160,7 @@ TEST_F(CacheLifecycleTest, SaveMeasurementsFileLeavesNoTempBehind) {
       loadMeasurementsFile(Path, *TheSuite, makeNehalem(), Targets, Key);
   EXPECT_TRUE(R) << R.Message;
   std::size_t Files = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir.Path)) {
+  for (const auto &Entry : fs::directory_iterator(Dir.Path)) {
     (void)Entry;
     ++Files;
   }
@@ -161,25 +175,22 @@ TEST_F(CacheLifecycleTest, PruneKeepsTheMostRecentlyUsedEntries) {
   TempDir Dir("lru");
   MeasurementCache Cache(Dir.Path.string());
   // Five distinct keys over the same payload bytes (store() stamps the
-  // key it is given; only the file names and manifest rows differ).
+  // key it is given; only the file names and mtimes differ).
   std::vector<std::uint64_t> Keys = {Key, Key + 1, Key + 2, Key + 3, Key + 4};
   for (std::uint64_t K : Keys)
     ASSERT_EQ(Cache.store(*Db, K), MeasurementCacheError::None);
-  const std::uint64_t EntryBytes = std::filesystem::file_size(
-      Dir.Path / measurementCacheFileName(Keys[0]));
+  const std::uint64_t EntryBytes =
+      fs::file_size(Dir.Path / measurementCacheFileName(Keys[0]));
 
-  // Ascending access times: Keys[4] is the most recently used.
-  std::vector<CacheEntry> Entries;
-  const std::int64_t Now = nowSeconds();
+  // Ascending last use: Keys[4] is the most recently used.
   for (std::size_t I = 0; I < Keys.size(); ++I)
-    Entries.push_back({measurementCacheFileName(Keys[I]), EntryBytes,
-                       Now - 1000 + static_cast<std::int64_t>(100 * I)});
-  writeManifest(Dir, Entries);
+    age(Dir, measurementCacheFileName(Keys[I]),
+        1000 - 100 * static_cast<int>(I));
 
   // Budget for exactly two entries: the two newest survive.
-  CachePruneStats Stats = Cache.prune(2 * EntryBytes + EntryBytes / 2, 0);
-  EXPECT_FALSE(Stats.LockTimedOut);
-  EXPECT_FALSE(Stats.RebuiltFromScan);
+  LocalDirBackend Local(Dir.Path.string());
+  CachePruneStats Stats =
+      pruneMeasurementEntries(Local, 2 * EntryBytes + EntryBytes / 2, 0);
   EXPECT_EQ(Stats.Entries, Keys.size());
   EXPECT_EQ(Stats.Removed, Keys.size() - 2);
   EXPECT_EQ(Stats.BytesAfter, 2 * EntryBytes);
@@ -191,59 +202,71 @@ TEST_F(CacheLifecycleTest, PruneKeepsTheMostRecentlyUsedEntries) {
   EXPECT_TRUE(Cache.exists(Keys[4]));
 }
 
+TEST_F(CacheLifecycleTest, PruneStopsAtTheFirstEntryThatDoesNotFit) {
+  // Newest first: a small entry, a large one, an older small one.  The
+  // large one does not fit next to the newest, so it and everything
+  // older go, even the small entry that would have fitted on its own:
+  // what stays is a most-recently-used prefix.
+  TempDir Dir("misfit");
+  LocalDirBackend Local(Dir.Path.string());
+  const std::string Newest = "fgbs-meas-00000000000000c1.v1";
+  const std::string Large = "fgbs-meas-00000000000000c2.v1";
+  const std::string Oldest = "fgbs-meas-00000000000000c3.v1";
+  ASSERT_TRUE(Local.put(Newest, std::string(1000, 'n')));
+  ASSERT_TRUE(Local.put(Large, std::string(5000, 'l')));
+  ASSERT_TRUE(Local.put(Oldest, std::string(1000, 'o')));
+  age(Dir, Large, 100);
+  age(Dir, Oldest, 200);
+
+  CachePruneStats Stats = pruneMeasurementEntries(Local, 2500, 0);
+  EXPECT_EQ(Stats.Entries, 3u);
+  EXPECT_EQ(Stats.Removed, 2u);
+  EXPECT_EQ(Stats.BytesBefore, 7000u);
+  EXPECT_EQ(Stats.BytesAfter, 1000u);
+  EXPECT_TRUE(Local.exists(Newest));
+  EXPECT_FALSE(Local.exists(Large));
+  EXPECT_FALSE(Local.exists(Oldest));
+}
+
+TEST_F(CacheLifecycleTest, PruneRanksTheJustStoredEntryFirst) {
+  // Same whole-second mtime, and the stored entry's name sorts second:
+  // the prune its store triggers still keeps it.
+  TempDir Dir("just_stored");
+  LocalDirBackend Local(Dir.Path.string());
+  const std::string Older = "fgbs-meas-00000000000000d1.v1";
+  const std::string Stored = "fgbs-meas-00000000000000d2.v1";
+  ASSERT_TRUE(Local.put(Older, std::string(1000, 'o')));
+  ASSERT_TRUE(Local.put(Stored, std::string(1000, 's')));
+  const fs::file_time_type Tie = fs::last_write_time(Dir.Path / Older);
+  fs::last_write_time(Dir.Path / Stored, Tie);
+
+  EXPECT_EQ(pruneMeasurementEntries(Local, 1500, 0, Stored).Removed, 1u);
+  EXPECT_TRUE(Local.exists(Stored));
+  EXPECT_FALSE(Local.exists(Older));
+}
+
 TEST_F(CacheLifecycleTest, PruneEvictsEntriesPastTheAgeBound) {
   TempDir Dir("age");
   MeasurementCache Cache(Dir.Path.string());
   ASSERT_EQ(Cache.store(*Db, Key), MeasurementCacheError::None);
   ASSERT_EQ(Cache.store(*Db, Key + 1), MeasurementCacheError::None);
-  const std::uint64_t EntryBytes = std::filesystem::file_size(
-      Dir.Path / measurementCacheFileName(Key));
+  age(Dir, measurementCacheFileName(Key), 10);
+  age(Dir, measurementCacheFileName(Key + 1), 100000);
 
-  const std::int64_t Now = nowSeconds();
-  writeManifest(Dir, {{measurementCacheFileName(Key), EntryBytes, Now - 10},
-                      {measurementCacheFileName(Key + 1), EntryBytes,
-                       Now - 100000}});
-  CachePruneStats Stats = Cache.prune(0, /*MaxAgeSeconds=*/3600);
+  LocalDirBackend Local(Dir.Path.string());
+  CachePruneStats Stats =
+      pruneMeasurementEntries(Local, 0, /*MaxAgeSeconds=*/3600);
   EXPECT_EQ(Stats.Removed, 1u);
   EXPECT_TRUE(Cache.exists(Key));
   EXPECT_FALSE(Cache.exists(Key + 1));
-}
-
-TEST_F(CacheLifecycleTest, CorruptManifestFallsBackToDirectoryRescan) {
-  TempDir Dir("corrupt_manifest");
-  MeasurementCache Cache(Dir.Path.string());
-  for (std::uint64_t K : {Key, Key + 1, Key + 2})
-    ASSERT_EQ(Cache.store(*Db, K), MeasurementCacheError::None);
-  std::ofstream(manifestPath(Dir), std::ios::trunc)
-      << "this is not a manifest\n\x01\x02 garbage";
-
-  // An unbounded prune over the damaged manifest removes nothing, scans
-  // the directory instead, and heals the manifest on the way out.
-  CachePruneStats Stats = Cache.prune(0, 0);
-  EXPECT_TRUE(Stats.RebuiltFromScan);
-  EXPECT_EQ(Stats.Entries, 3u);
-  EXPECT_EQ(Stats.Removed, 0u);
-  for (std::uint64_t K : {Key, Key + 1, Key + 2})
-    EXPECT_TRUE(Cache.exists(K));
-  std::string Healed = readFile(manifestPath(Dir));
-  EXPECT_EQ(Healed.find("garbage"), std::string::npos);
-  EXPECT_NE(Healed.find(measurementCacheFileName(Key)), std::string::npos);
-
-  // The healed manifest is authoritative again: a byte-budget prune
-  // now bounds the directory without a rescan.
-  const std::uint64_t EntryBytes = std::filesystem::file_size(
-      Dir.Path / measurementCacheFileName(Key));
-  CachePruneStats Bounded = Cache.prune(EntryBytes, 0);
-  EXPECT_FALSE(Bounded.RebuiltFromScan);
-  EXPECT_EQ(Bounded.Removed, 2u);
-  EXPECT_LE(Bounded.BytesAfter, EntryBytes);
 }
 
 TEST_F(CacheLifecycleTest, PruneToOneByteEmptiesTheCache) {
   TempDir Dir("one_byte");
   MeasurementCache Cache(Dir.Path.string());
   ASSERT_EQ(Cache.store(*Db, Key), MeasurementCacheError::None);
-  CachePruneStats Stats = Cache.prune(1, 0);
+  LocalDirBackend Local(Dir.Path.string());
+  CachePruneStats Stats = pruneMeasurementEntries(Local, 1, 0);
   EXPECT_EQ(Stats.Removed, 1u);
   EXPECT_EQ(Stats.BytesAfter, 0u);
   EXPECT_FALSE(Cache.exists(Key));
@@ -388,10 +411,9 @@ TEST_F(CacheLifecycleTest, BuildAutoPrunesWhenAByteBudgetIsConfigured) {
   // only big enough for one entry: the store must evict the older one.
   MeasurementCache Cache(Dir.Path.string());
   ASSERT_EQ(Cache.store(*Db, Key + 99), MeasurementCacheError::None);
-  const std::uint64_t EntryBytes = std::filesystem::file_size(
-      Dir.Path / measurementCacheFileName(Key + 99));
-  writeManifest(Dir, {{measurementCacheFileName(Key + 99), EntryBytes,
-                       nowSeconds() - 5000}});
+  const std::uint64_t EntryBytes =
+      fs::file_size(Dir.Path / measurementCacheFileName(Key + 99));
+  age(Dir, measurementCacheFileName(Key + 99), 5000);
 
   DatabaseBuildOptions Options;
   Options.CacheDir = Dir.Path.string();

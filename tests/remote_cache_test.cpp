@@ -109,17 +109,15 @@ TEST(ShardAddressing, CanonicalNamesRouteOnHashPrefix) {
 
 TEST(ShardAddressing, StableAcrossCalls) {
   for (unsigned Shards : {1u, 2u, 4u, 7u}) {
-    unsigned First =
-        net::CacheServer::shardForName("fgbs.meas.index.v1", Shards);
+    unsigned First = net::CacheServer::shardForName("other-entry.bin", Shards);
     EXPECT_LT(First, Shards);
-    EXPECT_EQ(First,
-              net::CacheServer::shardForName("fgbs.meas.index.v1", Shards));
+    EXPECT_EQ(First, net::CacheServer::shardForName("other-entry.bin", Shards));
   }
 }
 
 TEST(ShardAddressing, EntryNameValidation) {
   EXPECT_TRUE(net::isValidEntryName("fgbs-meas-0123456789abcdef.v1"));
-  EXPECT_TRUE(net::isValidEntryName("fgbs.meas.index.v1"));
+  EXPECT_TRUE(net::isValidEntryName("other-entry.bin"));
   EXPECT_FALSE(net::isValidEntryName(""));
   EXPECT_FALSE(net::isValidEntryName("."));
   EXPECT_FALSE(net::isValidEntryName(".."));
@@ -246,6 +244,53 @@ TEST(CacheServer, MaxBytesEvictsMeasurementEntriesAfterPut) {
   EXPECT_LE(Footprint, Config.MaxBytes);
 }
 
+TEST(CacheServer, PutSurvivesASameSecondPrune) {
+  // Two puts in one second tie on their whole-second mtimes, and the
+  // older name sorts first; the prune the second put triggers still
+  // keeps that put and evicts the first.
+  TempDir Dir("samesecond");
+  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  Config.MaxBytes = 15000;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Client(clientConfig(Server));
+
+  const std::string Blob(10000, 'p');
+  ASSERT_TRUE(Client.put("fgbs-meas-0000000000000001.v1", Blob));
+  ASSERT_TRUE(Client.put("fgbs-meas-0000000000000002.v1", Blob));
+  EXPECT_TRUE(Client.exists("fgbs-meas-0000000000000002.v1"));
+  EXPECT_FALSE(Client.exists("fgbs-meas-0000000000000001.v1"));
+}
+
+TEST(CacheServer, AGetCountsAsUseUnderMaxAge) {
+  // Two entries last written two hours ago; one is read back.  The next
+  // put prunes to --max-age 3600: the read entry was used seconds ago
+  // and stays, the unread one is evicted.
+  TempDir Dir("maxage");
+  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  Config.MaxAgeSeconds = 3600;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Client(clientConfig(Server));
+
+  const std::string Read = "fgbs-meas-00000000000000a1.v1";
+  const std::string Unread = "fgbs-meas-00000000000000a2.v1";
+  ASSERT_TRUE(Client.put(Read, "read back"));
+  ASSERT_TRUE(Client.put(Unread, "never read"));
+  for (const std::string &Name : {Read, Unread})
+    fs::last_write_time(fs::path(Server.root()) / "shard-00" / Name,
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(2));
+  std::string Bytes;
+  ASSERT_TRUE(Client.get(Read, Bytes));
+  ASSERT_TRUE(Client.put("fgbs-meas-00000000000000a3.v1", "fresh"));
+  EXPECT_TRUE(Client.exists(Read));
+  EXPECT_FALSE(Client.exists(Unread));
+  EXPECT_TRUE(Client.exists("fgbs-meas-00000000000000a3.v1"));
+}
+
 TEST(CacheServer, ModelMaxBytesEvictsShaBlobsButNeverRefs) {
   // The model namespace prunes its sha/ blobs to --model-max-bytes
   // after each put into it; refs are exempt, so a tag whose blob aged
@@ -326,6 +371,29 @@ TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
   EXPECT_EQ(Stats.Hits, 1u);
   EXPECT_EQ(Stats.Misses, 1u);
   Server.stop();
+}
+
+TEST(CacheServer, StatsCountsOnlyEntries) {
+  // A put that triggers a prune leaves the entry and nothing else in
+  // its shard, so the footprint is the entry's own.
+  TempDir Dir("statsprune");
+  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  Config.MaxBytes = 100000000;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Client(clientConfig(Server));
+
+  ASSERT_TRUE(Client.put("fgbs-meas-0000000000000001.v1", "0123456789"));
+  RemoteCacheStats Stats;
+  ASSERT_TRUE(Client.statsRemote(Stats));
+  ASSERT_EQ(Stats.Shards.size(), 1u);
+  EXPECT_EQ(Stats.Shards[0].Entries, 1u);
+  EXPECT_EQ(Stats.Shards[0].Bytes, 10u);
+  ScanPrefixResult All = Client.scanPrefix("");
+  ASSERT_TRUE(static_cast<bool>(All)) << All.Message;
+  ASSERT_EQ(All.Entries.size(), 1u);
+  EXPECT_EQ(All.Entries[0].Name, "fgbs-meas-0000000000000001.v1");
 }
 
 //===----------------------------------------------------------------------===//
@@ -443,21 +511,6 @@ TEST(Tiered, PutWritesThroughToRemote) {
   EXPECT_EQ(Bytes, "published locally");
 }
 
-TEST(Tiered, ManifestNeverCrossesTheNetwork) {
-  TempDir Dir("manifest");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
-  std::string Error;
-  ASSERT_TRUE(Server.start(&Error)) << Error;
-
-  TieredCacheBackend Tiered(
-      std::make_unique<LocalDirBackend>((Dir.Path / "local").string()),
-      std::make_unique<RemoteCacheBackend>(clientConfig(Server)));
-  ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "local manifest"));
-
-  RemoteCacheBackend Checker(clientConfig(Server));
-  EXPECT_FALSE(Checker.exists(kMeasurementIndexName));
-}
-
 // Every fresh-host load builds a tiered backend over a server that may
 // be down: the local tier must keep serving reads and taking puts, and a
 // replication that fails is counted, never a failed put.
@@ -478,10 +531,6 @@ TEST(Tiered, LocalTierServesWhileTheServerIsDown) {
 
   obs::MetricsRegistry::global().reset();
   obs::setEnabled(true);
-  // The manifest is never replicated, so its put sends nothing.
-  ASSERT_TRUE(Tiered.put(kMeasurementIndexName, "manifest"));
-  EXPECT_EQ(obs::counterTotal("db.cache.remote.errors"), 0u);
-
   const std::string Fresh = "fgbs-meas-00000000000000e3.v1";
   ASSERT_TRUE(Tiered.put(Fresh, "kept locally"));
   EXPECT_EQ(obs::counterTotal("db.cache.tier.writeback_failures"), 1u);
@@ -662,20 +711,17 @@ TEST(TempFileHygiene, ScanSkipsFreshAndUnlinksStaleTempFiles) {
   EXPECT_FALSE(fs::exists(Stale)) << "a stale temp file must be swept";
 }
 
-TEST(TempFileHygiene, ManifestRescanIgnoresTempFiles) {
-  TempDir Dir("temprescan");
-  const std::string CacheDir = (Dir.Path / "cache").string();
-  MeasurementCache Cache(CacheDir);
-  LocalDirBackend Direct(CacheDir);
-  ASSERT_TRUE(Direct.put("fgbs-meas-00000000000000f3.v1", "entry"));
+TEST(TempFileHygiene, PruneIgnoresTempFiles) {
+  TempDir Dir("tempprune");
+  LocalDirBackend Local((Dir.Path / "cache").string());
+  ASSERT_TRUE(Local.put("fgbs-meas-00000000000000f3.v1", "entry"));
   const fs::path Temp =
-      fs::path(CacheDir) / "fgbs-meas-00000000000000f4.v1.tmp.12.7";
+      fs::path(Local.dir()) / "fgbs-meas-00000000000000f4.v1.tmp.12.7";
   { std::ofstream(Temp.string()) << "partial write"; }
 
-  // No manifest exists, so prune rebuilds from a scan — which must not
+  // An unbounded prune's candidates come from a scan, which must not
   // adopt the temp file as an entry.
-  CachePruneStats Stats = Cache.prune(/*MaxBytes=*/0, /*MaxAgeSeconds=*/0);
-  EXPECT_TRUE(Stats.RebuiltFromScan);
+  CachePruneStats Stats = pruneMeasurementEntries(Local, 0, 0);
   EXPECT_EQ(Stats.Entries, 1u);
   EXPECT_EQ(Stats.Removed, 0u);
 }

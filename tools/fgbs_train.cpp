@@ -196,22 +196,15 @@ int main(int argc, char **argv) {
                    "(--cache DIR or FGBS_MEAS_CACHE)\n";
       return usage(std::cerr, 2);
     }
-    MeasurementCache Cache(Build.CacheDir);
+    LocalDirBackend Dir(Build.CacheDir);
     std::uint64_t MaxBytes = Build.CacheMaxBytes
                                  ? Build.CacheMaxBytes
                                  : measurementCacheEnvMaxBytes();
-    CachePruneStats Stats = Cache.prune(MaxBytes, Build.CacheMaxAgeSeconds);
-    if (Stats.LockTimedOut) {
-      std::cerr << "fgbs_train: cache '" << Build.CacheDir
-                << "' is busy (manifest lock timeout); nothing pruned\n";
-      return 1;
-    }
+    CachePruneStats Stats =
+        pruneMeasurementEntries(Dir, MaxBytes, Build.CacheMaxAgeSeconds);
     std::cout << "pruned '" << Build.CacheDir << "': " << Stats.Removed
               << " of " << Stats.Entries << " entries evicted, "
-              << Stats.BytesBefore << " -> " << Stats.BytesAfter << " bytes"
-              << (Stats.RebuiltFromScan ? " (manifest rebuilt from scan)"
-                                        : "")
-              << "\n";
+              << Stats.BytesBefore << " -> " << Stats.BytesAfter << " bytes\n";
     return 0;
   }
 
