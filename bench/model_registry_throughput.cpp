@@ -56,7 +56,6 @@ public:
     fs::remove_all(Root);
     net::CacheServerConfig Config;
     Config.Root = (Root / "server").string();
-    Config.Shards = 4;
     Config.Threads = 8;
     Config.BindAddr = "127.0.0.1";
     Server = std::make_unique<net::CacheServer>(std::move(Config));

@@ -53,7 +53,6 @@ public:
     fs::remove_all(Root);
     net::CacheServerConfig Config;
     Config.Root = (Root / "server").string();
-    Config.Shards = 4;
     // Connections are long-lived and worker-bound, so the pool must
     // cover the widest client fan-out below (8 bench threads) or the
     // excess clients would measure queueing, not the wire.

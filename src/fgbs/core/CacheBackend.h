@@ -14,8 +14,8 @@
 /// write-to-temp-in-the-same-directory + rename, so readers only ever
 /// observe absent or complete entries (the temp file lives next to its
 /// target, never in /tmp, because rename(2) is only atomic within one
-/// filesystem).  It backs a host's cache directory and every shard of
-/// net/CacheServer.  core/RemoteCacheBackend speaks the same interface
+/// filesystem).  It backs a host's cache directory and net/CacheServer's
+/// root alike.  core/RemoteCacheBackend speaks the same interface
 /// over the wire and returns an empty lockPath() (the server brings its
 /// own atomicity); core/TieredCacheBackend composes the two.
 ///
@@ -147,7 +147,7 @@ inline constexpr std::int64_t kEntryRefreshSeconds = 60;
 ///
 /// Namespaced entry names (`model/<name>/sha/<hex>`) are stored flat:
 /// '/' is encoded as '~' in the on-disk file name and decoded on
-/// enumeration, so a shard directory never grows subdirectories and
+/// enumeration, so a cache directory never grows subdirectories and
 /// every existing flat (measurement) name maps to itself.  '~' is
 /// reserved — put() rejects names containing it, because such a name
 /// would collide with an encoded one and decode to something else.
@@ -168,7 +168,7 @@ public:
   std::string lockPath(const std::string &Name) const override;
 
   /// The '/'<->'~' mapping between entry names and flat on-disk file
-  /// names.  Exposed for tests and for tools that look at shard
+  /// names.  Exposed for tests and for tools that look at cache
   /// directories directly.
   static std::string encodeFileName(const std::string &Name);
   static std::string decodeFileName(const std::string &FileName);

@@ -680,7 +680,7 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
                                          : measurementCacheEnvMaxBytes();
       // Eviction is a per-tier concern: only the local directory is
       // pruned, so a tiered cache never deletes fleet-shared entries on
-      // the server (which prunes its shards under its own budgets), and
+      // the server (which prunes its root under its own budgets), and
       // a remote-only cache has nothing here to prune.
       if ((MaxBytes || Options.CacheMaxAgeSeconds) &&
           !Options.CacheDir.empty()) {

@@ -172,7 +172,7 @@ private:
 
 /// pruneEntries() over the measurement entries (`fgbs-meas-*.v1`) of
 /// \p Dir; no other file there is a candidate.  Runs where the files
-/// live: a host's cache directory or one server shard.
+/// live: a host's cache directory or the server's root.
 CachePruneStats pruneMeasurementEntries(LocalDirBackend &Dir,
                                         std::uint64_t MaxBytes,
                                         std::uint64_t MaxAgeSeconds,

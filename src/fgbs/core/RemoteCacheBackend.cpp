@@ -32,6 +32,11 @@ std::uint64_t steadyMs() {
           .count());
 }
 
+/// The retry schedule: the first backoff, doubling per failure up to
+/// the second.
+constexpr std::uint64_t kInitialBackoffMs = 50;
+constexpr std::uint64_t kMaxBackoffMs = 1000;
+
 /// A per-backend retry-jitter seed: pid in the high bits, randomness
 /// below, so clients on different hosts (or recycling one pid) draw
 /// different schedules.
@@ -87,8 +92,7 @@ bool RemoteCacheBackend::request(Opcode Op, std::string_view Payload,
       // Jittered so a fleet that lost the same server does not retry in
       // lockstep and re-stampede it the instant it returns.
       std::this_thread::sleep_for(std::chrono::milliseconds(retryBackoffMs(
-          Attempt - 1, Config.InitialBackoffMs, Config.MaxBackoffMs,
-          BackoffSeed)));
+          Attempt - 1, kInitialBackoffMs, kMaxBackoffMs, BackoffSeed)));
     }
     if (!Conn.valid()) {
       std::string ConnectError;
@@ -230,69 +234,41 @@ bool RemoteCacheBackend::statsRemote(RemoteCacheStats &Out) {
   if (!request(Opcode::Stats, {}, Response) || Response.Op != Opcode::Ok)
     return false;
   ByteReader In(Response.Payload);
-  // u32 shards, then {u64 entries, u64 bytes} per shard; false when the
-  // reply ends early.
-  auto ReadShards = [&In](std::vector<RemoteShardStats> &Shards) {
-    const std::uint32_t Count = In.u32();
-    for (std::uint32_t I = 0; I < Count && !In.overrun(); ++I) {
-      RemoteShardStats Sh;
-      Sh.Entries = In.u64();
-      Sh.Bytes = In.u64();
-      Shards.push_back(Sh);
-    }
-    return !In.overrun() && Shards.size() == Count;
-  };
   RemoteCacheStats S;
-  if (!ReadShards(S.Shards))
-    return false;
-  S.Hits = In.u64();
-  S.Misses = In.u64();
-  if (!ReadShards(S.ModelShards))
-    return false;
-  S.ModelGets = In.u64();
-  S.ModelPuts = In.u64();
-  S.ModelRefPuts = In.u64();
-  S.ScanPrefixes = In.u64();
+  for (std::uint64_t *Field :
+       {&S.Entries, &S.Bytes, &S.Hits, &S.Misses, &S.ModelEntries,
+        &S.ModelBytes, &S.ModelGets, &S.ModelPuts, &S.ModelRefPuts,
+        &S.ScanPrefixes})
+    *Field = In.u64();
   if (In.overrun() || !In.atEnd())
     return false;
-  Out = std::move(S);
+  Out = S;
   return true;
 }
 
 std::string fgbs::renderStatsJson(const RemoteCacheStats &S) {
   using obs::JsonValue;
-  // One namespace's {shards, entries, bytes}.
-  auto Footprint = [](const std::vector<RemoteShardStats> &Shards) {
-    JsonValue Arr = JsonValue::array();
-    std::uint64_t Entries = 0, Bytes = 0;
-    for (const RemoteShardStats &Sh : Shards) {
-      JsonValue One = JsonValue::object();
-      One.set("entries", JsonValue(static_cast<double>(Sh.Entries)));
-      One.set("bytes", JsonValue(static_cast<double>(Sh.Bytes)));
-      Arr.push(std::move(One));
-      Entries += Sh.Entries;
-      Bytes += Sh.Bytes;
-    }
-    JsonValue Block = JsonValue::object();
-    Block.set("shards", std::move(Arr));
-    Block.set("entries", JsonValue(static_cast<double>(Entries)));
-    Block.set("bytes", JsonValue(static_cast<double>(Bytes)));
-    return Block;
+  auto Count = [](std::uint64_t N) {
+    return JsonValue(static_cast<double>(N));
   };
 
   JsonValue Doc = JsonValue::object();
   Doc.set("schema", JsonValue("fgbs.cachestats.v1"));
 
-  JsonValue Meas = Footprint(S.Shards);
-  Meas.set("hits", JsonValue(static_cast<double>(S.Hits)));
-  Meas.set("misses", JsonValue(static_cast<double>(S.Misses)));
+  JsonValue Meas = JsonValue::object();
+  Meas.set("entries", Count(S.Entries));
+  Meas.set("bytes", Count(S.Bytes));
+  Meas.set("hits", Count(S.Hits));
+  Meas.set("misses", Count(S.Misses));
   Doc.set("meas", std::move(Meas));
 
-  JsonValue Model = Footprint(S.ModelShards);
-  Model.set("gets", JsonValue(static_cast<double>(S.ModelGets)));
-  Model.set("puts", JsonValue(static_cast<double>(S.ModelPuts)));
-  Model.set("ref_puts", JsonValue(static_cast<double>(S.ModelRefPuts)));
-  Model.set("scan_prefixes", JsonValue(static_cast<double>(S.ScanPrefixes)));
+  JsonValue Model = JsonValue::object();
+  Model.set("entries", Count(S.ModelEntries));
+  Model.set("bytes", Count(S.ModelBytes));
+  Model.set("gets", Count(S.ModelGets));
+  Model.set("puts", Count(S.ModelPuts));
+  Model.set("ref_puts", Count(S.ModelRefPuts));
+  Model.set("scan_prefixes", Count(S.ScanPrefixes));
   Doc.set("model", std::move(Model));
   return obs::writeJson(Doc, 2) + "\n";
 }

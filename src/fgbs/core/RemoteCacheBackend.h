@@ -27,7 +27,7 @@
 /// same way again).
 ///
 /// lockPath() is empty, so writerLock() is the no-op lock: the server
-/// provides atomicity (each shard is a LocalDirBackend with atomic
+/// provides atomicity (its directory is a LocalDirBackend with atomic
 /// rename publish).  Hosts racing on one cold key may each simulate it
 /// and publish identical bytes; readers see one whole entry or none.
 ///
@@ -57,20 +57,16 @@ namespace fgbs {
 std::uint64_t retryBackoffMs(unsigned Attempt, std::uint64_t InitialMs,
                              std::uint64_t MaxMs, std::uint64_t Seed);
 
-/// One shard's footprint in a Stats response.
-struct RemoteShardStats {
+/// Decoded Stats opcode response: each namespace's storage footprint
+/// and the request counters.
+struct RemoteCacheStats {
   std::uint64_t Entries = 0;
   std::uint64_t Bytes = 0;
-};
-
-/// Decoded Stats opcode response: storage footprint and request
-/// counters.
-struct RemoteCacheStats {
-  std::vector<RemoteShardStats> Shards;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
-  /// The model/ namespace's shards and counters.
-  std::vector<RemoteShardStats> ModelShards;
+  /// The model/ namespace's footprint and counters.
+  std::uint64_t ModelEntries = 0;
+  std::uint64_t ModelBytes = 0;
   std::uint64_t ModelGets = 0;
   std::uint64_t ModelPuts = 0;
   std::uint64_t ModelRefPuts = 0;
@@ -92,9 +88,6 @@ struct RemoteCacheConfig {
   std::uint64_t RequestTimeoutMs = 10000;
   /// Connection attempts per operation (>= 1).
   unsigned MaxAttempts = 3;
-  /// First retry backoff; doubles per failure up to MaxBackoffMs.
-  std::uint64_t InitialBackoffMs = 50;
-  std::uint64_t MaxBackoffMs = 1000;
 };
 
 /// Parses "host:port" into a config (timeouts keep their defaults).

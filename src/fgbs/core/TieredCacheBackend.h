@@ -17,7 +17,7 @@
 ///
 /// Scope rules keeping the tiers honest:
 ///  - Last use and eviction are per tier: each tier's entry mtimes
-///    record its own reads, the server prunes its own shards, and a
+///    record its own reads, the server prunes its own directory, and a
 ///    client prunes only its local directory.
 ///  - scan() is local-only.  Enumeration feeds local lifecycle and
 ///    status displays; fleet-wide enumeration goes through the remote

@@ -1,4 +1,4 @@
-//===- fgbs/net/CacheServer.cpp - Sharded measurement-cache daemon --------===//
+//===- fgbs/net/CacheServer.cpp - Measurement-cache daemon ----------------===//
 //
 // Part of the FGBS project: a reproduction of "Fine-grained Benchmark
 // Subsetting for System Selection" (CGO 2014).
@@ -10,12 +10,9 @@
 #include "fgbs/core/MeasurementCache.h"
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
-#include "fgbs/support/Crc32.h"
 #include "fgbs/support/ThreadPool.h"
 
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 
 using namespace fgbs;
 using namespace fgbs::net;
@@ -33,36 +30,12 @@ std::uint64_t steadyMs() {
 /// Stop-flag poll interval for accept and idle-connection waits.
 constexpr std::uint64_t kPollSliceMs = 250;
 
-/// Per-shard slice of a whole-server byte budget.  Ceiling division so
-/// a tiny non-zero budget stays non-zero (0 means unbounded, and a
-/// 1-byte budget rounding down to "unbounded" would invert its intent).
-std::uint64_t perShardBudget(std::uint64_t MaxBytes, unsigned Shards) {
-  if (MaxBytes == 0 || Shards == 0)
-    return 0;
-  return (MaxBytes + Shards - 1) / Shards;
-}
+/// A connection with no complete frame for this long is closed (it can
+/// simply reconnect).
+constexpr std::uint64_t kIdleTimeoutMs = 30000;
 
-/// The shard a name with a content hash routes to: the hash's leading 8
-/// hex digits modulo \p Shards when \p Hex starts with them, else the
-/// CRC-32 of the whole \p Name.
-unsigned hashShard(std::string_view Name, std::string_view Hex,
-                   unsigned Shards) {
-  std::uint32_t Lead = 0;
-  for (std::size_t I = 0; I < 8; ++I) {
-    const char C = I < Hex.size() ? Hex[I] : '\0';
-    unsigned Digit = 0;
-    if (C >= '0' && C <= '9')
-      Digit = static_cast<unsigned>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Digit = static_cast<unsigned>(C - 'a') + 10;
-    else if (C >= 'A' && C <= 'F')
-      Digit = static_cast<unsigned>(C - 'A') + 10;
-    else
-      return crc32(Name) % Shards;
-    Lead = (Lead << 4) | Digit;
-  }
-  return Lead % Shards;
-}
+/// Deadline for sending one reply frame once started.
+constexpr std::uint64_t kIoTimeoutMs = 10000;
 
 } // namespace
 
@@ -94,7 +67,7 @@ bool isValidPathSegment(std::string_view Seg) {
 /// Where a wire entry name is stored.  A name is stored under itself:
 ///
 ///   <flat>            -> Meas  (isValidEntryName)
-///   model/<segments>  -> Model (own shards, own budgets)
+///   model/<segments>  -> Model (own budgets)
 ///
 /// Anything else is Invalid: another namespace, empty / "." / ".."
 /// segments, characters outside [A-Za-z0-9._-] in a namespaced
@@ -131,35 +104,8 @@ Space entrySpace(std::string_view Name) {
 
 } // namespace
 
-unsigned CacheServer::shardForName(std::string_view Name, unsigned Shards) {
-  if (Shards <= 1)
-    return 0;
-  // Canonical entries ("fgbs-meas-<16 hex>.v1") route on their leading
-  // content-hash digits so the key itself names the shard.
-  constexpr std::string_view Prefix = "fgbs-meas-";
-  constexpr std::string_view Suffix = ".v1";
-  const bool Canonical = Name.size() == Prefix.size() + 16 + Suffix.size() &&
-                         Name.starts_with(Prefix) && Name.ends_with(Suffix);
-  return hashShard(Name, Canonical ? Name.substr(Prefix.size()) : "", Shards);
-}
-
-unsigned CacheServer::modelShardForName(std::string_view Name,
-                                        unsigned Shards) {
-  if (Shards <= 1)
-    return 0;
-  // Content-addressed `.../sha/<hex>` blobs route on their own hash
-  // digits, like canonical measurement entries do.
-  constexpr std::string_view Marker = "/sha/";
-  const std::size_t Pos = Name.rfind(Marker);
-  const std::string_view Hex =
-      Pos == std::string_view::npos ? "" : Name.substr(Pos + Marker.size());
-  return hashShard(Name, Hex, Shards);
-}
-
 CacheServer::CacheServer(CacheServerConfig Config)
     : Config(std::move(Config)) {
-  if (this->Config.Shards == 0)
-    this->Config.Shards = 1;
   if (this->Config.Threads == 0)
     this->Config.Threads = 4;
 }
@@ -177,19 +123,7 @@ bool CacheServer::start(std::string *Error) {
   if (!Listen.listenOn(Config.BindAddr, Config.Port, /*Backlog=*/64, Error))
     return false;
 
-  ShardBackends.clear();
-  ModelShardBackends.clear();
-  for (unsigned I = 0; I < Config.Shards; ++I) {
-    char Leaf[32];
-    std::snprintf(Leaf, sizeof(Leaf), "shard-%02u", I);
-    ShardBackends.push_back(std::make_unique<LocalDirBackend>(
-        (std::filesystem::path(Config.Root) / Leaf).string()));
-    // Model artifacts live in their own directories so namespace
-    // budgets and prune policy never interleave with measurements.
-    std::snprintf(Leaf, sizeof(Leaf), "model-shard-%02u", I);
-    ModelShardBackends.push_back(std::make_unique<LocalDirBackend>(
-        (std::filesystem::path(Config.Root) / Leaf).string()));
-  }
+  Store = std::make_unique<LocalDirBackend>(Config.Root);
 
   StopFlag.store(false, std::memory_order_release);
   Running.store(true, std::memory_order_release);
@@ -223,7 +157,7 @@ void CacheServer::acceptLoop() {
 
 void CacheServer::serveConnection(Socket Conn) {
   FGBS_COUNTER_ADD("cachesrv.connections", 1);
-  std::uint64_t IdleDeadline = steadyMs() + Config.IdleTimeoutMs;
+  std::uint64_t IdleDeadline = steadyMs() + kIdleTimeoutMs;
   while (!StopFlag.load(std::memory_order_acquire)) {
     Frame Request;
     WireError E = readFrame(Conn, Request, kPollSliceMs);
@@ -248,13 +182,13 @@ void CacheServer::serveConnection(Socket Conn) {
                      kWireHeaderBytes + Request.Payload.size());
     if (!handleFrame(Conn, Request))
       return;
-    IdleDeadline = steadyMs() + Config.IdleTimeoutMs;
+    IdleDeadline = steadyMs() + kIdleTimeoutMs;
   }
 }
 
 bool CacheServer::respond(Socket &Conn, Opcode Op, std::string_view Payload) {
   FGBS_COUNTER_ADD("cachesrv.bytes_out", kWireHeaderBytes + Payload.size());
-  return writeFrame(Conn, Op, Payload, Config.IoTimeoutMs);
+  return writeFrame(Conn, Op, Payload, kIoTimeoutMs);
 }
 
 bool CacheServer::respondError(Socket &Conn, const std::string &Message) {
@@ -264,20 +198,11 @@ bool CacheServer::respondError(Socket &Conn, const std::string &Message) {
   return respond(Conn, Opcode::Error, Payload);
 }
 
-CacheBackend &CacheServer::backendFor(bool Model, const std::string &Name) {
-  if (Model)
-    return *ModelShardBackends[modelShardForName(Name, shards())];
-  return *ShardBackends[shardForName(Name, shards())];
-}
-
 void CacheServer::pruneAfterPut(bool Model, const std::string &Name) {
-  // The byte budgets are split evenly across shards because the content
-  // hash spreads entries uniformly.
   if (!Model) {
     if (Config.MaxBytes || Config.MaxAgeSeconds)
-      pruneMeasurementEntries(*ShardBackends[shardForName(Name, shards())],
-                              perShardBudget(Config.MaxBytes, shards()),
-                              Config.MaxAgeSeconds, Name);
+      pruneMeasurementEntries(*Store, Config.MaxBytes, Config.MaxAgeSeconds,
+                              Name);
     return;
   }
   if (!Config.ModelMaxBytes && !Config.ModelMaxAgeSeconds)
@@ -286,14 +211,11 @@ void CacheServer::pruneAfterPut(bool Model, const std::string &Name) {
   // pruning one would silently unpin a tag, whereas pruning a snapshot
   // produces the explicit dangling-ref condition the registry client
   // knows how to report.
-  LocalDirBackend &Shard =
-      *ModelShardBackends[modelShardForName(Name, shards())];
-  std::vector<CacheEntry> Blobs = Shard.scan("model/", "");
+  std::vector<CacheEntry> Blobs = Store->scan("model/", "");
   std::erase_if(Blobs, [](const CacheEntry &E) {
     return E.Name.find("/sha/") == std::string::npos;
   });
-  pruneEntries(Shard, std::move(Blobs),
-               perShardBudget(Config.ModelMaxBytes, shards()),
+  pruneEntries(*Store, std::move(Blobs), Config.ModelMaxBytes,
                Config.ModelMaxAgeSeconds, Name);
 }
 
@@ -318,17 +240,15 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   case Opcode::Ping: {
     std::string Out;
     putStr(Out, "fgbs.cachewire.v1");
-    putU32(Out, shards());
     return respond(Conn, Opcode::Ok, Out);
   }
 
   case Opcode::Exists:
-    return respond(Conn, Opcode::Ok,
-                   std::string(1, backendFor(Model, Name).exists(Name)));
+    return respond(Conn, Opcode::Ok, std::string(1, Store->exists(Name)));
 
   case Opcode::Get: {
     std::string Bytes;
-    if (!backendFor(Model, Name).get(Name, Bytes)) {
+    if (!Store->get(Name, Bytes)) {
       FGBS_COUNTER_ADD("cachesrv.get.misses", 1);
       StatMisses.fetch_add(1, std::memory_order_relaxed);
       return respond(Conn, Opcode::NotFound, {});
@@ -345,7 +265,7 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
     // field to disagree with the frame's.
     std::string_view Blob =
         std::string_view(Request.Payload).substr(4 + Name.size());
-    if (!backendFor(Model, Name).put(Name, Blob))
+    if (!Store->put(Name, Blob))
       return respondError(Conn, "put: cannot publish '" + Name + "'");
     FGBS_COUNTER_ADD("cachesrv.puts", 1);
     if (Model) {
@@ -358,29 +278,14 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   }
 
   case Opcode::Remove:
-    return respond(Conn, Opcode::Ok,
-                   std::string(1, backendFor(Model, Name).remove(Name)));
+    return respond(Conn, Opcode::Ok, std::string(1, Store->remove(Name)));
 
   case Opcode::ScanPrefix: {
     std::string Prefix = In.str();
     if (In.overrun() || !In.atEnd())
       return respondError(Conn, "scan_prefix: damaged prefix");
     StatScanPrefixes.fetch_add(1, std::memory_order_relaxed);
-    // Walk only the shards that can hold a match: a prefix under
-    // `model/` names model entries alone, and one that `model/` starts
-    // with ("", "m", "mod", ...) may name entries of either space.
-    constexpr std::string_view ModelRoot = "model/";
-    const bool UnderModel = Prefix.starts_with(ModelRoot);
-    const bool WantModel = UnderModel || ModelRoot.starts_with(Prefix);
-    std::vector<CacheEntry> All;
-    if (!UnderModel)
-      for (const auto &Shard : ShardBackends)
-        for (CacheEntry &E : Shard->scan(Prefix, ""))
-          All.push_back(std::move(E));
-    if (WantModel)
-      for (const auto &Shard : ModelShardBackends)
-        for (CacheEntry &E : Shard->scan(Prefix, ""))
-          All.push_back(std::move(E));
+    const std::vector<CacheEntry> All = Store->scan(Prefix, "");
     std::string Out;
     putU32(Out, static_cast<std::uint32_t>(All.size()));
     for (const CacheEntry &E : All) {
@@ -394,23 +299,21 @@ bool CacheServer::handleFrame(Socket &Conn, const Frame &Request) {
   case Opcode::Stats: {
     if (!Request.Payload.empty())
       return respondError(Conn, "stats: unexpected payload");
+    // One scan, split on the namespace: a flat name never starts with
+    // `model/`.
+    std::uint64_t Entries = 0, Bytes = 0, ModelEntries = 0, ModelBytes = 0;
+    for (const CacheEntry &E : Store->scan("", "")) {
+      const bool InModel = E.Name.starts_with("model/");
+      ++(InModel ? ModelEntries : Entries);
+      (InModel ? ModelBytes : Bytes) += E.SizeBytes;
+    }
     std::string Out;
-    auto PutFootprints = [&Out](const auto &Shards) {
-      putU32(Out, static_cast<std::uint32_t>(Shards.size()));
-      for (const auto &Shard : Shards) {
-        std::uint64_t Entries = 0, Bytes = 0;
-        for (const CacheEntry &E : Shard->scan("", "")) {
-          ++Entries;
-          Bytes += E.SizeBytes;
-        }
-        putU64(Out, Entries);
-        putU64(Out, Bytes);
-      }
-    };
-    PutFootprints(ShardBackends);
+    putU64(Out, Entries);
+    putU64(Out, Bytes);
     putU64(Out, StatHits.load(std::memory_order_relaxed));
     putU64(Out, StatMisses.load(std::memory_order_relaxed));
-    PutFootprints(ModelShardBackends);
+    putU64(Out, ModelEntries);
+    putU64(Out, ModelBytes);
     putU64(Out, StatModelGets.load(std::memory_order_relaxed));
     putU64(Out, StatModelPuts.load(std::memory_order_relaxed));
     putU64(Out, StatModelRefPuts.load(std::memory_order_relaxed));

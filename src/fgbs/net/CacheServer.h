@@ -1,4 +1,4 @@
-//===- fgbs/net/CacheServer.h - Sharded measurement-cache daemon *- C++ -*-===//
+//===- fgbs/net/CacheServer.h - Measurement-cache daemon --------*- C++ -*-===//
 //
 // Part of the FGBS project: a reproduction of "Fine-grained Benchmark
 // Subsetting for System Selection" (CGO 2014).
@@ -8,23 +8,21 @@
 /// \file
 /// The server half of the remote measurement-cache tier: a
 /// ThreadPool-backed TCP daemon speaking fgbs.cachewire.v1 (net/Framing)
-/// over N shard directories, each shard a plain core/LocalDirBackend:
-/// its atomic publish, its mtime as each entry's last use (a Get is a
-/// use) and pruneEntries() as the eviction rule, the same ones a host's
-/// cache directory runs.  Shipped as tools/fgbs_cached.
+/// over one directory, a plain core/LocalDirBackend: its atomic publish,
+/// its mtime as each entry's last use (a Get is a use) and
+/// pruneEntries() as the eviction rule, the same ones a host's cache
+/// directory runs.  Shipped as tools/fgbs_cached.
 ///
-/// Shard addressing is by content-hash prefix: an entry name of the
-/// canonical "fgbs-meas-<16 hex>.v1" shape routes on its leading hash
-/// digits, anything else on a CRC-32 of the whole name — so one key
-/// always lands on one shard and shard counts only need to agree
-/// per-server, never per-client (clients address the server, not the
-/// shards).
+/// Every entry is one regular file directly under the root, named by
+/// its wire name with '/' encoded as '~' — the flat layout a host's
+/// --cache directory has.  The root holds entries and nothing else.
 ///
 /// Namespaces: wire names without '/' are the flat measurement space,
-/// and `model/<name>/...` is a separate set of model shard directories
-/// with its own byte/age budgets — model
-/// snapshots are large and long-lived, and must not be evicted by
-/// measurement churn (nor crowd measurements out).  Within the model
+/// and `model/<name>/...` is the model namespace, with its own
+/// byte/age budgets — model snapshots are large and long-lived, and
+/// must not be evicted by measurement churn (nor crowd measurements
+/// out).  The two share the directory; the encoding keeps them apart,
+/// since a flat name holds neither '/' nor '~'.  Within the model
 /// namespace only `.../sha/<hex>` blobs are budget-pruned; tiny
 /// `.../ref/<tag>` blobs are never touched by the pruner, so a dangling
 /// ref means "the snapshot aged out", a condition the registry client
@@ -42,7 +40,7 @@
 /// Telemetry: cachesrv.{requests,bytes_in,bytes_out,errors,connections}
 /// plus cachesrv.get.{hits,misses}.
 /// The Stats opcode reports from server-local atomics (always on,
-/// independent of FGBS_TELEMETRY) plus live shard scans.
+/// independent of FGBS_TELEMETRY) plus one live directory scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,38 +56,28 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace fgbs {
 namespace net {
 
 /// How a CacheServer runs.
 struct CacheServerConfig {
-  /// Directory the shard subdirectories (shard-00, shard-01, ...) live
-  /// under; created on start().
+  /// Directory the entries live in, one file each; created on start().
   std::string Root;
-  /// Shard directory count (>= 1).
-  unsigned Shards = 4;
   /// Worker threads serving connections (0 = 4).
   unsigned Threads = 0;
   /// IPv4 bind address; empty = all interfaces.
   std::string BindAddr;
   /// TCP port; 0 = kernel-chosen ephemeral (read back via port()).
   std::uint16_t Port = 0;
-  /// Per-shard lifecycle budgets, enforced by pruning a shard after
-  /// each store into it (0 = unbounded).  The byte budget is the whole
-  /// server's; each shard gets an equal split.
+  /// Lifecycle budgets of the whole server's measurement entries,
+  /// enforced by a prune after each store of one (0 = unbounded).
   std::uint64_t MaxBytes = 0;
   std::uint64_t MaxAgeSeconds = 0;
-  /// Same, scoped to the model/ namespace (its shard set is pruned
-  /// independently; only sha blobs count, refs are never pruned).
+  /// Same, for the model/ namespace (only sha blobs count, refs are
+  /// never pruned).
   std::uint64_t ModelMaxBytes = 0;
   std::uint64_t ModelMaxAgeSeconds = 0;
-  /// A connection with no complete frame for this long is closed (it
-  /// can simply reconnect).
-  std::uint64_t IdleTimeoutMs = 30000;
-  /// Deadline for each single frame send/receive once started.
-  std::uint64_t IoTimeoutMs = 10000;
 };
 
 /// The daemon: start() binds and serves in background threads until
@@ -102,7 +90,7 @@ public:
   CacheServer(const CacheServer &) = delete;
   CacheServer &operator=(const CacheServer &) = delete;
 
-  /// Binds, creates the shard directories, and spawns the worker pool.
+  /// Binds, creates the root directory, and spawns the worker pool.
   bool start(std::string *Error);
 
   /// Stops accepting, drains in-flight connections, joins the workers.
@@ -114,21 +102,7 @@ public:
   /// The bound port (valid after start(); resolves Port = 0).
   std::uint16_t port() const { return Listen.port(); }
 
-  unsigned shards() const {
-    return static_cast<unsigned>(ShardBackends.size());
-  }
-
   const std::string &root() const { return Config.Root; }
-
-  /// Which shard \p Name routes to: the leading 8 hex digits of a
-  /// canonical "fgbs-meas-<16 hex>.v1" entry name, else CRC-32 of the
-  /// whole name, reduced modulo \p Shards.
-  static unsigned shardForName(std::string_view Name, unsigned Shards);
-
-  /// Which model shard a `model/...` storage name routes to: the
-  /// leading 8 hex digits of its `sha/<hex>` leaf when it has one, else
-  /// CRC-32 of the whole name, reduced modulo \p Shards.
-  static unsigned modelShardForName(std::string_view Name, unsigned Shards);
 
 private:
   void serveLoop();
@@ -140,18 +114,14 @@ private:
   bool respond(Socket &Conn, Opcode Op, std::string_view Payload);
   bool respondError(Socket &Conn, const std::string &Message);
 
-  /// The shard an entry name is stored in: a measurement shard for a
-  /// flat name, a model shard for a `model/...` one.
-  CacheBackend &backendFor(bool Model, const std::string &Name);
-  /// Prunes the shard a put of \p Name landed in to the per-shard slice
-  /// of its namespace's budgets (model refs are exempt), with \p Name
-  /// ranked first.  A no-op when the namespace has no budget.
+  /// Prunes the namespace a put of \p Name landed in to that
+  /// namespace's budgets (model refs are exempt), with \p Name ranked
+  /// first.  A no-op when the namespace has no budget.
   void pruneAfterPut(bool Model, const std::string &Name);
 
   CacheServerConfig Config;
   Listener Listen;
-  std::vector<std::unique_ptr<LocalDirBackend>> ShardBackends;
-  std::vector<std::unique_ptr<LocalDirBackend>> ModelShardBackends;
+  std::unique_ptr<LocalDirBackend> Store;
   std::thread ServeThread;
   std::atomic<bool> StopFlag{false};
   std::atomic<bool> Running{false};
@@ -166,7 +136,7 @@ private:
   std::atomic<std::uint64_t> StatScanPrefixes{0};
 };
 
-/// True when \p Name is safe to map into a shard directory: non-empty,
+/// True when \p Name is safe to map into the server's directory: non-empty,
 /// at most 255 bytes, no path separators, and not "." or ".." — the
 /// server rejects anything else before it touches the filesystem.
 bool isValidEntryName(std::string_view Name);

@@ -16,25 +16,22 @@
 /// non-FGBS client talking to the port is rejected on the first 8 bytes.
 ///
 /// Request payloads (str = u32 length + bytes):
-///   Ping        (empty)
+///   Ping        (empty) -> Ok str "fgbs.cachewire.v1"
 ///   Exists      str name
 ///   Get         str name
 ///   Put         str name, blob = remaining payload bytes
 ///   Remove      str name
 ///   Stats       (empty)
-///               -> Ok u32 shards, shards x { u64 entries, u64 bytes },
-///                  u64 hits, u64 misses, u32 model-shards,
-///                  model-shards x { u64 entries, u64 bytes },
-///                  u64 model-gets, u64 model-puts, u64 model-ref-puts,
-///                  u64 scan-prefixes
+///               -> Ok u64 entries, u64 bytes, u64 hits, u64 misses,
+///                  u64 model-entries, u64 model-bytes, u64 model-gets,
+///                  u64 model-puts, u64 model-ref-puts, u64 scan-prefixes
 ///   ScanPrefix  str prefix
 ///               -> Ok u32 count, count x { str name, u64 size-bytes,
 ///                  u64 atime-unix-seconds } — names only, never
 ///                  payloads, so a registry can enumerate
-///                  `model/<name>/...` cheaply.  Namespace routing:
-///                  `model/...` walks the model shards, any other
-///                  prefix the measurement shards, the empty prefix
-///                  both.
+///                  `model/<name>/...` cheaply.  One scan of the
+///                  server's directory: every entry of either
+///                  namespace whose name starts with the prefix.
 ///
 /// Opcodes 5-13 are unassigned: a request carrying one is answered
 /// with Error ("unsupported opcode") like any other unknown value.

@@ -228,9 +228,9 @@ TYPED_TEST_P(CacheBackendConformance, WriterLockCycle) {
 TYPED_TEST_P(CacheBackendConformance, NamespacedModelRoundTrip) {
   // model/ namespaced keys must behave exactly like flat entries:
   // binary-clean round trips, removable, invisible once removed.  The
-  // wire backend routes these to the server's model shards; directory
-  // backends flat-encode the separators — either way the contract is
-  // identical.
+  // directory backends, the server's among them, flat-encode the
+  // separators; the in-memory one keys by name — either way the
+  // contract is identical.
   CacheBackend &B = this->H.backend();
   const std::string Name =
       "model/conf-suite/sha/" + std::string(64, 'a');

@@ -59,7 +59,6 @@ struct RemoteHarness {
   net::CacheServer Server{[this] {
     net::CacheServerConfig Config;
     Config.Root = (Dir.Path / "server").string();
-    Config.Shards = 3;
     Config.Threads = 2;
     Config.BindAddr = "127.0.0.1";
     return Config;
@@ -84,7 +83,6 @@ struct TieredHarness {
   net::CacheServer Server{[this] {
     net::CacheServerConfig Config;
     Config.Root = (Dir.Path / "server").string();
-    Config.Shards = 2;
     Config.Threads = 2;
     Config.BindAddr = "127.0.0.1";
     return Config;

@@ -493,7 +493,6 @@ struct LiveRegistryTest : ::testing::Test {
     fs::create_directories(Dir);
     net::CacheServerConfig Config;
     Config.Root = (Dir / "server").string();
-    Config.Shards = 2;
     Config.Threads = 4;
     Config.BindAddr = "127.0.0.1";
     Server = std::make_unique<net::CacheServer>(std::move(Config));

@@ -180,7 +180,6 @@ protected:
            std::to_string(static_cast<long>(::getpid()));
     net::CacheServerConfig Config;
     Config.Root = Root;
-    Config.Shards = 2;
     Config.Threads = 2;
     Config.BindAddr = "127.0.0.1";
     Server = std::make_unique<net::CacheServer>(std::move(Config));

@@ -1,8 +1,9 @@
 //===- tests/remote_cache_test.cpp - the networked cache tier -------------===//
 //
-// The remote measurement-cache tier end to end: shard addressing, the
-// fgbs_cached server's opcode surface over a real loopback socket,
-// put-time pruning in both namespaces, the jittered retry schedule,
+// The remote measurement-cache tier end to end: entry-name validation,
+// the fgbs_cached server's opcode surface and on-disk layout over a real
+// loopback socket, put-time pruning of whole-server budgets in both
+// namespaces, the jittered retry schedule,
 // tiered read-through/write-through semantics,
 // typed degradation when the server dies, and the headline guarantee —
 // a second host with a cold local directory trains with zero simulation
@@ -25,7 +26,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -55,10 +55,9 @@ struct TempDir {
   ~TempDir() { fs::remove_all(Path); }
 };
 
-net::CacheServerConfig loopbackConfig(const TempDir &Dir, unsigned Shards) {
+net::CacheServerConfig loopbackConfig(const TempDir &Dir) {
   net::CacheServerConfig Config;
   Config.Root = (Dir.Path / "server").string();
-  Config.Shards = Shards;
   Config.Threads = 2;
   Config.BindAddr = "127.0.0.1";
   return Config;
@@ -93,29 +92,10 @@ SyntheticConfig tinyConfig() {
 }
 
 //===----------------------------------------------------------------------===//
-// Shard addressing and name validation
+// Server surface over a live loopback connection
 //===----------------------------------------------------------------------===//
 
-TEST(ShardAddressing, CanonicalNamesRouteOnHashPrefix) {
-  // The leading 8 hex digits choose the shard, so the key itself names
-  // its home and shard counts need only agree per-server.
-  EXPECT_EQ(net::CacheServer::shardForName("fgbs-meas-0000000300000000.v1", 4),
-            3u);
-  EXPECT_EQ(net::CacheServer::shardForName("fgbs-meas-0000000500000000.v1", 4),
-            1u);
-  EXPECT_EQ(net::CacheServer::shardForName("fgbs-meas-deadbeef00000000.v1", 1),
-            0u);
-}
-
-TEST(ShardAddressing, StableAcrossCalls) {
-  for (unsigned Shards : {1u, 2u, 4u, 7u}) {
-    unsigned First = net::CacheServer::shardForName("other-entry.bin", Shards);
-    EXPECT_LT(First, Shards);
-    EXPECT_EQ(First, net::CacheServer::shardForName("other-entry.bin", Shards));
-  }
-}
-
-TEST(ShardAddressing, EntryNameValidation) {
+TEST(CacheServer, EntryNameValidation) {
   EXPECT_TRUE(net::isValidEntryName("fgbs-meas-0123456789abcdef.v1"));
   EXPECT_TRUE(net::isValidEntryName("other-entry.bin"));
   EXPECT_FALSE(net::isValidEntryName(""));
@@ -128,31 +108,30 @@ TEST(ShardAddressing, EntryNameValidation) {
   EXPECT_FALSE(net::isValidEntryName(std::string(256, 'a')));
 }
 
-//===----------------------------------------------------------------------===//
-// Server surface over a live loopback connection
-//===----------------------------------------------------------------------===//
-
-TEST(CacheServer, EntriesSpreadAcrossShardDirectories) {
-  TempDir Dir("shards");
-  net::CacheServer Server(loopbackConfig(Dir, 4));
+TEST(CacheServer, EntriesAreFilesDirectlyUnderTheRoot) {
+  // The root has a host cache directory's layout: one regular file per
+  // entry, named by its wire name with '/' encoded as '~', and no
+  // subdirectory.  Scan lists both back under their wire names.
+  TempDir Dir("layout");
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Client(clientConfig(Server));
 
-  // Names whose leading hash digits hit each of the four shards.
-  for (unsigned I = 0; I < 4; ++I) {
-    char Name[64];
-    std::snprintf(Name, sizeof(Name), "fgbs-meas-%08x00000000.v1", I);
-    ASSERT_TRUE(Client.put(Name, "shard blob"));
-    fs::path ShardFile =
-        fs::path(Server.root()) /
-        ("shard-0" + std::to_string(I)) / Name;
-    EXPECT_TRUE(fs::exists(ShardFile))
-        << Name << " should land in shard " << I;
-  }
+  const std::string Meas = "fgbs-meas-0000000100000002.v1";
+  const std::string Sha = "model/layout/sha/" + std::string(64, 'b');
+  ASSERT_TRUE(Client.put(Meas, "meas blob"));
+  ASSERT_TRUE(Client.put(Sha, "model blob"));
 
-  // Scan merges all shards back into one listing.
-  EXPECT_EQ(Client.scan("fgbs-meas-", ".v1").size(), 4u);
+  std::vector<std::string> Files;
+  for (const fs::directory_entry &E : fs::directory_iterator(Server.root())) {
+    EXPECT_TRUE(E.is_regular_file()) << E.path();
+    Files.push_back(E.path().filename().string());
+  }
+  std::sort(Files.begin(), Files.end());
+  EXPECT_EQ(Files, (std::vector<std::string>{
+                       Meas, LocalDirBackend::encodeFileName(Sha)}));
+  EXPECT_EQ(Client.scan("", "").size(), 2u);
 }
 
 TEST(CacheServer, StopReturnsPromptlyAfterRacingAccepts) {
@@ -163,7 +142,7 @@ TEST(CacheServer, StopReturnsPromptlyAfterRacingAccepts) {
   // contention widens the window, so the connections arrive under a
   // burner on every core.
   TempDir Dir("stop");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.Threads = 16;
   net::CacheServer Server(Config);
   std::string Error;
@@ -208,7 +187,7 @@ TEST(CacheServer, StopReturnsPromptlyAfterRacingAccepts) {
 
 TEST(CacheServer, TraversalNamesRejected) {
   TempDir Dir("traversal");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Client(clientConfig(Server));
@@ -218,12 +197,12 @@ TEST(CacheServer, TraversalNamesRejected) {
 }
 
 TEST(CacheServer, MaxBytesEvictsMeasurementEntriesAfterPut) {
-  // One shard with room for two 10 kB entries: each put prunes the shard
-  // it landed in, so the third put leaves two entries behind.  Which one
+  // Room for two 10 kB entries: each put prunes the server's
+  // measurement entries, so the third put leaves two behind.  Which one
   // goes depends on access times in whole seconds, so only the count
   // and the footprint are checked.
   TempDir Dir("prune");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.MaxBytes = 25000;
   net::CacheServer Server(Config);
   std::string Error;
@@ -249,7 +228,7 @@ TEST(CacheServer, PutSurvivesASameSecondPrune) {
   // older name sorts first; the prune the second put triggers still
   // keeps that put and evicts the first.
   TempDir Dir("samesecond");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.MaxBytes = 15000;
   net::CacheServer Server(Config);
   std::string Error;
@@ -268,7 +247,7 @@ TEST(CacheServer, AGetCountsAsUseUnderMaxAge) {
   // put prunes to --max-age 3600: the read entry was used seconds ago
   // and stays, the unread one is evicted.
   TempDir Dir("maxage");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.MaxAgeSeconds = 3600;
   net::CacheServer Server(Config);
   std::string Error;
@@ -280,7 +259,7 @@ TEST(CacheServer, AGetCountsAsUseUnderMaxAge) {
   ASSERT_TRUE(Client.put(Read, "read back"));
   ASSERT_TRUE(Client.put(Unread, "never read"));
   for (const std::string &Name : {Read, Unread})
-    fs::last_write_time(fs::path(Server.root()) / "shard-00" / Name,
+    fs::last_write_time(fs::path(Server.root()) / Name,
                         fs::file_time_type::clock::now() -
                             std::chrono::hours(2));
   std::string Bytes;
@@ -297,7 +276,7 @@ TEST(CacheServer, ModelMaxBytesEvictsShaBlobsButNeverRefs) {
   // out dangles instead of vanishing.  The measurement budget is
   // unbounded and a measurement entry is untouched.
   TempDir Dir("modelprune");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.ModelMaxBytes = 1;
   net::CacheServer Server(Config);
   std::string Error;
@@ -320,9 +299,35 @@ TEST(CacheServer, ModelMaxBytesEvictsShaBlobsButNeverRefs) {
   EXPECT_EQ(Models.Entries[0].Name, Ref);
 }
 
+TEST(CacheServer, BudgetsBoundTheWholeServer) {
+  // Each budget bounds its namespace across the whole server: 25,000
+  // bytes keep two 10,000-byte measurement entries, and 15,000 bytes
+  // keep one 10,000-byte model blob.  A budget split into per-directory
+  // slices pruned each entry as soon as it was put.
+  TempDir Dir("wholeserver");
+  net::CacheServerConfig Config = loopbackConfig(Dir);
+  Config.MaxBytes = 25000;
+  Config.ModelMaxBytes = 15000;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  RemoteCacheBackend Client(clientConfig(Server));
+
+  const std::string Blob(10000, 'w');
+  const std::string First = "fgbs-meas-0000000000000001.v1";
+  const std::string Second = "fgbs-meas-0000000100000002.v1";
+  const std::string Sha = "model/whole/sha/" + std::string(64, 'c');
+  ASSERT_TRUE(Client.put(First, Blob));
+  ASSERT_TRUE(Client.put(Second, Blob));
+  ASSERT_TRUE(Client.put(Sha, Blob));
+  EXPECT_TRUE(Client.exists(First));
+  EXPECT_TRUE(Client.exists(Second));
+  EXPECT_TRUE(Client.exists(Sha));
+}
+
 TEST(CacheServer, SurvivesDamagedFramesFromOtherClients) {
   TempDir Dir("damage");
-  net::CacheServer Server(loopbackConfig(Dir, 1));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
 
@@ -342,15 +347,17 @@ TEST(CacheServer, SurvivesDamagedFramesFromOtherClients) {
   EXPECT_TRUE(Client.put("fgbs-meas-00000000000000aa.v1", "fine"));
 }
 
-TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
+TEST(CacheServer, StatsReportsFootprintAndCounters) {
   TempDir Dir("stats");
-  net::CacheServer Server(loopbackConfig(Dir, 3));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Backend(clientConfig(Server));
 
   ASSERT_TRUE(Backend.put("fgbs-meas-0000000000000001.v1", "0123456789"));
   ASSERT_TRUE(Backend.put("fgbs-meas-0000000100000000.v1", "01234"));
+  // A model blob shares the directory and counts in its own namespace.
+  ASSERT_TRUE(Backend.put("model/stats/sha/" + std::string(64, 'd'), "012"));
   // Hit/miss accounting is Get-only (Exists probes are free).
   std::string Bytes;
   EXPECT_TRUE(Backend.get("fgbs-meas-0000000000000001.v1", Bytes));  // hit
@@ -360,14 +367,10 @@ TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
 
   RemoteCacheStats Stats;
   ASSERT_TRUE(Backend.statsRemote(Stats));
-  ASSERT_EQ(Stats.Shards.size(), 3u);
-  std::uint64_t Entries = 0, Footprint = 0;
-  for (const RemoteShardStats &Shard : Stats.Shards) {
-    Entries += Shard.Entries;
-    Footprint += Shard.Bytes;
-  }
-  EXPECT_EQ(Entries, 2u);
-  EXPECT_EQ(Footprint, 15u);
+  EXPECT_EQ(Stats.Entries, 2u);
+  EXPECT_EQ(Stats.Bytes, 15u);
+  EXPECT_EQ(Stats.ModelEntries, 1u);
+  EXPECT_EQ(Stats.ModelBytes, 3u);
   EXPECT_EQ(Stats.Hits, 1u);
   EXPECT_EQ(Stats.Misses, 1u);
   Server.stop();
@@ -375,9 +378,9 @@ TEST(CacheServer, StatsReportsShardFootprintAndCounters) {
 
 TEST(CacheServer, StatsCountsOnlyEntries) {
   // A put that triggers a prune leaves the entry and nothing else in
-  // its shard, so the footprint is the entry's own.
+  // the directory, so the footprint is the entry's own.
   TempDir Dir("statsprune");
-  net::CacheServerConfig Config = loopbackConfig(Dir, 1);
+  net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.MaxBytes = 100000000;
   net::CacheServer Server(Config);
   std::string Error;
@@ -387,9 +390,8 @@ TEST(CacheServer, StatsCountsOnlyEntries) {
   ASSERT_TRUE(Client.put("fgbs-meas-0000000000000001.v1", "0123456789"));
   RemoteCacheStats Stats;
   ASSERT_TRUE(Client.statsRemote(Stats));
-  ASSERT_EQ(Stats.Shards.size(), 1u);
-  EXPECT_EQ(Stats.Shards[0].Entries, 1u);
-  EXPECT_EQ(Stats.Shards[0].Bytes, 10u);
+  EXPECT_EQ(Stats.Entries, 1u);
+  EXPECT_EQ(Stats.Bytes, 10u);
   ScanPrefixResult All = Client.scanPrefix("");
   ASSERT_TRUE(static_cast<bool>(All)) << All.Message;
   ASSERT_EQ(All.Entries.size(), 1u);
@@ -459,7 +461,7 @@ TEST(RetryBackoff, NeverZeroAndSaturatesSanely) {
 
 TEST(Tiered, RemoteHitPopulatesLocalTier) {
   TempDir Dir("readthrough");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
 
@@ -490,7 +492,7 @@ TEST(Tiered, RemoteHitPopulatesLocalTier) {
 
 TEST(Tiered, PutWritesThroughToRemote) {
   TempDir Dir("writeback");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
 
@@ -541,7 +543,7 @@ TEST(Tiered, LocalTierServesWhileTheServerIsDown) {
 
 TEST(Tiered, QueuedPutReachesServerAfterRemoveAndDestruction) {
   TempDir Dir("drain");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Checker(clientConfig(Server));
@@ -594,7 +596,7 @@ std::vector<Machine> RemoteBuildTest::Targets;
 
 TEST_F(RemoteBuildTest, SecondHostLoadsWithZeroSimulation) {
   TempDir Dir("e2e");
-  net::CacheServer Server(loopbackConfig(Dir, 4));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   const std::string Address = "127.0.0.1:" + std::to_string(Server.port());
@@ -634,7 +636,7 @@ TEST_F(RemoteBuildTest, SecondHostLoadsWithZeroSimulation) {
 
 TEST_F(RemoteBuildTest, RemoteOnlyCacheWorksWithoutLocalDir) {
   TempDir Dir("remoteonly");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
 
@@ -732,7 +734,7 @@ TEST(TempFileHygiene, PruneIgnoresTempFiles) {
 
 TEST(StatsJson, SchemaCoversBothNamespaces) {
   TempDir Dir("stats_json");
-  net::CacheServer Server(loopbackConfig(Dir, 2));
+  net::CacheServer Server(loopbackConfig(Dir));
   std::string Error;
   ASSERT_TRUE(Server.start(&Error)) << Error;
   RemoteCacheBackend Client(clientConfig(Server));
@@ -763,10 +765,11 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
 
   const obs::JsonValue *Meas = Doc->find("meas");
   ASSERT_NE(Meas, nullptr);
-  for (const char *Key : {"shards", "entries", "bytes", "hits", "misses"})
+  for (const char *Key : {"entries", "bytes", "hits", "misses"})
     EXPECT_NE(Meas->find(Key), nullptr) << "meas." << Key;
   EXPECT_EQ(Meas->find("entries")->number(), 1.0);
-  EXPECT_EQ(Meas->find("shards")->elements().size(), 2u);
+  EXPECT_EQ(Meas->find("bytes")->number(), 10.0);
+  EXPECT_EQ(Meas->find("shards"), nullptr);
 
   // The server has no work queue, so the document has no farm block.
   EXPECT_EQ(Doc->find("farm"), nullptr);
@@ -775,10 +778,11 @@ TEST(StatsJson, SchemaCoversBothNamespaces) {
   ASSERT_NE(Model, nullptr);
   ASSERT_FALSE(Model->isNull());
   for (const char *Key :
-       {"shards", "entries", "bytes", "gets", "puts", "ref_puts",
-        "scan_prefixes"})
+       {"entries", "bytes", "gets", "puts", "ref_puts", "scan_prefixes"})
     EXPECT_NE(Model->find(Key), nullptr) << "model." << Key;
   EXPECT_EQ(Model->find("entries")->number(), 2.0) << "sha blob + ref";
+  EXPECT_EQ(Model->find("bytes")->number(), 20.0);
+  EXPECT_EQ(Model->find("shards"), nullptr);
   EXPECT_EQ(Model->find("puts")->number(), 2.0);
   EXPECT_EQ(Model->find("ref_puts")->number(), 1.0);
   EXPECT_EQ(Model->find("scan_prefixes")->number(), 1.0);
@@ -799,9 +803,8 @@ TEST(StatsJson, ReplyWithoutTheModelBlockIsRejected) {
         net::readFrame(Conn, Request, 5000) != net::WireError::None)
       return;
     std::string Reply;
-    binio::putU32(Reply, 1);    // one shard
-    binio::putU64(Reply, 7);    // its entries
-    binio::putU64(Reply, 4096); // its bytes
+    binio::putU64(Reply, 7);    // entries
+    binio::putU64(Reply, 4096); // bytes
     binio::putU64(Reply, 3);    // hits
     binio::putU64(Reply, 0);    // misses, and nothing after
     net::writeFrame(Conn, net::Opcode::Ok, Reply, 5000);

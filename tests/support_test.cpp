@@ -1,6 +1,5 @@
 //===- tests/support_test.cpp - Rng, statistics, matrix, tables, CRC ------===//
 
-#include "fgbs/net/CacheServer.h"
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Crc32.h"
 #include "fgbs/support/Matrix.h"
@@ -324,8 +323,7 @@ TEST(ThreadPool, DefaultThreadCountIsPositive) {
 
 // Exact CRC-32 values, recorded from the bytewise table loop.  Every
 // checksum in fgbs.meas.v1, fgbs.model.v1, fgbs.ref.v1 and
-// fgbs.cachewire.v1 and the server's on-disk shard choice for names
-// that carry no hash digits ride on them, so none may move.
+// fgbs.cachewire.v1 rides on them, so none may move.
 TEST(Crc32, KnownAnswers) {
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0u);
@@ -338,29 +336,6 @@ TEST(Crc32, KnownAnswers) {
   for (char &C : Seeded)
     C = static_cast<char>(R.nextU64() & 0xff);
   EXPECT_EQ(crc32(Seeded), 0x58AB0074u);
-
-  struct Shard {
-    const char *Name;
-    unsigned Meas, Model;
-  };
-  const Shard Shards[] = {
-      {"", 0u, 0u},
-      {"a", 3u, 3u},
-      {"fgbs-meas-index.v1", 10u, 10u},
-      {"fgbs-meas-g123456789abcdef.v1", 2u, 2u},
-      {"fgbs-meas-00000003.v1", 13u, 13u},
-      {"cachesrv.lock.fgbs-meas-0000000300000000.v1", 1u, 1u},
-      {"model/nr-model/ref/latest", 10u, 10u},
-      {"model/nr-model/sha/xyz", 10u, 10u},
-      {"model/nr-model/sha/1234567", 7u, 7u},
-      {"model/nr-model/sha/0123456g89abcdef", 1u, 1u},
-      {"Numerical Recipes", 11u, 11u},
-  };
-  for (const Shard &S : Shards) {
-    EXPECT_EQ(net::CacheServer::shardForName(S.Name, 16), S.Meas) << S.Name;
-    EXPECT_EQ(net::CacheServer::modelShardForName(S.Name, 16), S.Model)
-        << S.Name;
-  }
 }
 
 namespace {

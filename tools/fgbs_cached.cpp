@@ -3,15 +3,17 @@
 // Part of the FGBS project: a reproduction of "Fine-grained Benchmark
 // Subsetting for System Selection" (CGO 2014).
 //
-// The fleet-facing half of the measurement cache: serve a sharded
-// directory of fgbs.meas.v1 entries over the fgbs.cachewire.v1 protocol
-// so many fgbs_train runs — across processes and across hosts — share
-// what one of them simulated instead of paying the paper's simulation
-// cost again (hosts that start one cold key at the same moment may each
-// simulate it; they publish identical bytes).
+// The fleet-facing half of the measurement cache: serve one directory
+// of fgbs.meas.v1 entries (and the model registry's snapshots and refs)
+// over the fgbs.cachewire.v1 protocol so many fgbs_train runs — across
+// processes and across hosts — share what one of them simulated instead
+// of paying the paper's simulation cost again (hosts that start one cold
+// key at the same moment may each simulate it; they publish identical
+// bytes).  --root holds the entries, one file each, and nothing else;
+// the budgets bound the whole server.
 //
-//   fgbs_cached --root DIR [--port N] [--shards N] [--threads N]
-//               [--bind ADDR] [--max-bytes N] [--max-age SECONDS]
+//   fgbs_cached --root DIR [--port N] [--threads N] [--bind ADDR]
+//               [--max-bytes N] [--max-age SECONDS]
 //               [--model-max-bytes N] [--model-max-age SECONDS]
 //               [--port-file PATH]
 //   fgbs_cached --ping HOST:PORT
@@ -47,35 +49,35 @@ std::atomic<bool> ShutdownRequested{false};
 void onSignal(int) { ShutdownRequested.store(true); }
 
 int usage(std::ostream &OS, int Exit) {
-  OS << "usage: fgbs_cached --root DIR [--port N] [--shards N]\n"
-        "                   [--threads N] [--bind ADDR] [--max-bytes N]\n"
-        "                   [--max-age SEC] [--model-max-bytes N]\n"
-        "                   [--model-max-age SEC] [--port-file PATH]\n"
+  OS << "usage: fgbs_cached --root DIR [--port N] [--threads N]\n"
+        "                   [--bind ADDR] [--max-bytes N] [--max-age SEC]\n"
+        "                   [--model-max-bytes N] [--model-max-age SEC]\n"
+        "                   [--port-file PATH]\n"
         "       fgbs_cached --ping HOST:PORT\n"
         "       fgbs_cached --stats HOST:PORT [--json]\n"
         "\n"
-        "Serves a sharded measurement-cache directory to a fleet of\n"
-        "fgbs_train runs over the fgbs.cachewire.v1 protocol, so a\n"
-        "suite/machine configuration simulated on one host loads on the\n"
-        "others instead of re-simulating.  Runs until SIGINT/SIGTERM.\n"
+        "Serves one measurement-cache directory to a fleet of fgbs_train\n"
+        "runs over the fgbs.cachewire.v1 protocol, so a suite/machine\n"
+        "configuration simulated on one host loads on the others instead\n"
+        "of re-simulating.  The budgets bound the whole server.  Runs\n"
+        "until SIGINT/SIGTERM.\n"
         "\n"
-        "  --root DIR     directory holding the shard subdirectories\n"
-        "                 (shard-00, shard-01, ...; created on start)\n"
+        "  --root DIR     directory holding the entries, one file each and\n"
+        "                 nothing else (created on start); keep the port\n"
+        "                 file and run reports outside it\n"
         "  --port N       TCP port (default 0: kernel-chosen, printed on\n"
         "                 stdout and written to --port-file)\n"
-        "  --shards N     shard directory count (default 4); entries\n"
-        "                 route by content-hash prefix\n"
         "  --threads N    worker threads serving connections (default 4)\n"
         "  --bind ADDR    IPv4 bind address (default: all interfaces)\n"
-        "  --max-bytes N  whole-server entry-byte budget, split evenly\n"
-        "                 across shards and LRU-pruned after each store\n"
+        "  --max-bytes N  whole-server byte budget of the measurement\n"
+        "                 entries, LRU-pruned after each store of one\n"
         "                 (default: unbounded)\n"
         "  --max-age SEC  evict entries unused for more than SEC seconds\n"
         "                 (default: unbounded)\n"
         "  --model-max-bytes N\n"
-        "                 separate byte budget for the model/ namespace's\n"
-        "                 snapshot blobs (refs are never budget-pruned;\n"
-        "                 default: unbounded)\n"
+        "                 separate whole-server byte budget for the model/\n"
+        "                 namespace's snapshot blobs (refs are never\n"
+        "                 budget-pruned; default: unbounded)\n"
         "  --model-max-age SEC\n"
         "                 evict model snapshot blobs unused for more than\n"
         "                 SEC seconds (default: unbounded)\n"
@@ -85,8 +87,8 @@ int usage(std::ostream &OS, int Exit) {
         "  --ping HOST:PORT\n"
         "                 check a running daemon and exit (0 = healthy)\n"
         "  --stats HOST:PORT\n"
-        "                 print a running daemon's shard footprints and\n"
-        "                 request counters and exit\n"
+        "                 print a running daemon's footprint and request\n"
+        "                 counters and exit\n"
         "  --json         with --stats: emit one fgbs.cachestats.v1 JSON\n"
         "                 document instead of the human-readable text\n"
         "  --help         print this help and exit\n"
@@ -129,12 +131,6 @@ int main(int argc, char **argv) {
         return usage(std::cerr, 2);
       }
       Config.Port = static_cast<std::uint16_t>(U);
-    } else if (Arg == "--shards" && I + 1 < argc) {
-      if (!parseU64(argv[++I], U) || U == 0 || U > 256) {
-        std::cerr << "fgbs_cached: --shards needs 1..256\n";
-        return usage(std::cerr, 2);
-      }
-      Config.Shards = static_cast<unsigned>(U);
     } else if (Arg == "--threads" && I + 1 < argc) {
       if (!parseU64(argv[++I], U) || U == 0 || U > 256) {
         std::cerr << "fgbs_cached: --threads needs 1..256\n";
@@ -210,24 +206,13 @@ int main(int argc, char **argv) {
       std::cout << renderStatsJson(Stats);
       return 0;
     }
-    std::uint64_t Entries = 0, Bytes = 0;
-    for (std::size_t I = 0; I < Stats.Shards.size(); ++I) {
-      Entries += Stats.Shards[I].Entries;
-      Bytes += Stats.Shards[I].Bytes;
-      std::cout << "shard " << I << ": " << Stats.Shards[I].Entries
-                << " entries, " << Stats.Shards[I].Bytes << " bytes\n";
-    }
-    std::cout << "total: " << Entries << " entries, " << Bytes << " bytes\n"
+    std::cout << "measurements: " << Stats.Entries << " entries, "
+              << Stats.Bytes << " bytes\n"
               << "requests: " << Stats.Hits << " hits, " << Stats.Misses
-              << " misses\n";
-    std::uint64_t ModelEntries = 0, ModelBytes = 0;
-    for (const RemoteShardStats &S : Stats.ModelShards) {
-      ModelEntries += S.Entries;
-      ModelBytes += S.Bytes;
-    }
-    std::cout << "model: " << ModelEntries << " entries, " << ModelBytes
-              << " bytes across " << Stats.ModelShards.size() << " shards; "
-              << Stats.ModelGets << " gets, " << Stats.ModelPuts << " puts, "
+              << " misses\n"
+              << "model: " << Stats.ModelEntries << " entries, "
+              << Stats.ModelBytes << " bytes; " << Stats.ModelGets
+              << " gets, " << Stats.ModelPuts << " puts, "
               << Stats.ModelRefPuts << " ref puts, " << Stats.ScanPrefixes
               << " scans\n";
     return 0;
@@ -259,9 +244,8 @@ int main(int argc, char **argv) {
 
   // stdout is the script-facing contract: the port line appears once
   // the server is accepting, so wrappers can wait for it.
-  std::cout << "fgbs_cached: listening on port " << Server.port() << " ("
-            << Server.shards() << " shards under '" << Server.root() << "')"
-            << std::endl;
+  std::cout << "fgbs_cached: listening on port " << Server.port()
+            << " (entries in '" << Server.root() << "')" << std::endl;
 
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
