@@ -202,6 +202,88 @@ std::vector<GoldenCase> seededShapes() {
   return Shapes;
 }
 
+/// Seeded shapes whose iterations often touch exactly the lines of the
+/// iteration before: runs cut by a line edge, a wrap, a window edge or
+/// the end of the trace, streams whose runs are out of phase, and
+/// iterations with more touches than an L1 has ways.  Footprints are
+/// drawn at byte granularity, so most are not a multiple of the line
+/// and most stencil points start off a line boundary.
+std::vector<GoldenCase> repeatShapes() {
+  std::vector<GoldenCase> Shapes;
+  Rng R(20261019);
+  // Short traces split their windows at T / 2, long ones at each
+  // machine's own edges; either way most edges fall inside a run.
+  auto Iterations = [&R] {
+    return R.below(2) ? 3 + R.below(30000) : std::uint64_t(1) << 20;
+  };
+  auto Footprint = [&R](std::uint64_t Min, std::uint64_t Span) {
+    return Min + R.below(Span);
+  };
+  for (int I = 0; I < 2; ++I) {
+    // Eleven touches, as in NAS's largest traces: more than any paper
+    // L1's ways, spread over many sets.
+    Shapes.push_back({"ElevenTouches",
+                      {{8, Footprint(40 << 10, 200 << 10), 5, false, 8},
+                       {8, Footprint(8 << 10, 64 << 10), 3, false, 8},
+                       {-8, Footprint(4 << 10, 32 << 10), 2, true, 8},
+                       {16, Footprint(1 << 10, 16 << 10), 1, false, 8}},
+                      Iterations()});
+    // Stencil points 16 KiB apart share a set in every L1 here: six
+    // lines of one set (Atom's ways exactly), then seven and eleven,
+    // past Atom's six ways and the others' eight.
+    for (unsigned Points : {6u, 7u, 11u})
+      Shapes.push_back(
+          {"OneSetStencil",
+           {{8, (std::uint64_t(Points) << 14) + R.below(Points), Points, false,
+             8},
+            {0, Footprint(8, 4096), 1, true, 8}},
+           Iterations()});
+    // Small negative strides over small footprints wrap many times.
+    Shapes.push_back({"NegativeWrap",
+                      {{-4, Footprint(24, 3000), 1, false, 4},
+                       {-8, Footprint(64, 5000), 2, false, 8},
+                       {-16, Footprint(100, 9000), 1, true, 8},
+                       {-24, Footprint(200, 20000), 1, false, 8}},
+                      Iterations()});
+    // Strides at a line and one byte either side of it.
+    Shapes.push_back({"LineStrides",
+                      {{63, Footprint(4 << 10, 600 << 10), 1, false, 8},
+                       {64, Footprint(4 << 10, 600 << 10), 1, true, 8},
+                       {65, Footprint(4 << 10, 600 << 10), 1, false, 8},
+                       {-63, Footprint(4 << 10, 60 << 10), 1, false, 8}},
+                      Iterations()});
+    // Opposite 16-byte streams whose runs start and end out of phase.
+    Shapes.push_back({"PlusMinusSixteen",
+                      {{16, Footprint(1 << 10, 300 << 10), 1, false, 8},
+                       {-16, Footprint(1 << 10, 300 << 10), 1, true, 8},
+                       {16, Footprint(100, 3000), 2, false, 8},
+                       {-8, Footprint(100, 3000), 1, false, 8}},
+                      Iterations()});
+    // Stencils whose points start off a line boundary, beside a stream
+    // whose footprint is a line plus a few bytes.
+    Shapes.push_back({"UnalignedStencil",
+                      {{8, 3 * Footprint(1000, 90000) + 1, 3, false, 8},
+                       {4, 5 * Footprint(100, 9000) + 3, 5, true, 4},
+                       {8, 64 + Footprint(1, 63), 1, false, 8}},
+                      Iterations()});
+  }
+  return Shapes;
+}
+
+/// L1 variants a repeat skip must respect: Nehalem with a 2-way L1,
+/// fewer ways than most repeat shapes touch per iteration, and Sandy
+/// Bridge with 32-byte L1 lines, on which a run is shorter than on the
+/// 64-byte lines beside it.
+std::vector<Machine> repeatMachines() {
+  Machine TwoWay = makeNehalem();
+  TwoWay.Name = "Nehalem with a 2-way L1";
+  TwoWay.CacheLevels[0].Associativity = 2;
+  Machine HalfLines = makeSandyBridge();
+  HalfLines.Name = "Sandy Bridge with 32-byte L1 lines";
+  HalfLines.CacheLevels[0].LineBytes = 32;
+  return {TwoWay, HalfLines};
+}
+
 } // namespace
 
 TEST(MemoryBehavior, SmallFootprintStaysInL1) {
@@ -430,6 +512,18 @@ TEST(MemoryBehaviorGolden, MatchesClosedFormWalk) {
                 closedFormServedFractions(Streams, M, Iterations))
           << "shape " << I << " on " << M.Name;
   }
+  // Shapes full of repeating iterations, also on the L1 variants.
+  std::vector<Machine> Machines = paperMachines();
+  for (const Machine &M : repeatMachines())
+    Machines.push_back(M);
+  const std::vector<GoldenCase> Repeats = repeatShapes();
+  for (std::size_t I = 0; I < Repeats.size(); ++I) {
+    const auto &[Name, Streams, Iterations] = Repeats[I];
+    for (const Machine &M : Machines)
+      EXPECT_EQ(servedFractions(sampleMemoryBehavior(Streams, M, Iterations)),
+                closedFormServedFractions(Streams, M, Iterations))
+          << "repeat shape " << I << " (" << Name << ") on " << M.Name;
+  }
 }
 
 TEST(MemoryBehaviorGolden, SharedWalkMatchesEachMachine) {
@@ -441,7 +535,9 @@ TEST(MemoryBehaviorGolden, SharedWalkMatchesEachMachine) {
   //    Nehalem's and Sandy Bridge's is not, so the windows differ;
   //  - a duplicate Sandy Bridge, which shares every node;
   //  - Sandy Bridge with a 4-way L2 of Nehalem's L2 size, which must
-  //    not share Nehalem's 8-way L2.
+  //    not share Nehalem's 8-way L2;
+  //  - repeatMachines(): a 2-way L1 and an L1 with 32-byte lines, each
+  //    beside the 64-byte, 6- and 8-way L1s.
   std::vector<Machine> Machines = paperMachines();
   Machine L1Only = makeNehalem();
   L1Only.Name = "Nehalem L1 only";
@@ -456,10 +552,14 @@ TEST(MemoryBehaviorGolden, SharedWalkMatchesEachMachine) {
   FourWayL2.CacheLevels[1].Associativity = 4;
   for (Machine M : {L1Only, SmallCore2, Copy, FourWayL2})
     Machines.push_back(M);
+  for (const Machine &M : repeatMachines())
+    Machines.push_back(M);
 
   std::vector<GoldenCase> Shapes = goldenCases();
   for (const GoldenCase &Seeded : seededShapes())
     Shapes.push_back(Seeded);
+  for (const GoldenCase &Repeat : repeatShapes())
+    Shapes.push_back(Repeat);
   GoldenCase TwentyMiB = {"TwentyMiB", {stream(8, 20 << 20)}, 1 << 22};
   TwentyMiB.Streams.push_back({8, 64 << 10, 2, true, 8});
   Shapes.push_back(TwentyMiB);
@@ -468,16 +568,23 @@ TEST(MemoryBehaviorGolden, SharedWalkMatchesEachMachine) {
   for (const Machine &M : Machines)
     Forward.push_back(&M);
   std::vector<const Machine *> Reversed(Forward.rbegin(), Forward.rend());
+  // And every machine but the 2-way L1, which caps how many lines an
+  // iteration of a walk it shares may touch and still repeat cheaply.
+  std::vector<const Machine *> WideL1s;
+  for (const Machine *M : Forward)
+    if (M->CacheLevels[0].Associativity > 2)
+      WideL1s.push_back(M);
   for (std::size_t S = 0; S < Shapes.size(); ++S) {
     const auto &[Name, Streams, Iterations] = Shapes[S];
     SCOPED_TRACE("shape " + std::to_string(S) + " (" + Name + ")");
     std::vector<std::vector<std::vector<double>>> Expected;
     for (const Machine &M : Machines)
       Expected.push_back(closedFormServedFractions(Streams, M, Iterations));
-    for (bool Reverse : {false, true}) {
-      const std::vector<const Machine *> &Order = Reverse ? Reversed : Forward;
+    for (const std::vector<const Machine *> *Set :
+         {&Forward, &Reversed, &WideL1s}) {
+      const std::vector<const Machine *> &Order = *Set;
       auto Shared = sampleMemoryBehavior(Streams, Order, Iterations);
-      ASSERT_EQ(Shared.size(), Machines.size());
+      ASSERT_EQ(Shared.size(), Order.size());
       for (std::size_t I = 0; I < Order.size(); ++I) {
         const auto M = static_cast<std::size_t>(Order[I] - Machines.data());
         EXPECT_EQ(servedFractions(Shared[I]), Expected[M]) << Order[I]->Name;
