@@ -86,30 +86,27 @@ void BM_SampleMemoryBehaviorNasShaped(benchmark::State &State) {
 }
 BENCHMARK(BM_SampleMemoryBehaviorNasShaped);
 
-/// Every distinct memory trace a Numerical Recipes database samples:
-/// one per codelet and distinct invocation-group dataset scale.
-const std::set<MemoryTrace> &nrTraces() {
-  static const std::set<MemoryTrace> Traces = [] {
-    std::set<MemoryTrace> Out;
-    Suite S = makeNumericalRecipes();
-    for (const Codelet *C : S.allCodelets())
-      for (const InvocationGroup &G : C->Invocations)
-        Out.insert(memoryTrace(*C, G.DatasetScale));
-    return Out;
-  }();
-  return Traces;
+/// Every distinct memory trace a database of \p S samples: one per
+/// codelet and distinct invocation-group dataset scale.
+std::set<MemoryTrace> suiteTraces(const Suite &S) {
+  std::set<MemoryTrace> Out;
+  for (const Codelet *C : S.allCodelets())
+    for (const InvocationGroup &G : C->Invocations)
+      Out.insert(memoryTrace(*C, G.DatasetScale));
+  return Out;
 }
 
-/// Cold sampling of a whole NR database on the four paper machines,
+/// Cold sampling of every trace of \p Traces on the four paper machines,
 /// through the unmemoized sampler: each trace in one walk for all four
 /// machines (Shared), or in four one-machine walks.
-void BM_SampleSuiteNr(benchmark::State &State, bool Shared) {
+void sampleSuite(benchmark::State &State, const std::set<MemoryTrace> &Traces,
+                 bool Shared) {
   const std::vector<Machine> Machines = paperMachines();
   std::vector<const Machine *> All;
   for (const Machine &M : Machines)
     All.push_back(&M);
   for (auto _ : State)
-    for (const auto &[Streams, Iters] : nrTraces()) {
+    for (const auto &[Streams, Iters] : Traces) {
       if (Shared) {
         benchmark::DoNotOptimize(sampleMemoryBehavior(Streams, All, Iters));
         continue;
@@ -118,8 +115,21 @@ void BM_SampleSuiteNr(benchmark::State &State, bool Shared) {
         benchmark::DoNotOptimize(sampleMemoryBehavior(Streams, M, Iters));
     }
 }
+
+void BM_SampleSuiteNr(benchmark::State &State, bool Shared) {
+  static const std::set<MemoryTrace> Traces =
+      suiteTraces(makeNumericalRecipes());
+  sampleSuite(State, Traces, Shared);
+}
 BENCHMARK_CAPTURE(BM_SampleSuiteNr, shared, true);
 BENCHMARK_CAPTURE(BM_SampleSuiteNr, per_machine, false);
+
+/// NAS: the suite whose miss-heavy traces leave a walk the least to skip.
+void BM_SampleSuiteNas(benchmark::State &State, bool Shared) {
+  static const std::set<MemoryTrace> Traces = suiteTraces(makeNasSer());
+  sampleSuite(State, Traces, Shared);
+}
+BENCHMARK_CAPTURE(BM_SampleSuiteNas, shared, true);
 
 void BM_ExecutorRun(benchmark::State &State) {
   Codelet C = benchCodelet(1 << 20);

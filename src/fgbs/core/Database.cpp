@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 
 using namespace fgbs;
@@ -134,21 +135,28 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
 
   // Sample every memory trace the sweep will ask for first, each in one
   // walk for the reference and all targets: per codelet, one trace per
-  // distinct dataset scale of its invocation groups (the standalone runs
-  // replay the first group's).  memoryTrace() is what execute() samples,
-  // so every sampling in the sweep below is a memo hit.
+  // dataset scale of its invocation groups (the standalone runs replay
+  // the first group's).  memoryTrace() is what execute() samples, so
+  // every sampling in the sweep below is a memo hit.  Codelets that
+  // share a trace are primed by one task, so no task waits on another's
+  // walk, and the longest walks start first, so the pool's last tasks
+  // are short ones.
   std::vector<const Machine *> Machines = {&Reference};
   for (const Machine &Target : Targets)
     Machines.push_back(&Target);
-  Pool.parallelFor(0, N, [&](std::size_t I) {
-    std::vector<double> Scales;
-    for (const InvocationGroup &G : Codelets[I]->Invocations)
-      if (std::count(Scales.begin(), Scales.end(), G.DatasetScale) == 0)
-        Scales.push_back(G.DatasetScale);
-    for (double Scale : Scales) {
-      const auto [Streams, Iterations] = memoryTrace(*Codelets[I], Scale);
-      primeMemoryBehavior(Streams, Machines, Iterations);
-    }
+  std::vector<MemoryTrace> Traces;
+  for (const Codelet *C : Codelets)
+    for (const InvocationGroup &G : C->Invocations)
+      Traces.push_back(memoryTrace(*C, G.DatasetScale));
+  std::sort(Traces.begin(), Traces.end());
+  Traces.erase(std::unique(Traces.begin(), Traces.end()), Traces.end());
+  std::ranges::stable_sort(Traces, std::greater<>(),
+                           [&Machines](const MemoryTrace &Trace) {
+                             return simulatedAccesses(Trace, Machines);
+                           });
+  Pool.parallelFor(0, Traces.size(), [&](std::size_t I) {
+    primeMemoryBehavior(Traces[I].Streams, Machines,
+                        Traces[I].TotalIterations);
   });
 
   // Work-item index space, kind-major (decodeMeasurementItem owns it):

@@ -32,7 +32,8 @@ constexpr std::int64_t PrefetchableStrideBytes = 128;
 /// iteration T is at Base + PointOffsets[P] + (T * StrideBytes mod
 /// FootprintBytes); the walker keeps that wrapped offset and advances it
 /// by the stride's residue each iteration, so the hot loop divides
-/// nothing.
+/// nothing.  An advance moves the offset up by Step or, when it wraps,
+/// down by Footprint - Step.
 class StreamWalker {
 public:
   StreamWalker(const MemoryStreamDesc &Desc, std::uint64_t Base)
@@ -56,11 +57,42 @@ public:
     return PointBases.empty() ? 0 : PointBases.back() + Footprint - 1;
   }
 
+  /// How many of the iterations after this one, at most \p Cap, touch
+  /// exactly this iteration's lines of LineMask + 1 bytes, each reached
+  /// by an advance in the same direction as the next one.
+  std::uint64_t repeats(std::uint64_t LineMask, std::uint64_t Cap) const {
+    if (Step == 0)
+      return Cap;
+    const bool Up = Offset + Step < Footprint;
+    const std::uint64_t Move = Up ? Step : Footprint - Step;
+    if (Move > LineMask)
+      return 0;
+    // Bytes the offset can move before it wraps (or stops wrapping),
+    // then before any touch point leaves its line.
+    std::uint64_t Room = Up ? Footprint - 1 - Offset : Offset;
+    for (std::uint64_t Point : PointBases) {
+      std::uint64_t InLine = (Point + Offset) & LineMask;
+      Room = std::min(Room, Up ? LineMask - InLine : InLine);
+    }
+    return std::min(Cap, Room / Move);
+  }
+
   /// Moves to the next iteration.
   void advance() {
     Offset += Step;
     if (Offset >= Footprint)
       Offset -= Footprint;
+  }
+
+  /// Moves past \p Repeats more iterations, as many as repeats() allowed
+  /// before the last advance(): the first Repeats - 1 moves go the way
+  /// that advance went (up exactly when it left Offset >= Step).
+  void skip(std::uint64_t Repeats) {
+    if (Offset >= Step)
+      Offset += (Repeats - 1) * Step;
+    else
+      Offset -= (Repeats - 1) * (Footprint - Step);
+    advance();
   }
 
 private:
@@ -121,6 +153,10 @@ struct ActiveLevels {
   std::vector<std::size_t> Skip;
   /// Per tree node: its position in Levels (meaningful for live nodes).
   std::vector<std::size_t> Slot;
+  /// The smallest line size and associativity among the live L1s, the
+  /// roots 0, Skip[0], Skip[Skip[0]], ... of Levels.
+  unsigned L1LineBytes = ~0u;
+  unsigned L1Ways = ~0u;
 };
 
 /// The cache levels of a set of machines as a tree.  Machines share a
@@ -174,6 +210,11 @@ public:
         ++Next;
       Out.Skip.push_back(Next);
     }
+    for (std::size_t I = 0; I < Order.size(); I = Out.Skip[I]) {
+      const CacheLevelConfig &L1 = Nodes[Order[I]].config();
+      Out.L1LineBytes = std::min(Out.L1LineBytes, L1.LineBytes);
+      Out.L1Ways = std::min(Out.L1Ways, L1.Associativity);
+    }
     return Out;
   }
 
@@ -224,21 +265,40 @@ private:
 
 /// Walks \p Iters iterations of every stream through \p Active.  With
 /// \p Count, Hits[J * Levels + I] counts stream J's hits at Levels[I].
+/// \returns how many of the iterations it skipped.
+///
+/// After each simulated iteration the walk skips the following ones that
+/// touch exactly its lines, at the smallest live L1 line size, provided
+/// the iteration touches no more lines than the smallest live L1 has
+/// ways.  That is exact for LRU: each of the iteration's lines then sits
+/// among the top Touches ways of its set at every live L1, so repeating
+/// the iteration hits at each of them, leaves every set's order as it
+/// was and probes no deeper level (a hit skips its L1's subtree).  A
+/// skipped iteration counts a hit at every live L1.
 ///
 /// This is the simulator's hottest loop, with CacheLevel::access inlined
 /// into it, and its speed depends on where it lands relative to 64-byte
 /// code boundaries: left wherever the preceding code put it, cold
 /// training moved by about 15% when unrelated library code changed
 /// size.  Keeping it out of line and pinning its start fixes the loop's
-/// placement.
+/// placement.  If its speed moves with an unrelated edit, compare where
+/// each build places it (nm) first.
 template <bool Count>
-[[gnu::noinline, gnu::aligned(64)]] void
+[[gnu::noinline, gnu::aligned(64)]] std::uint64_t
 walk(std::vector<StreamWalker> &Walkers, std::uint64_t Iters,
      const ActiveLevels &Active, std::uint64_t *Hits) {
   const std::size_t N = Active.Levels.size();
   CacheLevel *const *Levels = Active.Levels.data();
   const std::size_t *Skip = Active.Skip.data();
-  for (std::uint64_t T = 0; T < Iters; ++T)
+  std::size_t Touches = 0;
+  for (const StreamWalker &W : Walkers)
+    Touches += W.points().size();
+  const bool MayRepeat = Touches <= Active.L1Ways;
+  const std::uint64_t LineMask = Active.L1LineBytes - 1;
+  std::uint64_t Skipped = 0;
+  for (std::uint64_t T = 0; T < Iters; ++T) {
+    // How many of the phase's later iterations repeat this one.
+    std::uint64_t Run = MayRepeat ? Iters - T - 1 : 0;
     for (std::size_t J = 0; J < Walkers.size(); ++J) {
       StreamWalker &W = Walkers[J];
       // Hits is null when nobody counts, so form the row only then.
@@ -258,8 +318,22 @@ walk(std::vector<StreamWalker> &Walkers, std::uint64_t Iters,
           }
         }
       }
+      if (Run != 0)
+        Run = W.repeats(LineMask, Run);
       W.advance();
     }
+    if (Run == 0)
+      continue;
+    for (StreamWalker &W : Walkers)
+      W.skip(Run);
+    T += Run;
+    Skipped += Run;
+    if constexpr (Count)
+      for (std::size_t J = 0; J < Walkers.size(); ++J)
+        for (std::size_t I = 0; I < N; I = Skip[I])
+          Hits[J * N + I] += Run * Walkers[J].points().size();
+  }
+  return Skipped;
 }
 
 /// Everything sampleMemoryBehavior reads, flattened into words: each
@@ -364,6 +438,7 @@ fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
   Edges.erase(std::unique(Edges.begin(), Edges.end()), Edges.end());
 
   std::vector<std::uint64_t> Hits;
+  std::uint64_t Skipped = 0;
   for (std::size_t E = 0; E + 1 < Edges.size(); ++E) {
     const std::uint64_t Begin = Edges[E], End = Edges[E + 1];
 
@@ -382,12 +457,12 @@ fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
     const ActiveLevels Active = Tree.active(Live);
 
     if (Counting.empty()) {
-      walk<false>(Walkers, End - Begin, Active, nullptr);
+      Skipped += walk<false>(Walkers, End - Begin, Active, nullptr);
       continue;
     }
     const std::size_t N = Active.Levels.size();
     Hits.assign(Streams.size() * N, 0);
-    walk<true>(Walkers, End - Begin, Active, Hits.data());
+    Skipped += walk<true>(Walkers, End - Begin, Active, Hits.data());
     for (std::size_t M : Counting)
       for (std::size_t J = 0; J < Streams.size(); ++J) {
         const std::uint64_t *Row = Hits.data() + J * N;
@@ -401,6 +476,8 @@ fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
         Served[M][J][Path.size()] += Missed;
       }
   }
+  FGBS_COUNTER_ADD("sim.walk.iterations", Edges.back());
+  FGBS_COUNTER_ADD("sim.walk.skipped_iterations", Skipped);
 
   for (std::size_t M = 0; M < NumMachines; ++M) {
     const std::size_t Levels = Tree.path(M).size();
@@ -553,6 +630,38 @@ MemoryTrace fgbs::memoryTrace(const Codelet &C, double Scale) {
       std::llround(static_cast<double>(C.Nest.totalIterations()) * Scale));
   Trace.TotalIterations = std::max<std::uint64_t>(TotalIters, 1);
   return Trace;
+}
+
+std::uint64_t
+fgbs::simulatedAccesses(const MemoryTrace &Trace,
+                        std::span<const Machine *const> Machines) {
+  unsigned Touches = 0;
+  for (const MemoryStreamDesc &S : Trace.Streams)
+    Touches += S.PointsPerIter;
+  if (Touches == 0)
+    return 0;
+  std::uint64_t Iters = 0;
+  std::uint64_t LineBytes = ~std::uint64_t(0);
+  unsigned Ways = ~0u;
+  for (const Machine *M : Machines) {
+    Iters = std::max(
+        Iters,
+        windowsFor(Trace.Streams, *M, Trace.TotalIterations, Touches).end());
+    LineBytes =
+        std::min<std::uint64_t>(LineBytes, M->CacheLevels[0].LineBytes);
+    Ways = std::min(Ways, M->CacheLevels[0].Associativity);
+  }
+  const std::uint64_t Accesses = Iters * Touches;
+  if (Touches > Ways)
+    return Accesses;
+  // Each iteration, each touch point of stride S crosses into a new line
+  // with odds min(|S|, LineBytes) / LineBytes, and the walk simulates
+  // about one iteration per crossing.
+  std::uint64_t Crossings = 0;
+  for (const MemoryStreamDesc &S : Trace.Streams)
+    Crossings += S.PointsPerIter *
+                 std::min<std::uint64_t>(std::llabs(S.StrideBytes), LineBytes);
+  return Accesses * std::min(Crossings, LineBytes) / LineBytes;
 }
 
 /// Latency-hiding factor (memory-level parallelism) for a stream.

@@ -107,9 +107,13 @@ sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
 /// trace: element I is bit-identical to sampleMemoryBehavior(\p Streams,
 /// *\p Machines[I], \p TotalIterations).  Machines share the simulated
 /// levels whose geometries agree from L1 down, and each counts only its
-/// own measure window.  Throws std::length_error when the trace's
-/// layout reaches line CacheLevel::LineLimit at the smallest line size
-/// (256 GiB at 64-byte lines) or a level cannot be allocated.
+/// own measure window.  Iterations that touch exactly the lines of the
+/// iteration before are skipped where that is exact (see walk() in
+/// Executor.cpp); each walk adds its iterations to the
+/// sim.walk.iterations counter and the skipped ones to
+/// sim.walk.skipped_iterations.  Throws std::length_error when the
+/// trace's layout reaches line CacheLevel::LineLimit at the smallest
+/// line size (256 GiB at 64-byte lines) or a level cannot be allocated.
 std::vector<std::vector<StreamBehavior>>
 sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
                      std::span<const Machine *const> Machines,
@@ -150,6 +154,13 @@ struct MemoryTrace {
 /// The trace execute() samples for codelet \p C at dataset scale
 /// \p Scale.
 MemoryTrace memoryTrace(const Codelet &C, double Scale);
+
+/// A deterministic estimate of the accesses one sampleMemoryBehavior
+/// walk of \p Trace for \p Machines simulates, for ordering walks: the
+/// latest end of their sampling windows times the touches per
+/// iteration, less the iterations the walk can be expected to skip.
+std::uint64_t simulatedAccesses(const MemoryTrace &Trace,
+                                std::span<const Machine *const> Machines);
 
 /// Executes codelet \p C on machine \p M per request \p R.
 /// Deterministic: identical inputs produce identical measurements.

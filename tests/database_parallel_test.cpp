@@ -179,3 +179,52 @@ TEST(DatabaseParallel, ColdBuildWalksEachTraceOnce) {
     EXPECT_GT(Counter("sim.sample.hits"), 0u);
   }
 }
+
+TEST(DatabaseParallel, CodeletsSharingATraceWaitOnNoWalk) {
+  // Two codelets with one memory trace, first in the suite, where four
+  // threads would start on both at once: the pre-pass primes each
+  // distinct trace in one task, so a cold build walks it once and no
+  // thread waits on another's walk.  Its own seed keeps the memo cold.
+  SyntheticConfig Cfg;
+  Cfg.NumApplications = 2;
+  Cfg.CodeletsPerApp = 3;
+  Cfg.MinFootprintBytes = 5 << 18;
+  Cfg.MaxFootprintBytes = 5 << 19;
+  Cfg.Seed = 0x5EA4ED;
+  Suite S = makeSyntheticSuite(Cfg);
+  // The generator is deterministic: a second suite's first codelet is a
+  // copy of this one's.
+  Codelet Twin = std::move(makeSyntheticSuite(Cfg).Applications[0].Codelets[0]);
+  Twin.Name += "_twin";
+  std::vector<Codelet> &First = S.Applications.front().Codelets;
+  First.insert(First.begin() + 1, std::move(Twin));
+
+  std::set<MemoryTrace> Traces;
+  std::size_t Pairs = 0; // Distinct (codelet, trace) pairs.
+  for (const Codelet *C : S.allCodelets()) {
+    std::set<MemoryTrace> Own;
+    for (const InvocationGroup &G : C->Invocations)
+      Own.insert(memoryTrace(*C, G.DatasetScale));
+    Pairs += Own.size();
+    Traces.insert(Own.begin(), Own.end());
+  }
+  ASSERT_LT(Traces.size(), Pairs);
+
+  obs::setEnabled(true);
+  obs::MetricsRegistry::global().reset();
+  DatabaseOptions Options;
+  Options.Threads = 4;
+  MeasurementDatabase Db(S, makeNehalem(), paperTargets(), {}, Options);
+  obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+  obs::setEnabled(false);
+
+  auto Counter = [&Snap](const char *Name) -> std::uint64_t {
+    auto It = Snap.Counters.find(Name);
+    return It == Snap.Counters.end() ? 0 : It->second;
+  };
+  auto Walk = Snap.Histograms.find("sim.sample.walk");
+  ASSERT_NE(Walk, Snap.Histograms.end());
+  EXPECT_EQ(Walk->second.Count, Traces.size());
+  EXPECT_EQ(Counter("sim.sample.misses"), 4 * Traces.size());
+  EXPECT_EQ(Counter("sim.sample.waits"), 0u);
+}

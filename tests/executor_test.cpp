@@ -690,6 +690,48 @@ std::uint64_t walks(const obs::MetricsSnapshot &Snap) {
   return It == Snap.Histograms.end() ? 0 : It->second.Count;
 }
 
+TEST(MemoryBehavior, WalkCountsItsSkippedIterations) {
+  // An 8-byte stride touches each 64-byte line on eight iterations in a
+  // row, so the walk simulates the first and skips the rest; a 128-byte
+  // stride touches a new line every iteration and skips none.
+  const std::vector<Machine> Machines = paperMachines();
+  const std::vector<const Machine *> All = pointersTo(Machines);
+  auto Walk = [&All](std::int64_t Stride) {
+    obs::MetricsRegistry::global().reset();
+    sampleMemoryBehavior({stream(Stride, 4 << 20)}, All, 1 << 20);
+    obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+    return std::pair(counter(Snap, "sim.walk.iterations"),
+                     counter(Snap, "sim.walk.skipped_iterations"));
+  };
+  obs::setEnabled(true);
+  const auto [Iterations8, Skipped8] = Walk(8);
+  const auto [Iterations128, Skipped128] = Walk(128);
+  obs::setEnabled(false);
+
+  EXPECT_GT(Iterations8, 0u);
+  EXPECT_GE(Skipped8 * 10, Iterations8 * 8);
+  EXPECT_GT(Iterations128, 0u);
+  EXPECT_EQ(Skipped128, 0u);
+}
+
+TEST(MemoryBehavior, SimulatedAccessesDiscountSkippedIterations) {
+  // A 4 MiB stream over 2^20 iterations: Nehalem's, Core 2's and Sandy
+  // Bridge's windows halve the iterations (524,288 each) and end last.
+  // An 8-byte stride enters a new 64-byte line every eighth iteration,
+  // so a walk simulates about one iteration in eight.  At 128 bytes the
+  // windows end at 33,793 + 600,000 and no iteration is skipped, nor
+  // any of an iteration with seven touches, past Atom's six L1 ways.
+  const std::vector<Machine> Machines = paperMachines();
+  const std::vector<const Machine *> All = pointersTo(Machines);
+  EXPECT_EQ(simulatedAccesses({{stream(8, 4 << 20)}, 1 << 20}, All),
+            (1u << 20) / 8);
+  EXPECT_EQ(simulatedAccesses({{stream(128, 4 << 20)}, 1 << 20}, All),
+            633793u);
+  const MemoryTrace Seven = {{{8, 4 << 20, 7, false, 8}}, 1 << 20};
+  EXPECT_EQ(simulatedAccesses(Seven, All) % 7, 0u);
+  EXPECT_GT(simulatedAccesses(Seven, All), 7u * 100000);
+}
+
 TEST(MemoryBehaviorMemo, MultiMachineCallSamplesOnlyMissingKeys) {
   // With Atom's key memoized, priming all four machines finds it and
   // samples the other three in one walk; each machine's one-machine call

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -187,7 +188,11 @@ protected:
     ASSERT_TRUE(Server->start(&Error)) << Error;
   }
 
-  void TearDown() override { Server->stop(); }
+  void TearDown() override {
+    Server->stop();
+    std::error_code Ignored;
+    std::filesystem::remove_all(Root, Ignored);
+  }
 
   net::Socket connect() {
     std::string Error;
