@@ -1,11 +1,9 @@
 //===- bench/service_throughput.cpp - Query service microbenchmarks -------===//
 //
 // Google-benchmark microbenchmarks of the online service path: snapshot
-// serialize/parse, single classify/predict queries, whole request lines
-// through the JSON protocol, and batched prediction at 1-8 pool threads
-// (single vs batched is the headline comparison — batching must not
-// cost latency at one thread and must scale with more).  Numbers are
-// checked into BENCH_service.json for the CI perf gate.
+// serialize/parse, single classify/predict queries and whole request
+// lines through the JSON protocol.  Numbers are checked into
+// BENCH_service.json for the CI perf gate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -146,22 +144,6 @@ void BM_QueryLine(benchmark::State &State, const std::string &Op) {
 BENCHMARK_CAPTURE(BM_QueryLine, classify, std::string("classify"));
 BENCHMARK_CAPTURE(BM_QueryLine, predict, std::string("predict"));
 BENCHMARK_CAPTURE(BM_QueryLine, rank, std::string("rank"));
-
-/// Batched prediction, Arg = pool threads (0 = the serial loop without a
-/// pool, the single-query baseline the batched path competes with).
-void BM_ServicePredictBatch(benchmark::State &State) {
-  const SelectionService &Svc = sharedService();
-  std::vector<QueryRequest> Queries = makeQueries(512);
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  std::unique_ptr<ThreadPool> Pool;
-  if (Threads > 0)
-    Pool = std::make_unique<ThreadPool>(Threads);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Svc.predictBatch(Queries, Pool.get()));
-  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
-                          static_cast<std::int64_t>(Queries.size()));
-}
-BENCHMARK(BM_ServicePredictBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 /// Console output as usual, plus every per-iteration result recorded
 /// into the telemetry session so the run exports as fgbs.run.v1 (the

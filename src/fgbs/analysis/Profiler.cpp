@@ -71,11 +71,3 @@ CodeletProfile fgbs::profileCodelet(const Codelet &C, const Machine &Ref,
   P.Discarded = P.InApp.Counters.Cycles < 1e6;
   return P;
 }
-
-std::vector<CodeletProfile> fgbs::profileSuite(const Suite &S,
-                                               const Machine &Ref) {
-  std::vector<CodeletProfile> Profiles;
-  for (const Codelet *C : S.allCodelets())
-    Profiles.push_back(profileCodelet(*C, Ref));
-  return Profiles;
-}

@@ -47,9 +47,6 @@ Measurement measureInApp(const Codelet &C, const Machine &M,
 CodeletProfile profileCodelet(const Codelet &C, const Machine &Ref,
                               CompileCache *Compile = nullptr);
 
-/// Profiles every codelet of \p S on the reference machine \p Ref.
-std::vector<CodeletProfile> profileSuite(const Suite &S, const Machine &Ref);
-
 } // namespace fgbs
 
 #endif // FGBS_ANALYSIS_PROFILER_H

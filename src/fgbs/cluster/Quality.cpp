@@ -53,33 +53,6 @@ double fgbs::silhouetteScore(const FeatureTable &Points,
   return mean(silhouetteValues(Points, C));
 }
 
-double fgbs::calinskiHarabasz(const FeatureTable &Points,
-                              const Clustering &C) {
-  std::size_t N = Points.size();
-  assert(C.K >= 2 && C.K < N && "CH index needs 2 <= K < N");
-
-  std::vector<std::vector<std::size_t>> Members = C.members();
-  std::vector<double> Global = centroidOf(Points, [&] {
-    std::vector<std::size_t> All(N);
-    for (std::size_t I = 0; I < N; ++I)
-      All[I] = I;
-    return All;
-  }());
-
-  double Between = 0.0;
-  for (const std::vector<std::size_t> &M : Members) {
-    if (M.empty())
-      continue;
-    std::vector<double> Centroid = centroidOf(Points, M);
-    Between += static_cast<double>(M.size()) *
-               squaredDistance(Centroid, Global);
-  }
-  double Within = withinClusterVariance(Points, C);
-  assert(Within > 0.0 && "CH index undefined for zero within variance");
-  return (Between / static_cast<double>(C.K - 1)) /
-         (Within / static_cast<double>(N - C.K));
-}
-
 unsigned fgbs::silhouetteK(const FeatureTable &Points, const Dendrogram &Tree,
                            unsigned MaxK) {
   std::size_t N = Points.size();

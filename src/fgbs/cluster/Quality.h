@@ -31,11 +31,6 @@ std::vector<double> silhouetteValues(const FeatureTable &Points,
 /// Mean silhouette over all points.  Requires K >= 2.
 double silhouetteScore(const FeatureTable &Points, const Clustering &C);
 
-/// Calinski-Harabasz index: (between-cluster variance / (K-1)) /
-/// (within-cluster variance / (N-K)).  Higher is better; requires
-/// 2 <= K < N and positive within-cluster variance.
-double calinskiHarabasz(const FeatureTable &Points, const Clustering &C);
-
 /// Selects K in [2, MaxK] maximizing the mean silhouette over the
 /// dendrogram cuts — an alternative to elbowK().
 unsigned silhouetteK(const FeatureTable &Points, const Dendrogram &Tree,

@@ -134,6 +134,16 @@ std::string LocalDirBackend::decodeFileName(const std::string &FileName) {
   return Out;
 }
 
+bool fgbs::isValidNameSegment(std::string_view Seg) {
+  if (Seg.empty() || Seg == "." || Seg == "..")
+    return false;
+  for (char C : Seg)
+    if (!((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+          (C >= '0' && C <= '9') || C == '.' || C == '_' || C == '-'))
+      return false;
+  return true;
+}
+
 std::string LocalDirBackend::fullPath(const std::string &Name) const {
   return (fs::path(Dir) / encodeFileName(Name)).string();
 }

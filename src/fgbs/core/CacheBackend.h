@@ -122,8 +122,8 @@ public:
 };
 
 /// Writes \p Bytes to \p Path via a temp file in Path's own directory
-/// plus an atomic rename.  Shared by LocalDirBackend and the bare
-/// saveMeasurementsFile() wrapper.
+/// plus an atomic rename.  Shared by LocalDirBackend and
+/// service::saveSnapshotFile().
 bool atomicWriteFile(const std::string &Path, std::string_view Bytes);
 
 /// Reads the whole regular file at \p Path with one read of its size;
@@ -178,6 +178,12 @@ private:
 
   std::string Dir;
 };
+
+/// True when \p Seg is one canonical segment of a namespaced entry name
+/// (`model/<name>/sha/<hex>`): non-empty, not "." or "..", and only
+/// `[A-Za-z0-9._-]`, so no segment needs escaping and no two spellings
+/// name one entry.  The server and the model registry both check it.
+bool isValidNameSegment(std::string_view Seg);
 
 /// What pruneEntries() did.
 struct CachePruneStats {

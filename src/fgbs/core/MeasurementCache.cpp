@@ -439,24 +439,6 @@ MeasurementLoadResult fgbs::parseMeasurements(std::string_view Bytes,
   return R;
 }
 
-bool fgbs::saveMeasurementsFile(const std::string &Path,
-                                const MeasurementDatabase &Db,
-                                std::uint64_t Key) {
-  return atomicWriteFile(Path, serializeMeasurements(Db, Key));
-}
-
-MeasurementLoadResult fgbs::loadMeasurementsFile(const std::string &Path,
-                                                 const Suite &S,
-                                                 Machine Reference,
-                                                 std::vector<Machine> Targets,
-                                                 std::uint64_t ExpectedKey) {
-  std::string Bytes;
-  if (!readWholeFile(Path, Bytes))
-    return failed(MeasurementCacheError::Io, "cannot read '" + Path + "'");
-  return parseMeasurements(Bytes, S, std::move(Reference),
-                           std::move(Targets), ExpectedKey);
-}
-
 //===----------------------------------------------------------------------===//
 // Lifecycle: typed stores and pruning
 //===----------------------------------------------------------------------===//
@@ -513,10 +495,6 @@ MeasurementCache::MeasurementCache(const std::string &Dir)
 
 MeasurementCache::MeasurementCache(std::unique_ptr<CacheBackend> Backend)
     : BackendPtr(std::move(Backend)) {}
-
-std::string MeasurementCache::entryLockPath(std::uint64_t Key) const {
-  return BackendPtr->lockPath(measurementCacheFileName(Key));
-}
 
 bool MeasurementCache::exists(std::uint64_t Key) const {
   return BackendPtr->exists(measurementCacheFileName(Key));

@@ -114,17 +114,6 @@ MeasurementLoadResult parseMeasurements(std::string_view Bytes,
                                         std::vector<Machine> Targets,
                                         std::uint64_t ExpectedKey);
 
-/// File wrappers around serialize/parse.  Saving publishes atomically:
-/// the bytes land in a temp file next to \p Path (same filesystem, so
-/// the final rename is atomic) and readers never observe a partial
-/// file.
-bool saveMeasurementsFile(const std::string &Path,
-                          const MeasurementDatabase &Db, std::uint64_t Key);
-MeasurementLoadResult loadMeasurementsFile(const std::string &Path,
-                                           const Suite &S, Machine Reference,
-                                           std::vector<Machine> Targets,
-                                           std::uint64_t ExpectedKey);
-
 /// The measurement cache proper: a CacheBackend (a local directory, a
 /// RemoteCacheBackend over an fgbs_cached server, or the tiered
 /// composition of both) plus typed, lock-coordinated stores.  Loads
@@ -158,10 +147,6 @@ public:
   MeasurementCacheError store(const MeasurementDatabase &Db, std::uint64_t Key,
                               bool EntryLockHeld = false,
                               std::string *Message = nullptr);
-
-  /// Where the writer lock for \p Key's entry lives (empty = backend
-  /// needs no locking).
-  std::string entryLockPath(std::uint64_t Key) const;
 
   /// Writer-coordination knobs for entry stores.
   FileLock::Options LockOptions;

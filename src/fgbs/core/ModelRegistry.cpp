@@ -7,17 +7,15 @@
 
 #include "fgbs/core/ModelRegistry.h"
 
+#include "fgbs/net/Socket.h"
 #include "fgbs/obs/Metrics.h"
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/Sha256.h"
 
 #include <ctime>
-#include <filesystem>
 
 using namespace fgbs;
 using namespace fgbs::binio;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -60,26 +58,12 @@ bool fgbs::parseModelRef(std::string_view Bytes, ModelRef &Out,
   return true;
 }
 
-namespace {
-
-bool isValidSegment(std::string_view Seg, std::size_t MaxLen) {
-  if (Seg.empty() || Seg.size() > MaxLen || Seg == "." || Seg == "..")
-    return false;
-  for (char C : Seg)
-    if (!((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
-          (C >= '0' && C <= '9') || C == '.' || C == '_' || C == '-'))
-      return false;
-  return true;
-}
-
-} // namespace
-
 bool fgbs::isValidModelName(std::string_view Name) {
-  return isValidSegment(Name, 100);
+  return Name.size() <= 100 && isValidNameSegment(Name);
 }
 
 bool fgbs::isValidModelTag(std::string_view Tag) {
-  return isValidSegment(Tag, 100);
+  return Tag.size() <= 100 && isValidNameSegment(Tag);
 }
 
 std::string fgbs::modelShaKey(const std::string &Name,
@@ -107,26 +91,10 @@ bool fgbs::parseModelUri(const std::string &Uri, ModelUri &Out,
   const std::size_t Slash = Rest.find('/');
   if (Slash == std::string::npos || Slash == 0)
     return Fail("model URI needs host:port/<name>");
-  const std::string Address = Rest.substr(0, Slash);
   std::string Path = Rest.substr(Slash + 1);
-  const std::size_t Colon = Address.rfind(':');
-  if (Colon == std::string::npos || Colon == 0 ||
-      Colon + 1 == Address.size())
-    return Fail("model URI address must be host:port");
   ModelUri U;
-  U.Host = Address.substr(0, Colon);
-  unsigned long Port = 0;
-  for (std::size_t I = Colon + 1; I < Address.size(); ++I) {
-    const char C = Address[I];
-    if (C < '0' || C > '9')
-      return Fail("model URI port is not a number");
-    Port = Port * 10 + static_cast<unsigned long>(C - '0');
-    if (Port > 65535)
-      return Fail("model URI port out of range");
-  }
-  if (Port == 0)
-    return Fail("model URI port out of range");
-  U.Port = static_cast<std::uint16_t>(Port);
+  if (!net::parseHostPort(Rest.substr(0, Slash), U.Host, U.Port))
+    return Fail("model URI address must be host:port, port 1-65535");
   // The selector is everything after the last '@' (names cannot carry
   // '@', so the first is also the last).
   const std::size_t At = Path.rfind('@');
@@ -185,54 +153,31 @@ const char *fgbs::registryErrorName(RegistryError E) {
 
 ModelRegistry::ModelRegistry(std::unique_ptr<CacheBackend> Remote,
                              std::string LocalCacheDir)
-    : Remote(std::move(Remote)), LocalCacheDir(std::move(LocalCacheDir)) {}
-
-std::string ModelRegistry::localSnapshotPath(const std::string &Hex) const {
-  return (fs::path(LocalCacheDir) / ("model-" + Hex + ".fgbs")).string();
+    : Remote(std::move(Remote)) {
+  if (!LocalCacheDir.empty())
+    Local = std::make_unique<LocalDirBackend>(std::move(LocalCacheDir));
 }
 
-std::string ModelRegistry::localRefPath(const std::string &Name,
-                                        const std::string &Tag) const {
-  return (fs::path(LocalCacheDir) / ("ref-" + Name + "@" + Tag + ".fgbsref"))
-      .string();
-}
-
-bool ModelRegistry::loadVerifiedLocal(const std::string &Hex,
+bool ModelRegistry::loadVerifiedLocal(const std::string &Name,
+                                      const std::string &Hex,
                                       std::string &BytesOut) {
-  if (LocalCacheDir.empty())
-    return false;
-  const std::string Path = localSnapshotPath(Hex);
+  const std::string Key = modelShaKey(Name, Hex);
   std::string Bytes;
-  if (!readWholeFile(Path, Bytes))
+  if (!Local || !Local->get(Key, Bytes))
     return false;
   // EVERY load re-verifies: the local cache is convenience, not trust.
   if (sha256Hex(Bytes) != Hex) {
     FGBS_COUNTER_ADD("registry.verify_failures", 1);
-    std::error_code Ec;
-    fs::remove(Path, Ec);
+    Local->remove(Key);
     return false;
   }
   BytesOut = std::move(Bytes);
   return true;
 }
 
-void ModelRegistry::storeLocalSnapshot(const std::string &Hex,
-                                       std::string_view Bytes) {
-  if (LocalCacheDir.empty())
-    return;
-  std::error_code Ec;
-  fs::create_directories(LocalCacheDir, Ec);
-  atomicWriteFile(localSnapshotPath(Hex), Bytes);
-}
-
-void ModelRegistry::storeLocalRef(const std::string &Name,
-                                  const std::string &Tag,
-                                  const ModelRef &Ref) {
-  if (LocalCacheDir.empty())
-    return;
-  std::error_code Ec;
-  fs::create_directories(LocalCacheDir, Ec);
-  atomicWriteFile(localRefPath(Name, Tag), serializeModelRef(Ref));
+void ModelRegistry::memoize(const std::string &Key, std::string_view Bytes) {
+  if (Local)
+    Local->put(Key, Bytes);
 }
 
 PublishResult ModelRegistry::publish(const std::string &Name,
@@ -278,8 +223,8 @@ PublishResult ModelRegistry::publish(const std::string &Name,
   }
   // Memoize what we just published so this host's pulls are warm from
   // the start (and survive the registry dying later).
-  storeLocalSnapshot(Out.Sha256Hex, SnapshotBytes);
-  storeLocalRef(Name, Tag, Ref);
+  memoize(ShaKey, SnapshotBytes);
+  memoize(RefKey, serializeModelRef(Ref));
   FGBS_COUNTER_ADD("registry.publishes", 1);
   return Out;
 }
@@ -290,7 +235,7 @@ PullResult ModelRegistry::fetchByHash(const std::string &Name,
   PullResult Out;
   Out.Sha256Hex = Hex;
   // Warm path: the local read-through copy, verified.
-  if (loadVerifiedLocal(Hex, Out.Bytes))
+  if (loadVerifiedLocal(Name, Hex, Out.Bytes))
     return Out;
   const std::string ShaKey = modelShaKey(Name, Hex);
   std::string Bytes;
@@ -314,7 +259,7 @@ PullResult ModelRegistry::fetchByHash(const std::string &Name,
   }
   FGBS_COUNTER_ADD("registry.snapshot_fetches", 1);
   Out.FetchedFromRemote = true;
-  storeLocalSnapshot(Hex, Bytes);
+  memoize(ShaKey, Bytes);
   Out.Bytes = std::move(Bytes);
   return Out;
 }
@@ -343,7 +288,7 @@ PullResult ModelRegistry::pull(const std::string &Name,
       Out.Message = RefKey + ": " + RefError;
       return Out;
     }
-    storeLocalRef(Name, Tag, Ref);
+    memoize(RefKey, RefBytes);
     FGBS_COUNTER_ADD("registry.ref_hits", 1);
     PullResult Fetched = fetchByHash(Name, Ref.Sha256Hex,
                                      /*RegistryHealthy=*/true);
@@ -357,11 +302,10 @@ PullResult ModelRegistry::pull(const std::string &Name,
     Out.Message = "no ref " + RefKey + " in the registry";
     return Out;
   }
-  if (!LocalCacheDir.empty() &&
-      readWholeFile(localRefPath(Name, Tag), RefBytes) &&
+  if (Local && Local->get(RefKey, RefBytes) &&
       parseModelRef(RefBytes, Ref, &RefError)) {
     std::string Bytes;
-    if (loadVerifiedLocal(Ref.Sha256Hex, Bytes)) {
+    if (loadVerifiedLocal(Name, Ref.Sha256Hex, Bytes)) {
       FGBS_COUNTER_ADD("registry.degraded", 1);
       Out.Degraded = true;
       Out.Sha256Hex = Ref.Sha256Hex;

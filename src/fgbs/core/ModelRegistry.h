@@ -34,14 +34,17 @@
 /// so concurrent publishers end as whole-ref last-writer-wins (readers
 /// see the old ref or the new one, never a splice).
 ///
-/// Pulls are read-through: a resolved snapshot is stored in a local
-/// cache directory and re-verified against its hash on EVERY load, so
-/// one host fetches a given snapshot's payload once, and a tampered or
-/// rotted local file is detected, discarded, and re-fetched rather than
-/// served.  When the registry is unreachable, pull() degrades to the
-/// memoized local ref + blob if this host has them (counted, flagged);
-/// missing entries on a *healthy* registry are authoritative errors
-/// (dangling ref, unknown tag), never degraded around.
+/// Pulls are read-through: a resolved snapshot and its ref are memoized
+/// in a local cache directory, a LocalDirBackend holding the same keys
+/// as the registry (the flat layout of a --cache directory and of the
+/// server's root), and the snapshot is re-verified against its hash on
+/// EVERY load, so one host fetches a given snapshot's payload once, and
+/// a tampered or rotted local file is detected, discarded, and
+/// re-fetched rather than served.  When the registry is unreachable,
+/// pull() degrades to the memoized local ref + blob if this host has
+/// them (counted, flagged); missing entries on a *healthy* registry are
+/// authoritative errors (dangling ref, unknown tag), never degraded
+/// around.
 ///
 /// Counters: registry.{publishes,pulls,ref_hits,snapshot_fetches,
 /// verify_failures,degraded}.  "Warm pull by tag" is one ref round trip
@@ -197,26 +200,21 @@ public:
   /// follow ScanPrefixResult (a server that refuses yields Failed).
   ScanPrefixResult list(const std::string &Name) const;
 
-  /// Paths inside the local cache dir (exposed for tests and the
-  /// tampering sweep).
-  std::string localSnapshotPath(const std::string &Hex) const;
-  std::string localRefPath(const std::string &Name,
-                           const std::string &Tag) const;
-
 private:
-  /// Loads the locally cached snapshot for \p Hex, verifying its hash;
-  /// a mismatching file is counted, deleted, and reported absent.
-  bool loadVerifiedLocal(const std::string &Hex, std::string &BytesOut);
-  /// Stores a verified snapshot / ref memo into the local cache dir.
-  void storeLocalSnapshot(const std::string &Hex, std::string_view Bytes);
-  void storeLocalRef(const std::string &Name, const std::string &Tag,
-                     const ModelRef &Ref);
+  /// Loads the memoized snapshot of \p Name for \p Hex, verifying its
+  /// hash; a mismatching entry is counted, deleted, and reported absent.
+  bool loadVerifiedLocal(const std::string &Name, const std::string &Hex,
+                         std::string &BytesOut);
+  /// Stores a verified snapshot or ref under its registry key in the
+  /// local memo.
+  void memoize(const std::string &Key, std::string_view Bytes);
   /// The shared fetch+verify tail of both pull paths.
   PullResult fetchByHash(const std::string &Name, const std::string &Hex,
                          bool RegistryHealthy);
 
   std::unique_ptr<CacheBackend> Remote;
-  std::string LocalCacheDir;
+  /// The local memo; null when local caching is disabled.
+  std::unique_ptr<LocalDirBackend> Local;
 };
 
 } // namespace fgbs

@@ -94,6 +94,11 @@ bool RemoteCacheBackend::request(Opcode Op, std::string_view Payload,
       std::this_thread::sleep_for(std::chrono::milliseconds(retryBackoffMs(
           Attempt - 1, kInitialBackoffMs, kMaxBackoffMs, BackoffSeed)));
     }
+    // The server never sends first, so a pooled connection that is
+    // readable before a send is one the server closed (it closes idle
+    // ones): reconnect without spending an attempt.
+    if (Conn.valid() && Conn.waitReadable(0))
+      Conn.close();
     if (!Conn.valid()) {
       std::string ConnectError;
       Conn = Socket::connectTo(Config.Host, Config.Port,
@@ -104,8 +109,6 @@ bool RemoteCacheBackend::request(Opcode Op, std::string_view Payload,
       }
     }
     if (!writeFrame(Conn, Op, Payload, Config.RequestTimeoutMs)) {
-      // A pooled connection the server idled out surfaces here; the
-      // retry's fresh connection is the real attempt.
       LastError = "send failed";
       Conn.close();
       continue;

@@ -24,7 +24,9 @@
 /// Transient failures are retried MaxAttempts times with bounded
 /// exponential backoff and a fresh connection per attempt; a server
 /// that answers with an Error frame is not retried (it will answer the
-/// same way again).
+/// same way again).  The server closes a connection that idles for one
+/// of its poll slices, so a pooled connection found readable before a
+/// send is closed and replaced without spending an attempt.
 ///
 /// lockPath() is empty, so writerLock() is the no-op lock: the server
 /// provides atomicity (its directory is a LocalDirBackend with atomic

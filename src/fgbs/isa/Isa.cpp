@@ -118,29 +118,6 @@ const char *fgbs::precisionName(Precision Prec) {
   return "?";
 }
 
-const char *fgbs::opClassName(OpClass Class) {
-  switch (Class) {
-  case OpClass::FpAddSub:
-    return "fp-add-sub";
-  case OpClass::FpMulClass:
-    return "fp-mul";
-  case OpClass::FpDivClass:
-    return "fp-div";
-  case OpClass::OtherFp:
-    return "other-fp";
-  case OpClass::IntClass:
-    return "int";
-  case OpClass::LoadClass:
-    return "load";
-  case OpClass::StoreClass:
-    return "store";
-  case OpClass::ControlClass:
-    return "control";
-  }
-  assert(false && "unknown op class");
-  return "?";
-}
-
 PortSet fgbs::portsFor(OpKind Kind) {
   switch (Kind) {
   case OpKind::FpMul:

@@ -85,7 +85,6 @@ OpClass classify(OpKind Kind, Precision Prec);
 /// Printable names.
 const char *opKindName(OpKind Kind);
 const char *precisionName(Precision Prec);
-const char *opClassName(OpClass Class);
 
 /// One abstract instruction in a compiled loop body.
 struct Inst {

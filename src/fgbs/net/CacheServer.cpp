@@ -12,29 +12,18 @@
 #include "fgbs/support/BinaryIo.h"
 #include "fgbs/support/ThreadPool.h"
 
-#include <chrono>
-
 using namespace fgbs;
 using namespace fgbs::net;
 using namespace fgbs::binio;
 
 namespace {
 
-std::uint64_t steadyMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Stop-flag poll interval for accept and idle-connection waits.
+/// Stop-flag poll interval for accept, and how long a connection may
+/// sit idle between requests before the server closes it.
 constexpr std::uint64_t kPollSliceMs = 250;
 
-/// A connection with no complete frame for this long is closed (it can
-/// simply reconnect).
-constexpr std::uint64_t kIdleTimeoutMs = 30000;
-
-/// Deadline for sending one reply frame once started.
+/// Deadline for reading the rest of a request frame once its first
+/// byte is in, and for sending one reply frame.
 constexpr std::uint64_t kIoTimeoutMs = 10000;
 
 } // namespace
@@ -51,18 +40,6 @@ bool fgbs::net::isValidEntryName(std::string_view Name) {
 }
 
 namespace {
-
-/// Namespaced path segments are restricted to one canonical charset so
-/// no segment needs escaping and no two wire spellings name one entry.
-bool isValidPathSegment(std::string_view Seg) {
-  if (Seg.empty() || Seg == "." || Seg == "..")
-    return false;
-  for (char C : Seg)
-    if (!((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
-          (C >= '0' && C <= '9') || C == '.' || C == '_' || C == '-'))
-      return false;
-  return true;
-}
 
 /// Where a wire entry name is stored.  A name is stored under itself:
 ///
@@ -94,7 +71,7 @@ Space entrySpace(std::string_view Name) {
   std::string_view Tail = Name.substr(Slash + 1);
   while (true) {
     const std::size_t Next = Tail.find('/');
-    if (!isValidPathSegment(Tail.substr(0, Next)))
+    if (!isValidNameSegment(Tail.substr(0, Next)))
       return Space::Invalid;
     if (Next == std::string_view::npos)
       return Space::Model;
@@ -157,15 +134,14 @@ void CacheServer::acceptLoop() {
 
 void CacheServer::serveConnection(Socket Conn) {
   FGBS_COUNTER_ADD("cachesrv.connections", 1);
-  std::uint64_t IdleDeadline = steadyMs() + kIdleTimeoutMs;
-  while (!StopFlag.load(std::memory_order_acquire)) {
+  // A connection with no request for one slice is closed, so an idle
+  // client never holds a worker that another client waits for; a client
+  // reconnects on its next request.  A request whose first byte is in
+  // is read whole under the I/O deadline, however its bytes are spaced.
+  while (!StopFlag.load(std::memory_order_acquire) &&
+         Conn.waitReadable(kPollSliceMs)) {
     Frame Request;
-    WireError E = readFrame(Conn, Request, kPollSliceMs);
-    if (E == WireError::Timeout) {
-      if (steadyMs() >= IdleDeadline)
-        return; // Idle too long; the client can reconnect.
-      continue;
-    }
+    WireError E = readFrame(Conn, Request, kIoTimeoutMs);
     if (E == WireError::Closed)
       return;
     if (E != WireError::None) {
@@ -182,7 +158,6 @@ void CacheServer::serveConnection(Socket Conn) {
                      kWireHeaderBytes + Request.Payload.size());
     if (!handleFrame(Conn, Request))
       return;
-    IdleDeadline = steadyMs() + kIdleTimeoutMs;
   }
 }
 

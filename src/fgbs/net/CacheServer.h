@@ -33,9 +33,12 @@
 /// whole entries and the last one wins.
 ///
 /// Concurrency model: Threads workers (support/ThreadPool) each loop
-/// accept -> serve-connection-to-idle -> accept.  Connections are
-/// cheap and short-lived, so a small pool serves a large fleet; the
-/// kernel backlog absorbs bursts.
+/// accept -> serve-connection-until-idle -> accept.  A connection with
+/// no request for one 250 ms poll slice is closed, so an idle client
+/// holds a worker for at most that long; a request whose first byte is
+/// in is read whole under a 10 s I/O deadline.  Connections are cheap
+/// and short-lived, so a small pool serves a large fleet; the kernel
+/// backlog absorbs bursts.
 ///
 /// Telemetry: cachesrv.{requests,bytes_in,bytes_out,errors,connections}
 /// plus cachesrv.get.{hits,misses}.

@@ -200,6 +200,10 @@ RecvStatus Socket::recvAll(void *Data, std::size_t Size,
   return RecvStatus::Ok;
 }
 
+bool Socket::waitReadable(std::uint64_t TimeoutMs) {
+  return Fd >= 0 && pollUntil(Fd, POLLIN, nowMs() + TimeoutMs) == 1;
+}
+
 //===----------------------------------------------------------------------===//
 // Listener
 //===----------------------------------------------------------------------===//

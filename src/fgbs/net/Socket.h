@@ -56,7 +56,6 @@ public:
   Socket &operator=(const Socket &) = delete;
 
   bool valid() const { return Fd >= 0; }
-  int fd() const { return Fd; }
   void close();
 
   /// Connects to \p Host:\p Port (numeric address or name, resolved via
@@ -73,6 +72,13 @@ public:
   /// only at a clean boundary (zero bytes read so far); a connection
   /// that dies mid-buffer is Error.
   RecvStatus recvAll(void *Data, std::size_t Size, std::uint64_t TimeoutMs);
+
+  /// Waits up to \p TimeoutMs for the socket to become readable: bytes
+  /// arrived, or the peer closed or failed (a read then reports it).
+  /// False when the deadline passed first.  The server waits this way
+  /// for a request to start; a client checks a pooled connection with
+  /// a zero timeout before reusing it.
+  bool waitReadable(std::uint64_t TimeoutMs);
 
 private:
   int Fd = -1;

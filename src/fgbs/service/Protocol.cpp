@@ -151,7 +151,7 @@ obs::JsonValue QueryEngine::handle(const obs::JsonValue &Request) const {
                                            : Error);
       Batch.push_back(std::move(Q));
     }
-    std::vector<MachineRank> Ranking = Svc.rankMachines(Batch, Pool);
+    std::vector<MachineRank> Ranking = Svc.rankMachines(Batch);
     obs::JsonValue R = okResponse();
     obs::JsonValue Rows = obs::JsonValue::array();
     for (const MachineRank &Rank : Ranking) {

@@ -37,15 +37,12 @@ namespace fgbs {
 namespace service {
 
 /// Stateless JSON dispatcher over one SelectionService.  Thread-safe for
-/// concurrent callers (the service is immutable; a per-batch ThreadPool
-/// is the only mutable state, guarded by it being caller-owned).
+/// concurrent callers: the service is immutable and the engine holds
+/// nothing else.
 class QueryEngine {
 public:
-  /// \p Svc must outlive the engine.  \p Pool (optional, caller-owned)
-  /// accelerates "rank" and batched requests; it must not be shared
-  /// with concurrent handle() callers.
-  explicit QueryEngine(const SelectionService &Svc, ThreadPool *Pool = nullptr)
-      : Svc(Svc), Pool(Pool) {}
+  /// \p Svc must outlive the engine.
+  explicit QueryEngine(const SelectionService &Svc) : Svc(Svc) {}
 
   /// Dispatches one parsed request object.
   obs::JsonValue handle(const obs::JsonValue &Request) const;
@@ -57,7 +54,6 @@ public:
 
 private:
   const SelectionService &Svc;
-  ThreadPool *Pool;
 };
 
 } // namespace service

@@ -87,30 +87,14 @@ PredictResult SelectionService::predictTimes(const QueryRequest &Q) const {
   return R;
 }
 
-std::vector<PredictResult>
-SelectionService::predictBatch(const std::vector<QueryRequest> &Queries,
-                               ThreadPool *Pool) const {
-  FGBS_SCOPED_TIMER("service.batch");
-  FGBS_COUNTER_ADD("service.batch.requests", 1);
-  FGBS_COUNTER_ADD("service.batch.queries", Queries.size());
-  FGBS_HISTOGRAM_RECORD_NS("service.batch.size", Queries.size());
-
-  std::vector<PredictResult> Results(Queries.size());
-  auto Evaluate = [&](std::size_t I) { Results[I] = predictTimes(Queries[I]); };
-  if (Pool && Pool->threadCount() > 1 && Queries.size() > 1)
-    Pool->parallelFor(0, Queries.size(), Evaluate);
-  else
-    for (std::size_t I = 0; I < Queries.size(); ++I)
-      Evaluate(I);
-  return Results;
-}
-
 std::vector<MachineRank>
-SelectionService::rankMachines(const std::vector<QueryRequest> &Queries,
-                               ThreadPool *Pool) const {
+SelectionService::rankMachines(const std::vector<QueryRequest> &Queries) const {
   FGBS_SCOPED_TIMER("service.rank");
   FGBS_COUNTER_ADD("service.rank.requests", 1);
-  std::vector<PredictResult> Results = predictBatch(Queries, Pool);
+  std::vector<PredictResult> Results;
+  Results.reserve(Queries.size());
+  for (const QueryRequest &Q : Queries)
+    Results.push_back(predictTimes(Q));
 
   std::vector<MachineRank> Ranking;
   Ranking.reserve(S.Targets.size());

@@ -21,9 +21,7 @@
 ///
 /// Thread safety: a SelectionService is immutable after construction;
 /// every method is const and safe to call from any number of reader
-/// threads concurrently.  Batched entry points optionally spread work
-/// over a caller-provided support/ThreadPool (results land in per-index
-/// slots, so output is independent of the thread count).
+/// threads concurrently.  Each call runs on its caller's thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +29,6 @@
 #define FGBS_SERVICE_SELECTIONSERVICE_H
 
 #include "fgbs/service/Snapshot.h"
-#include "fgbs/support/ThreadPool.h"
 
 #include <string>
 #include <vector>
@@ -98,18 +95,11 @@ public:
   /// positive reference-machine measurement).
   PredictResult predictTimes(const QueryRequest &Q) const;
 
-  /// Batched predictTimes.  With a pool, queries are evaluated in
-  /// parallel; results are positionally stable either way.
-  std::vector<PredictResult>
-  predictBatch(const std::vector<QueryRequest> &Queries,
-               ThreadPool *Pool = nullptr) const;
-
   /// Ranks the snapshot's targets by geometric-mean predicted speedup
   /// over \p Queries (best machine first; ties keep snapshot target
   /// order).  The paper's system-selection use case, served online.
   std::vector<MachineRank>
-  rankMachines(const std::vector<QueryRequest> &Queries,
-               ThreadPool *Pool = nullptr) const;
+  rankMachines(const std::vector<QueryRequest> &Queries) const;
 
 private:
   ModelSnapshot S;

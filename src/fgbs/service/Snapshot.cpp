@@ -29,10 +29,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 using namespace fgbs;
 using namespace fgbs::service;
@@ -376,27 +372,9 @@ SnapshotLoadResult service::parseSnapshot(std::string_view Bytes) {
   return R;
 }
 
-void service::saveSnapshot(std::ostream &OS, const ModelSnapshot &S) {
-  std::string Bytes = serializeSnapshot(S);
-  OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-}
-
 bool service::saveSnapshotFile(const std::string &Path,
                                const ModelSnapshot &S) {
-  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-  if (!OS)
-    return false;
-  saveSnapshot(OS, S);
-  OS.flush();
-  return static_cast<bool>(OS);
-}
-
-SnapshotLoadResult service::loadSnapshot(std::istream &IS) {
-  std::ostringstream Buffer;
-  Buffer << IS.rdbuf();
-  if (IS.bad())
-    return failed(SnapshotError::Io, "read failure");
-  return parseSnapshot(Buffer.str());
+  return atomicWriteFile(Path, serializeSnapshot(S));
 }
 
 SnapshotLoadResult service::loadSnapshotFile(const std::string &Path) {

@@ -40,7 +40,6 @@
 #include "fgbs/support/FramedBlob.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,10 +151,10 @@ std::string serializeSnapshot(const ModelSnapshot &S);
 /// Parses and validates snapshot bytes.
 SnapshotLoadResult parseSnapshot(std::string_view Bytes);
 
-/// Stream/file wrappers around serialize/parse.
-void saveSnapshot(std::ostream &OS, const ModelSnapshot &S);
+/// File wrappers around serialize/parse.  saveSnapshotFile publishes
+/// through atomicWriteFile (a temp file beside \p Path, then rename), so
+/// a reader sees the old snapshot or the new one, never a torn file.
 bool saveSnapshotFile(const std::string &Path, const ModelSnapshot &S);
-SnapshotLoadResult loadSnapshot(std::istream &IS);
 SnapshotLoadResult loadSnapshotFile(const std::string &Path);
 
 } // namespace service

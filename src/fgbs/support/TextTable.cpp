@@ -64,26 +64,6 @@ void TextTable::print(std::ostream &OS) const {
   }
 }
 
-void TextTable::printCsv(std::ostream &OS) const {
-  auto PrintRow = [&OS](const std::vector<std::string> &Row) {
-    for (std::size_t I = 0; I < Row.size(); ++I) {
-      if (I)
-        OS << ',';
-      // Quote cells containing commas.
-      if (Row[I].find(',') != std::string::npos)
-        OS << '"' << Row[I] << '"';
-      else
-        OS << Row[I];
-    }
-    OS << '\n';
-  };
-  if (!Header.empty())
-    PrintRow(Header);
-  for (std::size_t I = 0; I < Body.size(); ++I)
-    if (!IsSeparator[I])
-      PrintRow(Body[I]);
-}
-
 std::string fgbs::formatDouble(double Value, int Digits) {
   assert(Digits >= 0 && Digits <= 12 && "unreasonable digit count");
   char Buffer[64];

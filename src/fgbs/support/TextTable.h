@@ -37,11 +37,6 @@ public:
   /// Prints the table to \p OS.
   void print(std::ostream &OS) const;
 
-  /// Writes the table as CSV to \p OS (no separator rows, header first).
-  void printCsv(std::ostream &OS) const;
-
-  std::size_t numRows() const { return Body.size(); }
-
 private:
   std::vector<std::string> Header;
   std::vector<std::vector<std::string>> Body;

@@ -153,11 +153,15 @@ TEST_F(CacheLifecycleTest, LoadRoundTripsThroughTheBackend) {
 }
 
 TEST_F(CacheLifecycleTest, SaveMeasurementsFileLeavesNoTempBehind) {
+  // A measurements file saved at a path of its own, outside any cache:
+  // the serialized bytes through atomicWriteFile, read back and parsed.
   TempDir Dir("plain_save");
   std::string Path = (Dir.Path / "direct.v1").string();
-  ASSERT_TRUE(saveMeasurementsFile(Path, *Db, Key));
+  ASSERT_TRUE(atomicWriteFile(Path, serializeMeasurements(*Db, Key)));
+  std::string Bytes;
+  ASSERT_TRUE(readWholeFile(Path, Bytes));
   MeasurementLoadResult R =
-      loadMeasurementsFile(Path, *TheSuite, makeNehalem(), Targets, Key);
+      parseMeasurements(Bytes, *TheSuite, makeNehalem(), Targets, Key);
   EXPECT_TRUE(R) << R.Message;
   std::size_t Files = 0;
   for (const auto &Entry : fs::directory_iterator(Dir.Path)) {
@@ -282,7 +286,7 @@ TEST_F(CacheLifecycleTest, StoreReportsLockTimeoutWhileEntryLockIsHeld) {
   Cache.LockOptions.TimeoutMs = 60;
   Cache.LockOptions.InitialBackoffMs = 1;
 
-  FileLock Holder(Cache.entryLockPath(Key));
+  FileLock Holder(Cache.backend().lockPath(measurementCacheFileName(Key)));
   ASSERT_TRUE(Holder.acquire());
   std::string Message;
   EXPECT_EQ(Cache.store(*Db, Key, /*EntryLockHeld=*/false, &Message),

@@ -140,10 +140,11 @@ TEST(Profiler, DiscardsSubMillionCycleCodelets) {
   App.Codelets.push_back(streamKernel(1 << 21)); // ~ms: kept.
   App.Codelets.push_back(streamKernel(1 << 10)); // ~us: discarded.
   S.Applications.push_back(std::move(App));
-  std::vector<CodeletProfile> P = profileSuite(S, makeNehalem());
-  ASSERT_EQ(P.size(), 2u);
-  EXPECT_FALSE(P[0].Discarded);
-  EXPECT_TRUE(P[1].Discarded);
+  const Machine Ref = makeNehalem();
+  std::vector<const Codelet *> Codelets = S.allCodelets();
+  ASSERT_EQ(Codelets.size(), 2u);
+  EXPECT_FALSE(profileCodelet(*Codelets[0], Ref).Discarded);
+  EXPECT_TRUE(profileCodelet(*Codelets[1], Ref).Discarded);
 }
 
 TEST(Profiler, InAppAveragesInvocationGroups) {

@@ -243,18 +243,15 @@ TEST(PipelineInputsTest, SuiteWithEveryCodeletDiscardedStillBuilds) {
 
 TEST_F(MeasurementCacheTest, SaveLoadSaveFileIsByteIdentical) {
   TempDir Dir("roundtrip");
-  std::string Path = (Dir.Path / measurementCacheFileName(Key)).string();
-  ASSERT_TRUE(saveMeasurementsFile(Path, *Db, Key));
-  MeasurementLoadResult R =
-      loadMeasurementsFile(Path, *TheSuite, makeNehalem(), Targets, Key);
+  MeasurementCache First((Dir.Path / "first").string());
+  ASSERT_EQ(First.store(*Db, Key), MeasurementCacheError::None);
+  MeasurementLoadResult R = First.load(*TheSuite, makeNehalem(), Targets, Key);
   ASSERT_TRUE(R) << R.Message;
-  std::string Second = (Dir.Path / "again.v1").string();
-  ASSERT_TRUE(saveMeasurementsFile(Second, *R.Db, Key));
-  std::ifstream A(Path, std::ios::binary), B(Second, std::ios::binary);
-  std::string BytesA((std::istreambuf_iterator<char>(A)),
-                     std::istreambuf_iterator<char>());
-  std::string BytesB((std::istreambuf_iterator<char>(B)),
-                     std::istreambuf_iterator<char>());
+  MeasurementCache Second((Dir.Path / "second").string());
+  ASSERT_EQ(Second.store(*R.Db, Key), MeasurementCacheError::None);
+  std::string BytesA, BytesB;
+  ASSERT_TRUE(First.backend().get(measurementCacheFileName(Key), BytesA));
+  ASSERT_TRUE(Second.backend().get(measurementCacheFileName(Key), BytesB));
   EXPECT_FALSE(BytesA.empty());
   EXPECT_EQ(BytesA, BytesB);
 }
@@ -382,8 +379,9 @@ TEST_F(MeasurementCacheTest, FutureMinorVersionSkipsTrailingFields) {
 }
 
 TEST_F(MeasurementCacheTest, MissingFileIsIo) {
-  MeasurementLoadResult R = loadMeasurementsFile(
-      "/nonexistent/fgbs/cache.v1", *TheSuite, makeNehalem(), Targets, Key);
+  TempDir Dir("missing");
+  MeasurementCache Cache(Dir.Path.string());
+  MeasurementLoadResult R = Cache.load(*TheSuite, makeNehalem(), Targets, Key);
   EXPECT_FALSE(R);
   EXPECT_EQ(R.Error, MeasurementCacheError::Io);
 }
@@ -402,11 +400,6 @@ TEST_F(MeasurementCacheTest, DirectoryInPlaceOfAnEntryIsIo) {
 
   MeasurementCache Cache(Dir.Path.string());
   MeasurementLoadResult R = Cache.load(*TheSuite, makeNehalem(), Targets, Key);
-  EXPECT_FALSE(R);
-  EXPECT_EQ(R.Error, MeasurementCacheError::Io);
-
-  R = loadMeasurementsFile((Dir.Path / Name).string(), *TheSuite,
-                           makeNehalem(), Targets, Key);
   EXPECT_FALSE(R);
   EXPECT_EQ(R.Error, MeasurementCacheError::Io);
 
@@ -540,8 +533,9 @@ TEST_F(MeasurementCacheTest, CorruptFileFallsBackToCleanResimulation) {
             serializeMeasurements(*Db, Key));
 
   // The re-store healed the file: a third build serves it cleanly.
-  MeasurementLoadResult Healed = loadMeasurementsFile(
-      File.string(), *TheSuite, makeNehalem(), Targets, Key);
+  MeasurementCache Cache(Dir.Path.string());
+  MeasurementLoadResult Healed =
+      Cache.load(*TheSuite, makeNehalem(), Targets, Key);
   EXPECT_TRUE(Healed) << Healed.Message;
 }
 

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -425,12 +424,9 @@ TEST_F(RegistryTest, TamperedLocalCacheIsDetectedAndRefetched) {
   auto R = client("host");
   PublishResult Pub = R->publish("m", "latest", "authentic bytes");
   ASSERT_TRUE(static_cast<bool>(Pub)) << Pub.Message;
-  // Corrupt the memoized local copy on disk.
-  const std::string Path = R->localSnapshotPath(Pub.Sha256Hex);
-  {
-    std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-    OS << "rotted local copy";
-  }
+  // Corrupt the memoized local copy through a backend over the memo.
+  LocalDirBackend Memo((Dir / "host").string());
+  ASSERT_TRUE(Memo.put(modelShaKey("m", Pub.Sha256Hex), "rotted local copy"));
   // The next pull must detect the rot (verify on EVERY load), discard
   // the file, and re-fetch the authentic bytes from the registry.
   PullResult Pull = R->pullByHash("m", Pub.Sha256Hex);
@@ -616,24 +612,25 @@ TEST(ScanPrefixCompat, RefusedScanIsFailedNotAnEmptyListing) {
   Config.Host = "127.0.0.1";
   Config.Port = L.port();
   Config.MaxAttempts = 1;
-  RemoteCacheBackend Client(std::move(Config));
-  ScanPrefixResult R = Client.scanPrefix("model/");
-  EXPECT_EQ(R.Outcome, ScanPrefixOutcome::Failed) << R.Message;
-  EXPECT_NE(R.Message.find("unsupported opcode"), std::string::npos)
-      << R.Message;
-  EXPECT_TRUE(R.Entries.empty());
+  // The fake serves one connection at a time, so each client is closed
+  // (by leaving its scope) before the next one connects and before the
+  // fake stops; otherwise the fake waits out its read deadline on the
+  // client's idle pooled connection.
+  {
+    RemoteCacheBackend Client(Config);
+    ScanPrefixResult R = Client.scanPrefix("model/");
+    EXPECT_EQ(R.Outcome, ScanPrefixOutcome::Failed) << R.Message;
+    EXPECT_NE(R.Message.find("unsupported opcode"), std::string::npos)
+        << R.Message;
+    EXPECT_TRUE(R.Entries.empty());
+  }
 
   // And ModelRegistry::list surfaces the same typed outcome.
-  ModelRegistry Registry(std::make_unique<RemoteCacheBackend>([&] {
-                           RemoteCacheConfig C;
-                           C.Host = "127.0.0.1";
-                           C.Port = L.port();
-                           C.MaxAttempts = 1;
-                           return C;
-                         }()),
-                         "");
-  ScanPrefixResult Via = Registry.list("");
-  EXPECT_EQ(Via.Outcome, ScanPrefixOutcome::Failed);
+  {
+    ModelRegistry Registry(std::make_unique<RemoteCacheBackend>(Config), "");
+    ScanPrefixResult Via = Registry.list("");
+    EXPECT_EQ(Via.Outcome, ScanPrefixOutcome::Failed);
+  }
 
   Stop = true;
   OldServer.join();

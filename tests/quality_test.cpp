@@ -81,14 +81,6 @@ TEST(Silhouette, SelectsBlobCount) {
   EXPECT_EQ(silhouetteK(Points, Tree, 10), 2u);
 }
 
-TEST(CalinskiHarabasz, PrefersTrueSplit) {
-  FeatureTable Points = twoBlobs(17);
-  double Good = calinskiHarabasz(Points, perfectSplit());
-  double Bad = calinskiHarabasz(Points, badSplit());
-  EXPECT_GT(Good, Bad);
-  EXPECT_GT(Good, 100.0);
-}
-
 TEST(RenderDendrogram, ContainsAllLabels) {
   FeatureTable Points = {{0.0}, {1.0}, {10.0}, {11.0}};
   Dendrogram Tree = hierarchicalCluster(Points);

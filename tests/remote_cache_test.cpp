@@ -347,6 +347,64 @@ TEST(CacheServer, SurvivesDamagedFramesFromOtherClients) {
   EXPECT_TRUE(Client.put("fgbs-meas-00000000000000aa.v1", "fine"));
 }
 
+// A request is read whole however its bytes are spaced: a put whose two
+// halves arrive 400 ms apart, longer than the server's 250 ms stop-flag
+// slice, is stored and answered Ok rather than read out of sync.
+TEST(CacheServer, ReadsAFrameWhoseHalvesArriveApart) {
+  TempDir Dir("split");
+  net::CacheServer Server(loopbackConfig(Dir));
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+
+  const std::string Name = "fgbs-meas-00000000000000ab.v1";
+  const std::string Blob(100 << 10, 'x');
+  std::string Payload;
+  binio::putStr(Payload, Name);
+  Payload += Blob;
+  const std::string Bytes = net::encodeFrame(net::Opcode::Put, Payload);
+  const std::size_t Half = Bytes.size() / 2;
+  net::Socket Conn =
+      net::Socket::connectTo("127.0.0.1", Server.port(), 1000, &Error);
+  ASSERT_TRUE(Conn.valid()) << Error;
+  ASSERT_TRUE(Conn.sendAll(Bytes.data(), Half, 1000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  ASSERT_TRUE(Conn.sendAll(Bytes.data() + Half, Bytes.size() - Half, 1000));
+  net::Frame Reply;
+  ASSERT_EQ(net::readFrame(Conn, Reply, 2000), net::WireError::None);
+  EXPECT_EQ(Reply.Op, net::Opcode::Ok) << net::opcodeName(Reply.Op);
+
+  RemoteCacheBackend Client(clientConfig(Server));
+  std::string Stored;
+  ASSERT_TRUE(Client.get(Name, Stored));
+  EXPECT_EQ(Stored, Blob);
+}
+
+// A client idling on its pooled connection does not hold the only
+// worker: the server closes the idle connection after one slice and
+// answers the next client, and the idle client's next request finds its
+// connection closed and reconnects without spending its one attempt.
+TEST(CacheServer, IdleClientDoesNotBlockAnother) {
+  TempDir Dir("idle");
+  net::CacheServerConfig Config = loopbackConfig(Dir);
+  Config.Threads = 1;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+
+  RemoteCacheConfig OneAttempt = clientConfig(Server);
+  OneAttempt.MaxAttempts = 1;
+  RemoteCacheBackend First(OneAttempt);
+  EXPECT_FALSE(First.exists("fgbs-meas-00000000000000ac.v1"));
+
+  OneAttempt.RequestTimeoutMs = 1000;
+  RemoteCacheBackend Second(OneAttempt);
+  const auto Start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(Second.ping());
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(1));
+
+  EXPECT_TRUE(First.ping());
+}
+
 TEST(CacheServer, StatsReportsFootprintAndCounters) {
   TempDir Dir("stats");
   net::CacheServer Server(loopbackConfig(Dir));

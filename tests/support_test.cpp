@@ -242,26 +242,6 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_NE(Out.find("xx  y"), std::string::npos);
 }
 
-TEST(TextTable, CsvEscapesCommas) {
-  TextTable T;
-  T.setHeader({"name", "value"});
-  T.addRow({"a,b", "1"});
-  std::ostringstream OS;
-  T.printCsv(OS);
-  EXPECT_NE(OS.str().find("\"a,b\",1"), std::string::npos);
-}
-
-TEST(TextTable, SeparatorSkippedInCsv) {
-  TextTable T;
-  T.setHeader({"h"});
-  T.addRow({"x"});
-  T.addSeparator();
-  T.addRow({"y"});
-  std::ostringstream OS;
-  T.printCsv(OS);
-  EXPECT_EQ(OS.str(), "h\nx\ny\n");
-}
-
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     ThreadPool Pool(Threads);

@@ -8,17 +8,15 @@
 // schema) — one response line per request line, errors as structured
 // responses, never a crash.
 //
-//   fgbs_query MODEL [--script IN] [--out OUT] [--threads N]
+//   fgbs_query MODEL [--script IN] [--out OUT]
 //   fgbs_query --model fgbs://HOST:PORT/NAME[@TAG|@sha256:HEX] [...]
-//   fgbs_query --compare GOLDEN ACTUAL [--tolerance T]
 //
 // The --model form pulls the snapshot from a model registry (a
 // namespace-aware fgbs_cached), verifies it against its content hash,
 // and memoizes it in a local cache directory so the next pull on this
 // host transfers no payload; a dead registry degrades to that local
-// copy.  The --compare mode diffs two response streams with a numeric
-// tolerance, so CI golden tests survive benign last-ulp drift between
-// compilers while still catching real behaviour changes.
+// copy.  Responses are byte-deterministic, so a replay is checked by
+// comparing bytes (cmp, cmake -E compare_files).
 //
 // Honours FGBS_TELEMETRY / FGBS_RUN_JSON / FGBS_TRACE_JSON, plus
 // FGBS_MODEL_CACHE (default local model-snapshot cache directory).
@@ -31,7 +29,6 @@
 #include "fgbs/obs/Trace.h"
 #include "fgbs/service/Protocol.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -45,10 +42,9 @@ namespace {
 constexpr const char *kVersion = "fgbs_query (fgbs.model.v1 reader) 1.0";
 
 int usage(std::ostream &OS, int Exit) {
-  OS << "usage: fgbs_query MODEL [--script IN] [--out OUT] [--threads N]\n"
+  OS << "usage: fgbs_query MODEL [--script IN] [--out OUT]\n"
         "       fgbs_query --model fgbs://HOST:PORT/NAME[@TAG|@sha256:HEX]\n"
         "                  [--model-cache DIR] [--script IN] [--out OUT]\n"
-        "       fgbs_query --compare GOLDEN ACTUAL [--tolerance T]\n"
         "\n"
         "Serves line-delimited JSON requests against a trained\n"
         "fgbs.model.v1 snapshot (see fgbs_train).  Requests are read\n"
@@ -71,131 +67,9 @@ int usage(std::ostream &OS, int Exit) {
         "                  the FGBS_MODEL_CACHE environment variable)\n"
         "  --script IN     read requests from IN instead of stdin\n"
         "  --out OUT       write responses to OUT instead of stdout\n"
-        "  --threads N     thread-pool size for batched ops (default 1)\n"
-        "  --compare G A   tolerance-diff two response streams\n"
-        "  --tolerance T   relative tolerance for --compare (default 1e-9)\n"
         "  --help          print this help and exit\n"
         "  --version       print the tool version and exit\n";
   return Exit;
-}
-
-/// Structural JSON equality with relative tolerance on numbers.
-bool jsonClose(const obs::JsonValue &A, const obs::JsonValue &B,
-               double Tolerance, std::string &Where) {
-  if (A.kind() != B.kind()) {
-    Where = "value kinds differ";
-    return false;
-  }
-  switch (A.kind()) {
-  case obs::JsonValue::Kind::Null:
-    return true;
-  case obs::JsonValue::Kind::Bool:
-    if (A.boolean() != B.boolean()) {
-      Where = "booleans differ";
-      return false;
-    }
-    return true;
-  case obs::JsonValue::Kind::Number: {
-    double X = A.number();
-    double Y = B.number();
-    double Scale = std::max({1.0, std::fabs(X), std::fabs(Y)});
-    if (std::fabs(X - Y) > Tolerance * Scale) {
-      Where = "numbers differ: " + std::to_string(X) + " vs " +
-              std::to_string(Y);
-      return false;
-    }
-    return true;
-  }
-  case obs::JsonValue::Kind::String:
-    if (A.string() != B.string()) {
-      Where = "strings differ: \"" + A.string() + "\" vs \"" + B.string() +
-              "\"";
-      return false;
-    }
-    return true;
-  case obs::JsonValue::Kind::Array: {
-    if (A.elements().size() != B.elements().size()) {
-      Where = "array lengths differ";
-      return false;
-    }
-    for (std::size_t I = 0; I < A.elements().size(); ++I)
-      if (!jsonClose(A.elements()[I], B.elements()[I], Tolerance, Where)) {
-        Where = "[" + std::to_string(I) + "] " + Where;
-        return false;
-      }
-    return true;
-  }
-  case obs::JsonValue::Kind::Object: {
-    if (A.members().size() != B.members().size()) {
-      Where = "object sizes differ";
-      return false;
-    }
-    auto ItA = A.members().begin();
-    auto ItB = B.members().begin();
-    for (; ItA != A.members().end(); ++ItA, ++ItB) {
-      if (ItA->first != ItB->first) {
-        Where = "keys differ: \"" + ItA->first + "\" vs \"" + ItB->first +
-                "\"";
-        return false;
-      }
-      if (!jsonClose(ItA->second, ItB->second, Tolerance, Where)) {
-        Where = "." + ItA->first + " " + Where;
-        return false;
-      }
-    }
-    return true;
-  }
-  }
-  Where = "unknown kind";
-  return false;
-}
-
-int compareStreams(const std::string &GoldenPath, const std::string &ActualPath,
-                   double Tolerance) {
-  std::ifstream Golden(GoldenPath);
-  if (!Golden) {
-    std::cerr << "fgbs_query: cannot read '" << GoldenPath << "'\n";
-    return 2;
-  }
-  std::ifstream Actual(ActualPath);
-  if (!Actual) {
-    std::cerr << "fgbs_query: cannot read '" << ActualPath << "'\n";
-    return 2;
-  }
-
-  std::string GoldenLine;
-  std::string ActualLine;
-  std::size_t LineNo = 0;
-  while (true) {
-    bool HaveGolden = static_cast<bool>(std::getline(Golden, GoldenLine));
-    bool HaveActual = static_cast<bool>(std::getline(Actual, ActualLine));
-    ++LineNo;
-    if (!HaveGolden && !HaveActual)
-      break;
-    if (HaveGolden != HaveActual) {
-      std::cerr << "fgbs_query: line " << LineNo << ": '"
-                << (HaveGolden ? ActualPath : GoldenPath)
-                << "' ends early\n";
-      return 1;
-    }
-    std::optional<obs::JsonValue> G = obs::parseJson(GoldenLine);
-    std::optional<obs::JsonValue> A = obs::parseJson(ActualLine);
-    if (!G || !A) {
-      std::cerr << "fgbs_query: line " << LineNo << ": invalid JSON in '"
-                << (!G ? GoldenPath : ActualPath) << "'\n";
-      return 1;
-    }
-    std::string Where;
-    if (!jsonClose(*G, *A, Tolerance, Where)) {
-      std::cerr << "fgbs_query: line " << LineNo << ": " << Where << "\n"
-                << "  golden: " << GoldenLine << "\n"
-                << "  actual: " << ActualLine << "\n";
-      return 1;
-    }
-  }
-  std::cout << "fgbs_query: " << (LineNo - 1)
-            << " response lines match within tolerance " << Tolerance << "\n";
-  return 0;
 }
 
 } // namespace
@@ -206,11 +80,6 @@ int main(int argc, char **argv) {
   std::string ModelCacheDir;
   std::string ScriptPath;
   std::string OutPath;
-  std::string ComparePathA;
-  std::string ComparePathB;
-  bool CompareMode = false;
-  double Tolerance = 1e-9;
-  unsigned Threads = 1;
   if (const char *Dir = std::getenv("FGBS_MODEL_CACHE"))
     ModelCacheDir = Dir;
 
@@ -222,18 +91,7 @@ int main(int argc, char **argv) {
       std::cout << kVersion << "\n";
       return 0;
     }
-    if (Arg == "--compare" && I + 2 < argc) {
-      CompareMode = true;
-      ComparePathA = argv[++I];
-      ComparePathB = argv[++I];
-    } else if (Arg == "--tolerance" && I + 1 < argc) {
-      char *End = nullptr;
-      Tolerance = std::strtod(argv[++I], &End);
-      if (End == argv[I] || *End != '\0' || Tolerance < 0.0) {
-        std::cerr << "fgbs_query: --tolerance needs a non-negative number\n";
-        return usage(std::cerr, 2);
-      }
-    } else if (Arg == "--model" && I + 1 < argc) {
+    if (Arg == "--model" && I + 1 < argc) {
       ModelUriArg = argv[++I];
     } else if (Arg == "--model-cache" && I + 1 < argc) {
       ModelCacheDir = argv[++I];
@@ -241,14 +99,6 @@ int main(int argc, char **argv) {
       ScriptPath = argv[++I];
     } else if (Arg == "--out" && I + 1 < argc) {
       OutPath = argv[++I];
-    } else if (Arg == "--threads" && I + 1 < argc) {
-      char *End = nullptr;
-      long V = std::strtol(argv[++I], &End, 10);
-      if (End == argv[I] || *End != '\0' || V <= 0) {
-        std::cerr << "fgbs_query: --threads needs a positive integer\n";
-        return usage(std::cerr, 2);
-      }
-      Threads = static_cast<unsigned>(V);
     } else if (ModelPath.empty() && !Arg.empty() && Arg[0] != '-') {
       ModelPath = Arg;
     } else {
@@ -257,8 +107,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (CompareMode)
-    return compareStreams(ComparePathA, ComparePathB, Tolerance);
   if (ModelPath.empty() == ModelUriArg.empty()) {
     std::cerr << "fgbs_query: exactly one of a MODEL path or --model URI "
                  "is required\n";
@@ -316,8 +164,7 @@ int main(int argc, char **argv) {
   Run.recordValue("snapshot_load_ms", static_cast<double>(LoadNs) / 1e6);
 
   service::SelectionService Svc(std::move(*Loaded.Snapshot));
-  ThreadPool Pool(Threads);
-  service::QueryEngine Engine(Svc, &Pool);
+  service::QueryEngine Engine(Svc);
 
   std::ifstream ScriptFile;
   if (!ScriptPath.empty()) {
