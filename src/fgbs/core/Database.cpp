@@ -138,9 +138,9 @@ MeasurementDatabase::MeasurementDatabase(const Suite &S, Machine Ref,
   // dataset scale of its invocation groups (the standalone runs replay
   // the first group's).  memoryTrace() is what execute() samples, so
   // every sampling in the sweep below is a memo hit.  Codelets that
-  // share a trace are primed by one task, so no task waits on another's
-  // walk, and the longest walks start first, so the pool's last tasks
-  // are short ones.
+  // share a trace are primed by one task, so each trace is walked once
+  // (the memo lets racing misses walk a key twice), and the longest
+  // walks start first, so the pool's last tasks are short ones.
   std::vector<const Machine *> Machines = {&Reference};
   for (const Machine &Target : Targets)
     Machines.push_back(&Target);

@@ -547,7 +547,7 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
   DbOptions.Threads = Options.Threads;
   auto Simulate = [&] {
     return std::make_unique<MeasurementDatabase>(S, Reference, Targets,
-                                                 Options.Policy, DbOptions);
+                                                 TimingPolicy{}, DbOptions);
   };
   // The remote tier is opt-in per run (--cache-remote) or per
   // environment (FGBS_MEAS_CACHE_REMOTE); --no-cache turns off both
@@ -584,13 +584,10 @@ fgbs::buildMeasurementDatabase(const Suite &S, Machine Reference,
   else
     Backend = std::make_unique<LocalDirBackend>(Options.CacheDir);
   MeasurementCache Cache(std::move(Backend));
-  Cache.LockOptions.TimeoutMs = Options.LockTimeoutMs
-                                    ? Options.LockTimeoutMs
-                                    : envU64("FGBS_MEAS_CACHE_LOCK_MS");
+  Cache.LockOptions.TimeoutMs = envU64("FGBS_MEAS_CACHE_LOCK_MS");
   if (Cache.LockOptions.TimeoutMs == 0)
     Cache.LockOptions.TimeoutMs = 600000;
-  const std::uint64_t Key = measurementKey(S, Reference, Targets,
-                                           Options.Policy);
+  const std::uint64_t Key = measurementKey(S, Reference, Targets);
 
   // \p Quiet silences the unusable-file warning on the post-lock
   // double check (the first pass already warned and counted it).

@@ -186,31 +186,25 @@ struct DatabaseBuildOptions {
   /// Master cache switch (--no-cache): false never reads or writes the
   /// cache even when CacheDir is set.
   bool UseCache = true;
-  /// How long a cold run waits on the per-entry writer lock before
-  /// giving up and simulating without storing (0 = auto: the
-  /// FGBS_MEAS_CACHE_LOCK_MS environment variable, else 10 minutes).
-  std::uint64_t LockTimeoutMs = 0;
   /// Entry-byte budget auto-pruned after a store (0 = auto: the
   /// FGBS_MEAS_CACHE_MAX_BYTES environment variable, else unbounded).
   std::uint64_t CacheMaxBytes = 0;
   /// Maximum entry age in seconds, enforced alongside the byte budget
   /// (0 = unbounded).
   std::uint64_t CacheMaxAgeSeconds = 0;
-  /// Timing policy forwarded to the standalone measurements (part of
-  /// the content key).
-  TimingPolicy Policy;
 };
 
-/// Builds the measurement database for (\p S, \p Reference, \p Targets),
-/// serving it from \p Options.CacheDir when a file with the matching
-/// content key exists there, and re-simulating (then storing) otherwise.
-/// Load failures warn on stderr and fall back to simulation; store
-/// failures warn and are otherwise ignored.
+/// Builds the measurement database for (\p S, \p Reference, \p Targets)
+/// under the default TimingPolicy, serving it from \p Options.CacheDir
+/// when a file with the matching content key exists there, and
+/// re-simulating (then storing) otherwise.  Load failures warn on stderr
+/// and fall back to simulation; store failures warn and are otherwise
+/// ignored.
 ///
 /// Concurrent cold runs against one directory coordinate through a
 /// per-entry FileLock: exactly one simulates and publishes while the
-/// others block (backoff + Options.LockTimeoutMs deadline) and then
-/// load the freshly published entry instead of re-simulating.  A run
+/// others block (backoff, FGBS_MEAS_CACHE_LOCK_MS or 10 min deadline) and
+/// then load the freshly published entry instead of re-simulating.  A run
 /// whose lock wait times out warns with the typed lock_timeout error,
 /// simulates, and skips the store (the live holder will publish the
 /// identical bytes); a lock that errors warns io the same way.  When a

@@ -176,7 +176,10 @@ bool ModelRegistry::loadVerifiedLocal(const std::string &Name,
 }
 
 void ModelRegistry::memoize(const std::string &Key, std::string_view Bytes) {
-  if (Local)
+  // A warm pull resolves the ref the memo already holds: leave that file
+  // as it is rather than replace it with a copy of itself.
+  std::string Held;
+  if (Local && !(Local->get(Key, Held) && Held == Bytes))
     Local->put(Key, Bytes);
 }
 

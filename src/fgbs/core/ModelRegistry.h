@@ -206,7 +206,7 @@ private:
   bool loadVerifiedLocal(const std::string &Name, const std::string &Hex,
                          std::string &BytesOut);
   /// Stores a verified snapshot or ref under its registry key in the
-  /// local memo.
+  /// local memo, unless the memo already holds exactly these bytes.
   void memoize(const std::string &Key, std::string_view Bytes);
   /// The shared fetch+verify tail of both pull paths.
   PullResult fetchByHash(const std::string &Name, const std::string &Hex,

@@ -14,10 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <random>
 #include <thread>
-
-#include <unistd.h>
 
 using namespace fgbs;
 using namespace fgbs::binio;
@@ -25,50 +22,10 @@ using namespace fgbs::net;
 
 namespace {
 
-std::uint64_t steadyMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// The retry schedule: the first backoff, doubling per failure up to
-/// the second.
-constexpr std::uint64_t kInitialBackoffMs = 50;
-constexpr std::uint64_t kMaxBackoffMs = 1000;
-
-/// A per-backend retry-jitter seed: pid in the high bits, randomness
-/// below, so clients on different hosts (or recycling one pid) draw
-/// different schedules.
-std::uint64_t makeBackoffSeed() {
-  static thread_local std::mt19937_64 Rng(
-      std::random_device{}() ^
-      (static_cast<std::uint64_t>(::getpid()) << 32) ^ steadyMs());
-  return (static_cast<std::uint64_t>(::getpid()) << 32) ^
-         (Rng() & 0xffffffffu);
-}
+/// Retry N of an operation pauses N times this long.
+constexpr std::uint64_t kRetryPauseMs = 50;
 
 } // namespace
-
-std::uint64_t fgbs::retryBackoffMs(unsigned Attempt, std::uint64_t InitialMs,
-                                   std::uint64_t MaxMs, std::uint64_t Seed) {
-  if (InitialMs == 0)
-    InitialMs = 1;
-  if (MaxMs < InitialMs)
-    MaxMs = InitialMs;
-  // Saturating base = min(InitialMs << Attempt, MaxMs).
-  std::uint64_t Base = MaxMs;
-  if (Attempt < 63 && (MaxMs >> Attempt) >= InitialMs)
-    Base = InitialMs << Attempt;
-  // splitmix64 over (Seed, Attempt): deterministic per client, distinct
-  // across clients, no shared-state RNG to lock.
-  std::uint64_t Z = Seed + 0x9e3779b97f4a7c15ull * (Attempt + 1);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  Z ^= Z >> 31;
-  const std::uint64_t Low = Base - Base / 2; // ceil(Base / 2), never 0.
-  return Low + Z % (Base - Low + 1);
-}
 
 bool fgbs::parseRemoteCacheAddress(const std::string &Spec,
                                    RemoteCacheConfig &Out) {
@@ -76,7 +33,7 @@ bool fgbs::parseRemoteCacheAddress(const std::string &Spec,
 }
 
 RemoteCacheBackend::RemoteCacheBackend(RemoteCacheConfig Config)
-    : Config(std::move(Config)), BackoffSeed(makeBackoffSeed()) {
+    : Config(std::move(Config)) {
   if (this->Config.MaxAttempts == 0)
     this->Config.MaxAttempts = 1;
 }
@@ -89,10 +46,8 @@ bool RemoteCacheBackend::request(Opcode Op, std::string_view Payload,
   for (unsigned Attempt = 0; Attempt < Config.MaxAttempts; ++Attempt) {
     if (Attempt > 0) {
       Conn.close();
-      // Jittered so a fleet that lost the same server does not retry in
-      // lockstep and re-stampede it the instant it returns.
-      std::this_thread::sleep_for(std::chrono::milliseconds(retryBackoffMs(
-          Attempt - 1, kInitialBackoffMs, kMaxBackoffMs, BackoffSeed)));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(Attempt * kRetryPauseMs));
     }
     // The server never sends first, so a pooled connection that is
     // readable before a send is one the server closed (it closes idle

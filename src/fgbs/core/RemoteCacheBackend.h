@@ -21,8 +21,8 @@
 /// the address; later ones stay quiet so a dead server does not flood
 /// stderr of a long run.
 ///
-/// Transient failures are retried MaxAttempts times with bounded
-/// exponential backoff and a fresh connection per attempt; a server
+/// Transient failures are retried until MaxAttempts attempts are spent,
+/// retry N on a fresh connection after a fixed N x 50 ms pause; a server
 /// that answers with an Error frame is not retried (it will answer the
 /// same way again).  The server closes a connection that idles for one
 /// of its poll slices, so a pooled connection found readable before a
@@ -48,16 +48,6 @@
 #include <vector>
 
 namespace fgbs {
-
-/// Deterministic "equal jitter" retry schedule: attempt \p Attempt's
-/// delay is drawn from [ceil(base/2), base] with
-/// base = min(InitialMs << Attempt, MaxMs), the draw keyed on
-/// (\p Seed, \p Attempt).  The jitter half-window keeps N clients that
-/// lost the same server from reconnecting in lockstep (their seeds
-/// differ), while the deterministic draw keeps any one client's
-/// schedule reproducible in tests.  Never returns 0.
-std::uint64_t retryBackoffMs(unsigned Attempt, std::uint64_t InitialMs,
-                             std::uint64_t MaxMs, std::uint64_t Seed);
 
 /// Decoded Stats opcode response: each namespace's storage footprint
 /// and the request counters.
@@ -135,7 +125,7 @@ public:
 
 private:
   /// Sends \p Op and decodes the response frame.  Handles connect,
-  /// retry/backoff, counters, and the one-shot warning.  False when
+  /// retries, counters, and the one-shot warning.  False when
   /// every attempt failed; \p Response holds Ok/NotFound/Error
   /// otherwise.
   bool request(net::Opcode Op, std::string_view Payload,
@@ -145,8 +135,6 @@ private:
   bool flagRequest(net::Opcode Op, const std::string &Name) const;
 
   RemoteCacheConfig Config;
-  /// Per-backend jitter seed so a fleet's retry schedules decorrelate.
-  std::uint64_t BackoffSeed;
   mutable std::mutex Mutex;
   mutable net::Socket Conn;
   mutable bool WarnedUnreachable = false;

@@ -110,6 +110,8 @@ bool CacheServer::start(std::string *Error) {
 
 void CacheServer::stop() {
   StopFlag.store(true, std::memory_order_release);
+  // Wakes every accept loop's poll now rather than at its slice's end.
+  Listen.shutdown();
   if (ServeThread.joinable())
     ServeThread.join();
   Listen.close();

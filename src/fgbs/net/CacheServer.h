@@ -38,7 +38,10 @@
 /// holds a worker for at most that long; a request whose first byte is
 /// in is read whole under a 10 s I/O deadline.  Connections are cheap
 /// and short-lived, so a small pool serves a large fleet; the kernel
-/// backlog absorbs bursts.
+/// backlog absorbs bursts.  stop() sets the stop flag and shuts the
+/// listener down, which wakes every waiting accept at once; a worker
+/// still serving a connection first finishes its request or its idle
+/// slice.
 ///
 /// Telemetry: cachesrv.{requests,bytes_in,bytes_out,errors,connections}
 /// plus cachesrv.get.{hits,misses}.
@@ -96,8 +99,8 @@ public:
   /// Binds, creates the root directory, and spawns the worker pool.
   bool start(std::string *Error);
 
-  /// Stops accepting, drains in-flight connections, joins the workers.
-  /// Idempotent.
+  /// Stops accepting at once, drains in-flight connections, joins the
+  /// workers.  Idempotent.
   void stop();
 
   bool running() const { return Running.load(std::memory_order_acquire); }

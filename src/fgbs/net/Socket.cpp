@@ -234,6 +234,11 @@ void Listener::close() {
   }
 }
 
+void Listener::shutdown() {
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
+}
+
 bool Listener::listenOn(const std::string &BindAddr, std::uint16_t Port,
                         int Backlog, std::string *Error) {
   close();

@@ -106,10 +106,14 @@ public:
   /// The locally bound port (resolves 0 to the kernel's choice).
   std::uint16_t port() const { return BoundPort; }
   void close();
+  /// Stops listening but keeps the descriptor: every acceptOnce()
+  /// waiting on it, on any thread, returns at once, as does every later
+  /// one.  close() still releases it.
+  void shutdown();
 
   /// Waits up to \p TimeoutMs for one connection; an invalid Socket
-  /// means the deadline passed (the server's stop-flag poll interval) or
-  /// another thread took the connection.  Safe to call from several
+  /// means the deadline passed (the server's stop-flag poll interval),
+  /// shutdown() ran or another thread took it.  Safe to call from several
   /// threads on one listener — the kernel hands each connection to
   /// exactly one accept, and the listener is non-blocking, so a loser
   /// of that race returns at once.

@@ -8,9 +8,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -508,31 +507,23 @@ fgbs::sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
   return std::move(sampleMemoryBehavior(Streams, One, TotalIterations)[0]);
 }
 
-/// The memo's entries for \p Machines' keys, each ready or in flight.
-/// The trace simulation is the expensive part of execute(); identical
-/// (streams, cache geometry, iteration-count) triples recur constantly
-/// across contexts and pipeline runs, so memoize them.  The memo is
-/// shared across the parallel measurement fan-out and is single-flight
-/// per key: a call registers an in-flight entry for every key it misses,
-/// under one lock, and samples all of them in one walk outside it;
-/// racing callers of those keys wait on the entries instead of sampling
-/// again.  A call samples everything it registered before it waits on
-/// anyone else's entry, so no cycle of waits can form.  A sampling that
-/// throws erases the entries its call registered, so a later call
-/// retries, and its exception reaches the waiters.
-static std::vector<std::shared_future<std::vector<StreamBehavior>>>
+/// The memo's behaviour for each of \p Machines' keys.  The trace
+/// simulation is the expensive part of execute(); identical (streams,
+/// cache geometry, iteration-count) triples recur constantly across
+/// contexts and pipeline runs, so memoize them.  The memo is shared
+/// across the parallel measurement fan-out: a call looks up every key
+/// under one lock, walks all the missing machines in one shared walk
+/// outside it, then inserts under the lock.  Racing misses of one key
+/// walk it twice, but the walk is deterministic and the first insert
+/// wins.  A walk that throws memoizes nothing and reaches only its own
+/// caller.
+static std::vector<std::shared_ptr<const std::vector<StreamBehavior>>>
 memoize(const std::vector<MemoryStreamDesc> &Streams,
         std::span<const Machine *const> Machines,
         std::uint64_t TotalIterations) {
-  using Result = std::vector<StreamBehavior>;
-  struct Entry {
-    std::shared_future<Result> Future;
-    /// The call that registered the entry; only its failure erases it.
-    std::uint64_t Owner = 0;
-  };
+  using Entry = std::shared_ptr<const std::vector<StreamBehavior>>;
   static std::mutex MemoMutex;
   static std::unordered_map<SampleKey, Entry, SampleKeyHash> Memo;
-  static std::uint64_t Calls = 0; // Guarded by MemoMutex.
 
   const std::size_t N = Machines.size();
   std::vector<SampleKey> Keys;
@@ -540,71 +531,42 @@ memoize(const std::vector<MemoryStreamDesc> &Streams,
   for (const Machine *M : Machines)
     Keys.push_back(sampleKey(Streams, *M, TotalIterations));
 
-  std::vector<std::shared_future<Result>> Pending(N);
-  std::vector<std::size_t> Mine; // Indices of the keys this call samples.
-  std::vector<std::promise<Result>> Promises;
-  std::uint64_t Call = 0;
+  std::vector<Entry> Out(N);
+  std::vector<std::size_t> Missing;
   {
     std::lock_guard<std::mutex> Lock(MemoMutex);
-    Call = ++Calls;
-    std::size_t Absent = 0;
     for (std::size_t I = 0; I < N; ++I) {
       auto It = Memo.find(Keys[I]);
-      if (It == Memo.end()) {
-        ++Absent;
-        continue;
-      }
-      Pending[I] = It->second.Future;
-      if (Pending[I].wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready)
-        FGBS_COUNTER_ADD("sim.sample.hits", 1);
+      if (It == Memo.end())
+        Missing.push_back(I);
       else
-        FGBS_COUNTER_ADD("sim.sample.waits", 1);
-    }
-    if (Absent > 0 && Memo.size() + Absent > MaxMemoEntries) {
-      FGBS_COUNTER_ADD("sim.sample.evictions", Memo.size());
-      Memo.clear();
-    }
-    Promises.reserve(Absent);
-    for (std::size_t I = 0; I < N; ++I) {
-      if (Pending[I].valid())
-        continue;
-      auto [It, Inserted] = Memo.try_emplace(Keys[I]);
-      if (Inserted) {
-        Promises.emplace_back();
-        It->second = {Promises.back().get_future().share(), Call};
-        Mine.push_back(I);
-        FGBS_COUNTER_ADD("sim.sample.misses", 1);
-      } else {
-        FGBS_COUNTER_ADD("sim.sample.waits", 1); // A repeat of a key above.
-      }
-      Pending[I] = It->second.Future;
+        Out[I] = It->second;
     }
   }
-  if (Mine.empty())
-    return Pending;
+  if (Missing.size() < N)
+    FGBS_COUNTER_ADD("sim.sample.hits", N - Missing.size());
+  if (Missing.empty())
+    return Out;
+  FGBS_COUNTER_ADD("sim.sample.misses", Missing.size());
 
   std::vector<const Machine *> ToSample;
-  for (std::size_t I : Mine)
+  for (std::size_t I : Missing)
     ToSample.push_back(Machines[I]);
-  try {
-    auto Sampled = sampleMemoryBehavior(Streams, ToSample, TotalIterations);
-    for (std::size_t K = 0; K < Mine.size(); ++K)
-      Promises[K].set_value(std::move(Sampled[K]));
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> Lock(MemoMutex);
-      for (std::size_t I : Mine) {
-        auto It = Memo.find(Keys[I]);
-        if (It != Memo.end() && It->second.Owner == Call)
-          Memo.erase(It);
-      }
-    }
-    for (std::promise<Result> &P : Promises)
-      P.set_exception(std::current_exception());
-    throw;
+  auto Sampled = sampleMemoryBehavior(Streams, ToSample, TotalIterations);
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  if (Memo.size() + Missing.size() > MaxMemoEntries) {
+    FGBS_COUNTER_ADD("sim.sample.evictions", Memo.size());
+    Memo.clear();
   }
-  return Pending;
+  for (std::size_t K = 0; K < Missing.size(); ++K) {
+    const std::size_t I = Missing[K];
+    auto [It, Inserted] = Memo.try_emplace(std::move(Keys[I]));
+    if (Inserted)
+      It->second = std::make_shared<const std::vector<StreamBehavior>>(
+          std::move(Sampled[K]));
+    Out[I] = It->second;
+  }
+  return Out;
 }
 
 std::vector<StreamBehavior>
@@ -612,15 +574,13 @@ fgbs::sampleMemoryBehaviorCached(const std::vector<MemoryStreamDesc> &Streams,
                                  const Machine &M,
                                  std::uint64_t TotalIterations) {
   const Machine *One[] = {&M};
-  // Rethrows a failed sampling's exception.
-  return memoize(Streams, One, TotalIterations)[0].get();
+  return *memoize(Streams, One, TotalIterations)[0];
 }
 
 void fgbs::primeMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
                                std::span<const Machine *const> Machines,
                                std::uint64_t TotalIterations) {
-  for (const auto &F : memoize(Streams, Machines, TotalIterations))
-    F.get(); // Waits; rethrows a failed sampling's exception.
+  memoize(Streams, Machines, TotalIterations);
 }
 
 MemoryTrace fgbs::memoryTrace(const Codelet &C, double Scale) {

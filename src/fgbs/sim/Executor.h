@@ -123,21 +123,21 @@ sampleMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
 /// path; identical stream/machine/iteration triples recur across
 /// compilation contexts and pipeline runs).  Keyed by content: the
 /// streams, the iteration count and each cache level's size,
-/// associativity and line size, never the machine's name.  Thread-safe
-/// and single-flight: concurrent callers of one key sample it once.
-/// Bounded: the process-wide memo clears itself at a fixed entry count.
-/// Each key looked up counts one of sim.sample.{hits,waits,misses};
-/// cleared entries count as sim.sample.evictions.
+/// associativity and line size, never the machine's name.  Thread-safe:
+/// racing callers of one missing key may each sample it, and the first
+/// insert wins (the sampling is deterministic).  Bounded: the
+/// process-wide memo clears itself at a fixed entry count.  Each key
+/// looked up counts one of sim.sample.{hits,misses}; cleared entries
+/// count as sim.sample.evictions.
 std::vector<StreamBehavior>
 sampleMemoryBehaviorCached(const std::vector<MemoryStreamDesc> &Streams,
                            const Machine &M, std::uint64_t TotalIterations);
 
 /// Fills the memo above for every machine of \p Machines: every key
 /// missing from it is sampled in one walk (counted in the
-/// sim.sample.walk timer), then the call waits for any key another call
-/// has in flight.  Copies no behaviour out; a later one-machine call
-/// hits.  On failure only the entries this call registered are dropped,
-/// and the exception is rethrown, also to the calls waiting on them.
+/// sim.sample.walk timer).  Copies no behaviour out; a later
+/// one-machine call hits.  A walk that throws memoizes none of the
+/// call's keys and reaches only this caller.
 void primeMemoryBehavior(const std::vector<MemoryStreamDesc> &Streams,
                          std::span<const Machine *const> Machines,
                          std::uint64_t TotalIterations);

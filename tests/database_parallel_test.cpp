@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 using namespace fgbs;
 
@@ -33,6 +35,27 @@ Suite smallSuite() {
 void expectBitIdentical(const MeasurementDatabase &A,
                         const MeasurementDatabase &B) {
   EXPECT_EQ(serializeMeasurements(A, 0), serializeMeasurements(B, 0));
+}
+
+/// Two applications of three codelets from \p Seed.  The sampling memo
+/// is process-wide, so a test that needs it cold uses a seed no other
+/// test uses.  The footprints stay above the generator's 64Ki-element
+/// floor and apart from smallSuite()'s, so no trace repeats one an
+/// earlier test in this process sampled.
+SyntheticConfig coldConfig(std::uint64_t Seed) {
+  SyntheticConfig Cfg;
+  Cfg.NumApplications = 2;
+  Cfg.CodeletsPerApp = 3;
+  Cfg.MinFootprintBytes = 5 << 18;
+  Cfg.MaxFootprintBytes = 5 << 19;
+  Cfg.Seed = Seed;
+  return Cfg;
+}
+
+/// The trace walks \p Snap's sim.sample.walk timer counted.
+std::uint64_t walks(const obs::MetricsSnapshot &Snap) {
+  auto It = Snap.Histograms.find("sim.sample.walk");
+  return It == Snap.Histograms.end() ? 0 : It->second.Count;
 }
 
 } // namespace
@@ -136,21 +159,11 @@ TEST(DatabaseParallel, DatabaseBuildRecordsCompileHits) {
 TEST(DatabaseParallel, ColdBuildWalksEachTraceOnce) {
   // A cold build samples each distinct memory trace in one walk for the
   // reference and all three targets, before the sweep asks for it: four
-  // misses per walk, and no caller ever waits on another's walk.  The
-  // sampling memo is process-wide, so each thread count builds a suite
-  // from its own seed, one no other test uses, to start cold.  The
-  // footprints stay above the generator's 64Ki-element floor and apart
-  // from smallSuite()'s, so no trace repeats one an earlier test in this
-  // process sampled.
+  // misses per walk, and no trace walked twice.  Each thread count
+  // builds a suite from its own seed, to start cold.
   for (unsigned Threads : {1u, 4u}) {
     SCOPED_TRACE(std::to_string(Threads) + " threads");
-    SyntheticConfig Cfg;
-    Cfg.NumApplications = 2;
-    Cfg.CodeletsPerApp = 3;
-    Cfg.MinFootprintBytes = 5 << 18;
-    Cfg.MaxFootprintBytes = 5 << 19;
-    Cfg.Seed = 0xC01D0 + Threads;
-    Suite S = makeSyntheticSuite(Cfg);
+    Suite S = makeSyntheticSuite(coldConfig(0xC01D0 + Threads));
 
     // The distinct traces the sweep samples: one per codelet and
     // distinct invocation-group scale.
@@ -167,30 +180,18 @@ TEST(DatabaseParallel, ColdBuildWalksEachTraceOnce) {
     obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
     obs::setEnabled(false);
 
-    auto Counter = [&Snap](const char *Name) -> std::uint64_t {
-      auto It = Snap.Counters.find(Name);
-      return It == Snap.Counters.end() ? 0 : It->second;
-    };
-    auto Walk = Snap.Histograms.find("sim.sample.walk");
-    ASSERT_NE(Walk, Snap.Histograms.end());
-    EXPECT_EQ(Walk->second.Count, Traces.size());
-    EXPECT_EQ(Counter("sim.sample.misses"), 4 * Walk->second.Count);
-    EXPECT_EQ(Counter("sim.sample.waits"), 0u);
-    EXPECT_GT(Counter("sim.sample.hits"), 0u);
+    EXPECT_EQ(walks(Snap), Traces.size());
+    EXPECT_EQ(obs::counterTotal("sim.sample.misses"), 4 * walks(Snap));
+    EXPECT_GT(obs::counterTotal("sim.sample.hits"), 0u);
   }
 }
 
-TEST(DatabaseParallel, CodeletsSharingATraceWaitOnNoWalk) {
+TEST(DatabaseParallel, CodeletsSharingATraceWalkItOnce) {
   // Two codelets with one memory trace, first in the suite, where four
   // threads would start on both at once: the pre-pass primes each
-  // distinct trace in one task, so a cold build walks it once and no
-  // thread waits on another's walk.  Its own seed keeps the memo cold.
-  SyntheticConfig Cfg;
-  Cfg.NumApplications = 2;
-  Cfg.CodeletsPerApp = 3;
-  Cfg.MinFootprintBytes = 5 << 18;
-  Cfg.MaxFootprintBytes = 5 << 19;
-  Cfg.Seed = 0x5EA4ED;
+  // distinct trace in one task, so a cold build walks it once, not once
+  // per codelet.  Its own seed keeps the memo cold.
+  const SyntheticConfig Cfg = coldConfig(0x5EA4ED);
   Suite S = makeSyntheticSuite(Cfg);
   // The generator is deterministic: a second suite's first codelet is a
   // copy of this one's.
@@ -218,13 +219,35 @@ TEST(DatabaseParallel, CodeletsSharingATraceWaitOnNoWalk) {
   obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
   obs::setEnabled(false);
 
-  auto Counter = [&Snap](const char *Name) -> std::uint64_t {
-    auto It = Snap.Counters.find(Name);
-    return It == Snap.Counters.end() ? 0 : It->second;
+  EXPECT_EQ(walks(Snap), Traces.size());
+  EXPECT_EQ(obs::counterTotal("sim.sample.misses"), 4 * Traces.size());
+}
+
+TEST(DatabaseParallel, RacingBuildsInOneProcessAgree) {
+  // Two builds of one cold suite at once share the process-wide memo,
+  // so their pre-passes may both walk a trace; the first insert wins.
+  // The databases must be bit-identical, and a third build afterwards
+  // must find every trace memoized.  Its own seed keeps the memo cold.
+  const Suite S = makeSyntheticSuite(coldConfig(0x2ACE5));
+  DatabaseOptions Options;
+  Options.Threads = 2;
+  auto Build = [&S, &Options] {
+    return std::make_unique<MeasurementDatabase>(S, makeNehalem(),
+                                                 paperTargets(),
+                                                 TimingPolicy{}, Options);
   };
-  auto Walk = Snap.Histograms.find("sim.sample.walk");
-  ASSERT_NE(Walk, Snap.Histograms.end());
-  EXPECT_EQ(Walk->second.Count, Traces.size());
-  EXPECT_EQ(Counter("sim.sample.misses"), 4 * Traces.size());
-  EXPECT_EQ(Counter("sim.sample.waits"), 0u);
+  std::unique_ptr<MeasurementDatabase> A, B;
+  std::thread First([&] { A = Build(); });
+  std::thread Second([&] { B = Build(); });
+  First.join();
+  Second.join();
+  expectBitIdentical(*A, *B);
+
+  obs::setEnabled(true);
+  obs::MetricsRegistry::global().reset();
+  std::unique_ptr<MeasurementDatabase> Third = Build();
+  obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+  obs::setEnabled(false);
+  EXPECT_EQ(walks(Snap), 0u);
+  expectBitIdentical(*A, *Third);
 }

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace fgbs;
@@ -365,6 +366,38 @@ TEST_F(RegistryTest, RepublishIsIdempotentAndMovesTheTag) {
   PullResult Pinned = C->pullByHash("m", First.Sha256Hex);
   ASSERT_TRUE(static_cast<bool>(Pinned)) << Pinned.Message;
   EXPECT_EQ(Pinned.Bytes, "version one");
+}
+
+TEST_F(RegistryTest, WarmPullRewritesNoUnchangedRef) {
+  auto Publisher = client("pub");
+  ASSERT_TRUE(static_cast<bool>(Publisher->publish("m", "latest", "one")));
+  auto C = client("con");
+  ASSERT_TRUE(static_cast<bool>(C->pull("m", "latest")));
+  const fs::path RefFile =
+      Dir / "con" /
+      LocalDirBackend::encodeFileName(modelRefKey("m", "latest"));
+  auto Inode = [&RefFile] {
+    struct stat St{};
+    EXPECT_EQ(::stat(RefFile.c_str(), &St), 0) << RefFile;
+    return St.st_ino;
+  };
+  const ino_t Memoized = Inode();
+
+  // A warm pull resolves the same ref and leaves the memo's file alone.
+  ASSERT_TRUE(static_cast<bool>(C->pull("m", "latest")));
+  EXPECT_EQ(Inode(), Memoized) << "a warm pull rewrote an unchanged ref";
+
+  // After a re-publish the pull moves the memo's ref, so a degraded
+  // pull serves the new tag.
+  PublishResult Second = Publisher->publish("m", "latest", "two");
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.Message;
+  ASSERT_TRUE(static_cast<bool>(C->pull("m", "latest")));
+  Fake->Dead = true;
+  PullResult Degraded = C->pull("m", "latest");
+  ASSERT_TRUE(static_cast<bool>(Degraded)) << Degraded.Message;
+  EXPECT_TRUE(Degraded.Degraded);
+  EXPECT_EQ(Degraded.Sha256Hex, Second.Sha256Hex);
+  EXPECT_EQ(Degraded.Bytes, "two");
 }
 
 TEST_F(RegistryTest, WarmPullByHashTouchesNoNetwork) {

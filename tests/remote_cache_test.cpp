@@ -3,8 +3,7 @@
 // The remote measurement-cache tier end to end: entry-name validation,
 // the fgbs_cached server's opcode surface and on-disk layout over a real
 // loopback socket, put-time pruning of whole-server budgets in both
-// namespaces, the jittered retry schedule,
-// tiered read-through/write-through semantics,
+// namespaces, a prompt stop, tiered read-through/write-through semantics,
 // typed degradation when the server dies, and the headline guarantee —
 // a second host with a cold local directory trains with zero simulation
 // and byte-identical results.
@@ -138,9 +137,10 @@ TEST(CacheServer, StopReturnsPromptlyAfterRacingAccepts) {
   // Every accept loop polls one shared listener.  When several wake for
   // one connection, the losers must go back to polling the stop flag
   // instead of blocking in accept(); a blocking listener wedged them
-  // for good, and stop() then waited on their join forever.  CPU
-  // contention widens the window, so the connections arrive under a
-  // burner on every core.
+  // for good, and stop() then waited on their join forever.  stop() now
+  // also shuts the listener down, which wakes a loop blocked in accept()
+  // too.  CPU contention widens the window, so the connections arrive
+  // under a burner on every core.
   TempDir Dir("stop");
   net::CacheServerConfig Config = loopbackConfig(Dir);
   Config.Threads = 16;
@@ -175,14 +175,25 @@ TEST(CacheServer, StopReturnsPromptlyAfterRacingAccepts) {
   Burn.store(false, std::memory_order_relaxed);
   for (std::thread &B : Burners)
     B.join();
-  // A loop wedged in accept() takes the next connection, sees the stop
-  // flag and exits; wake every such loop so the test can join.
-  for (unsigned I = 0; I < Config.Threads &&
-                       Done.wait_for(std::chrono::milliseconds(100)) !=
-                           std::future_status::ready;
-       ++I)
-    net::Socket::connectTo("127.0.0.1", Server.port(), 2000, &Error);
   Stopper.join();
+}
+
+TEST(CacheServer, StopIsPromptWhenIdle) {
+  // stop() shuts the listener down, which wakes every accept loop's poll
+  // at once rather than at the end of its 250 ms slice.
+  TempDir Dir("idle-stop");
+  net::CacheServerConfig Config = loopbackConfig(Dir);
+  Config.Threads = 4;
+  net::CacheServer Server(Config);
+  std::string Error;
+  ASSERT_TRUE(Server.start(&Error)) << Error;
+  // Let every accept loop reach its poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto Start = std::chrono::steady_clock::now();
+  Server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::milliseconds(125))
+      << "stop() of an idle server took half a poll slice or more";
 }
 
 TEST(CacheServer, TraversalNamesRejected) {
@@ -471,46 +482,6 @@ TEST(Degradation, DeadServerDegradesWithCounters) {
   EXPECT_TRUE(Client.scan("fgbs-meas-", ".v1").empty());
   EXPECT_GE(obs::counterTotal("db.cache.remote.errors"), 4u);
   obs::setEnabled(false);
-}
-
-//===----------------------------------------------------------------------===//
-// Jittered retry backoff (RemoteCacheBackend retries)
-//===----------------------------------------------------------------------===//
-
-TEST(RetryBackoff, StaysInsideTheEqualJitterWindow) {
-  const std::uint64_t Initial = 50, Max = 1000;
-  for (std::uint64_t Seed : {1ull, 0xDEADBEEFull, 0x5EED5EED5EED5EEDull}) {
-    for (unsigned Attempt = 0; Attempt < 16; ++Attempt) {
-      std::uint64_t Base = Max;
-      if (Attempt < 63 && (Max >> Attempt) >= Initial)
-        Base = Initial << Attempt;
-      const std::uint64_t V = retryBackoffMs(Attempt, Initial, Max, Seed);
-      EXPECT_GE(V, Base - Base / 2) << "attempt " << Attempt;
-      EXPECT_LE(V, Base) << "attempt " << Attempt;
-    }
-  }
-}
-
-TEST(RetryBackoff, DeterministicPerSeedDecorrelatedAcrossSeeds) {
-  for (unsigned Attempt = 0; Attempt < 8; ++Attempt)
-    EXPECT_EQ(retryBackoffMs(Attempt, 50, 1000, 42),
-              retryBackoffMs(Attempt, 50, 1000, 42));
-  // Two clients with different seeds must not share a schedule (the
-  // whole point of the jitter): some attempt must differ.
-  bool Differs = false;
-  for (unsigned Attempt = 0; Attempt < 8 && !Differs; ++Attempt)
-    Differs = retryBackoffMs(Attempt, 50, 1000, 1) !=
-              retryBackoffMs(Attempt, 50, 1000, 2);
-  EXPECT_TRUE(Differs);
-}
-
-TEST(RetryBackoff, NeverZeroAndSaturatesSanely) {
-  EXPECT_GE(retryBackoffMs(0, 0, 0, 7), 1u);
-  EXPECT_GE(retryBackoffMs(200, 50, 1000, 7), 500u); // huge attempt: capped
-  EXPECT_LE(retryBackoffMs(200, 50, 1000, 7), 1000u);
-  // Max below Initial: the cap lifts to Initial instead of underflowing.
-  EXPECT_LE(retryBackoffMs(3, 100, 10, 7), 100u);
-  EXPECT_GE(retryBackoffMs(3, 100, 10, 7), 50u);
 }
 
 //===----------------------------------------------------------------------===//
